@@ -2,8 +2,8 @@
 Kashiwara-Vergne equation.
 
 Noncommutative polynomials over the rationals, the Dynkin and Eulerian
-idempotents, the Baker-Campbell-Hausdorff series (two independent
-constructions), the explicit particular solution of the first
+idempotents, the Baker-Campbell-Hausdorff series (a power-word
+construction and two oracles), the explicit particular solution of the first
 Kashiwara-Vergne equation, and the parameterisation of all its solutions by
 the kernel of the Dynkin idempotent -- every identity checkable degree by
 degree in exact arithmetic.
@@ -50,6 +50,7 @@ from .kv import (
     apply_operator,
     bch_eulerian,
     bch_oracle,
+    bch_permutation_oracle,
     f0,
     g0,
     general_solution,

@@ -1,14 +1,17 @@
 """The Dynkin and Eulerian idempotents and the kernel-of-Dynkin machinery.
 
-Both projectors onto the free Lie algebra are implemented twice, by
-independent constructions that the test suite plays against each other:
+Both projectors onto the free Lie algebra have one production construction
+and independent oracles that the test suite plays against it:
 
-* ``dynkin`` -- right-nested bracketing with a 1/n prefactor (primary), and
-  ``dynkin_via_descents`` -- the descent-class permutation sum (check);
-* ``eulerian`` -- the permutation sum with coefficients
-  (-1)^d(sigma) / (n * C(n-1, d(sigma))) (primary), and
+* ``dynkin`` -- right-nested bracketing with a 1/n prefactor (production),
+  and ``dynkin_via_descents`` -- the descent-class permutation sum (oracle);
+* ``eulerian_power_word`` -- e on a power word x_1^i_1 ... x_k^i_k through
+  the run-length convolution recursion (production: the BCH series and the
+  particular solution only ever need e on power words), and two oracles on
+  arbitrary words: ``eulerian`` -- the S_n permutation sum with coefficients
+  (-1)^d(sigma) / (n * C(n-1, d(sigma))), factorial in the degree -- and
   ``eulerian_via_convolution`` -- log of the identity under convolution,
-  evaluated through the co-shuffle (check).
+  evaluated through the co-shuffle.
 
 The permutation sum for the Eulerian idempotent carries an explicit 1/n per
 degree; without it the convolution construction is not reproduced (already
@@ -114,10 +117,12 @@ def _eulerian_word(word: Word) -> dict[Word, Fraction]:
 
 
 def eulerian(p: NCPoly) -> NCPoly:
-    """The Eulerian idempotent e = log of the identity under convolution.
+    """Oracle for the Eulerian idempotent e = log of the identity under
+    convolution, on arbitrary polynomials.
 
-    Evaluated through the full permutation sum with descent-count
-    coefficients; linear extension over the terms of p.
+    Evaluated through the full S_n permutation sum with descent-count
+    coefficients; linear extension over the terms of p.  Production code
+    goes through :func:`eulerian_power_word` instead.
     """
     return apply_word_map(p, _eulerian_word)
 
@@ -253,8 +258,9 @@ def _eulerian_segments(segments: Segments) -> dict[Word, Fraction]:
 def eulerian_power_word(p: NCPoly | None = None, *, alphabet=None, segments: Segments | None = None) -> NCPoly:
     """e applied to a power word letter0^c0 letter1^c1 ... given as runs.
 
-    Same values as :func:`eulerian` but scales to the degrees the series
-    constructions need, where enumerating S_n would be prohibitive.
+    The production route for e: same values as :func:`eulerian`, but it
+    scales to the degrees the series constructions need, where enumerating
+    S_n would be prohibitive.
     """
     if segments is None or alphabet is None:
         raise ValueError("eulerian_power_word needs alphabet= and segments=")

@@ -4,11 +4,13 @@ Everything specific to the equation
 
     x + y - log(e^y e^x) = (1 - e^(-ad x)) F(x,y) + (e^(ad y) - 1) G(x,y)
 
-lives here: the Baker-Campbell-Hausdorff series built two independent ways,
-its split into the Dynkin images of the x-leading and y-leading monomials,
-the operator calculus E(z) = exp(ad z) - 1 and its Bernoulli inverse, the
-explicit particular solution, the parameterisation of all solutions by the
-kernel of the Dynkin idempotent, and the multilinear generalisation.
+lives here: the Baker-Campbell-Hausdorff series (built from the Eulerian
+idempotent on power words, with the S_n permutation sum and exp/log as
+oracles), its split into the Dynkin images of the x-leading and y-leading
+monomials, the operator calculus E(z) = exp(ad z) - 1 and its Bernoulli
+inverse, the explicit particular solution, the parameterisation of all
+solutions by the kernel of the Dynkin idempotent, and the multilinear
+generalisation.
 
 Argument-order discipline: a BCH series carries the tuple of variables it
 was built in, and any reordered evaluation (such as the recurring (y, x)
@@ -35,7 +37,7 @@ from .algebra import (
     letter_part,
     substitute,
 )
-from .idempotents import dynkin, dynkin_kernel_basis, eulerian, eulerian_power_word, psi
+from .idempotents import dynkin, dynkin_kernel_basis, eulerian_power_word, psi
 from .linalg import nullspace_dimension, rank, solve_affine
 from .lyndon import lyndon_words, standard_bracketing, to_lie_coordinates
 from .scalars import bernoulli, factorial
@@ -161,17 +163,13 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-@lru_cache(maxsize=None)
-def bch_eulerian(order: int, k: int = 2) -> BchSeries:
-    """BCH series from the Eulerian idempotent on power words:
+def _bch_from_power_words(order: int, k: int, power_word_value) -> BchSeries:
+    """Component m = sum over (i_1, ..., i_k) summing to m of
+    e(x_1^i_1 ... x_k^i_k) / (i_1! ... i_k!), with e on each power word given
+    by ``power_word_value(alphabet, counts)``.
 
-    component m = sum over (i_1, ..., i_k) summing to m of
-    e(x_1^i_1 ... x_k^i_k) / (i_1! ... i_k!).
-
-    For two variables the value on each power word is evaluated through the
-    full permutation sum; pure powers beyond degree 1 are asserted to vanish
-    under e.  For k > 2 (and as a cross-checked fast path in tests) the power
-    words go through the run-length convolution route instead.
+    Pure powers beyond degree 1 are asserted to vanish under e, and every
+    component is certified to be a Lie element.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -180,17 +178,9 @@ def bch_eulerian(order: int, k: int = 2) -> BchSeries:
     for m in range(1, order + 1):
         comp = NCPoly.zero(alphabet)
         for counts in _compositions(m, k):
-            word = tuple(
-                letter for letter, c in enumerate(counts) for _ in range(c)
-            )
-            if k == 2:
-                value = eulerian(NCPoly.from_word(alphabet, word))
-            else:
-                value = eulerian_power_word(
-                    alphabet=alphabet, segments=tuple(enumerate(counts))
-                )
+            value = power_word_value(alphabet, counts)
             if m >= 2 and sum(1 for c in counts if c) == 1 and value:
-                raise AssertionError(f"e on the pure power word {word} did not vanish")
+                raise AssertionError(f"e on the pure power word {counts} did not vanish")
             denom = 1
             for c in counts:
                 denom *= factorial(c)
@@ -199,6 +189,41 @@ def bch_eulerian(order: int, k: int = 2) -> BchSeries:
     series = GradedSeries(alphabet, order, parts)
     _certify_lie(series)
     return BchSeries(series, alphabet.letters)
+
+
+@lru_cache(maxsize=None)
+def bch_eulerian(order: int, k: int = 2) -> BchSeries:
+    """BCH series from the Eulerian idempotent on power words, for any k.
+
+    This is the production construction: e on each power word goes through
+    the run-length convolution route (:func:`eulerian_power_word`), which
+    never enumerates a symmetric group.
+    """
+    return _bch_from_power_words(
+        order,
+        k,
+        lambda alphabet, counts: eulerian_power_word(
+            alphabet=alphabet, segments=tuple(enumerate(counts))
+        ),
+    )
+
+
+def bch_permutation_oracle(order: int) -> BchSeries:
+    """Oracle BCH series in two variables: the same power-word sum, with e on
+    each power word evaluated through the full S_n permutation sum.
+
+    Factorial in the degree; tests play it against :func:`bch_eulerian` and
+    :func:`bch_oracle`, and no production path calls it.
+    """
+    from .idempotents import eulerian
+
+    return _bch_from_power_words(
+        order,
+        2,
+        lambda alphabet, counts: eulerian(
+            NCPoly.from_word(alphabet, (0,) * counts[0] + (1,) * counts[1])
+        ),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -326,9 +351,25 @@ def particular_solution(order: int) -> KvSolutionPair:
 # -- verifiers -------------------------------------------------------------------
 
 
+def _checked_order(order: int | None, available: int, what: str, phi: BchSeries | None = None) -> int:
+    """The order to verify through: ``order``, or ``available`` when None.
+
+    Truncation is never mistaken for a defect: an order above what the
+    given series carry, or a ``phi`` of lower order, raises ValueError.
+    """
+    order = available if order is None else order
+    if order > available:
+        raise ValueError(f"order {order} is above the order {available} of the {what}")
+    if phi is not None and phi.order < order:
+        raise ValueError(
+            f"the BCH series has order {phi.order}, below the requested order {order}"
+        )
+    return order
+
+
 def verify_split(F: GradedSeries, order: int | None = None, phi: BchSeries | None = None) -> GradedSeries:
     """Defect of the split equation: Phi^-(y, x) - E(-x) F."""
-    order = F.order if order is None else order
+    order = _checked_order(order, F.order, "series F", phi)
     phi = bch_eulerian(order) if phi is None else phi
     _, minus = phi_split(phi)
     target = minus.substitute(SWAP)
@@ -342,7 +383,7 @@ def verify_kv1(pair: KvSolutionPair, order: int | None = None, phi: BchSeries | 
     sum_{n>=2} Phi_n(y, x) - E(-x) F + E(y) G; identically zero exactly for
     solutions of the Kashiwara-Vergne first equation.
     """
-    order = pair.order if order is None else order
+    order = _checked_order(order, min(pair.F.order, pair.G.order), "pair (F, G)", phi)
     phi = bch_eulerian(order) if phi is None else phi
     tail = phi.tail().substitute(SWAP)
     minus_x = NCPoly.letter(XY, "x").scaled(-1)
@@ -354,7 +395,7 @@ def verify_kv1(pair: KvSolutionPair, order: int | None = None, phi: BchSeries | 
 
 def verify_homogeneous(pair: KvSolutionPair, order: int | None = None) -> GradedSeries:
     """Defect of the homogeneous equation E(-x) F = E(y) G."""
-    order = pair.order if order is None else order
+    order = _checked_order(order, min(pair.F.order, pair.G.order), "pair (F, G)")
     minus_x = NCPoly.letter(XY, "x").scaled(-1)
     y = NCPoly.letter(XY, "y")
     return op_exp_ad_minus_one(minus_x, pair.F.truncate(order)) - op_exp_ad_minus_one(
@@ -623,10 +664,15 @@ def multilinear_particular_solution(k: int, order: int) -> list[GradedSeries]:
 
 def clear_caches() -> None:
     """Drop every memoised table (word-level idempotent values, permutation
-    tables, BCH series, ...); mainly for cold-start timing and memory tests."""
+    tables, BCH series, the Bernoulli prefix, ...); mainly for cold-start
+    timing and memory tests."""
     from . import idempotents as _idem
     from . import lyndon as _lyndon
     from . import permutations as _perm
+    from . import scalars as _scalars
+
+    with _scalars._bernoulli_lock:
+        _scalars._bernoulli_values[:] = [Fraction(1)]
 
     for fn in (
         bch_eulerian,
@@ -659,7 +705,7 @@ def verify_multilinear(
     k = len(solutions)
     if k < 2:
         raise ValueError("need at least two solution components")
-    order = solutions[0].order if order is None else order
+    order = _checked_order(order, min(F.order for F in solutions), "solution tuple", phi)
     phi = multilinear_bch(k, order) if phi is None else phi
     alphabet = phi.series.alphabet
     reversed_phi = phi.reversed_arguments()

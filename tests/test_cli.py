@@ -200,3 +200,40 @@ def test_threads_env_hint(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--equation", "kv1", "--degree", "3")
     assert code == 2
     assert "KVLIE_THREADS" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solution", "--lambda1", "abc", "--degree", "2"), "--lambda1"),
+        (("solution", "--lambda1", "1/0", "--degree", "2"), "--lambda1"),
+        (("bch", "--vars", "20"), "--vars 20"),
+        (("f0", "--degree", "2", "--output", "/nonexistent/x"), "cannot write"),
+    ],
+)
+def test_bad_input_exits_2_with_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert message in err
+
+
+def test_verify_multilinear_vars(capsys, monkeypatch):
+    import kvlie.cli as cli
+
+    checked = []
+    real = cli.multilinear_particular_solution
+
+    def spy(k, order):
+        checked.append(k)
+        return real(k, order)
+
+    monkeypatch.setattr(cli, "multilinear_particular_solution", spy)
+    code, out, _ = run(capsys, "verify", "--equation", "multilinear", "--vars", "2",
+                       "--degree", "4")
+    assert code == 0 and checked == [2]
+    assert out == "verified: multilinear defect vanishes through degree 4\n"
+    code, out, _ = run(capsys, "verify", "--equation", "multilinear", "--degree", "4")
+    assert code == 0 and checked == [2, 3]
+    assert out == "verified: multilinear defect vanishes through degree 4\n"

@@ -25,6 +25,8 @@ from kvlie.kv import (
     apply_operator,
     bch_eulerian,
     bch_oracle,
+    bch_permutation_oracle,
+    clear_caches,
     f0,
     g0,
     general_solution,
@@ -50,6 +52,7 @@ from kvlie.kv import (
 )
 from kvlie.linalg import nullspace_dimension, rank
 from kvlie.lyndon import is_lie_element, lyndon_words, standard_bracketing, to_lie_coordinates
+from kvlie import idempotents, permutations, scalars
 from kvlie.series import GradedSeries, series_exp, series_log
 
 X = NCPoly.letter(XY, "x")
@@ -83,6 +86,29 @@ def test_bch_low_components():
 
 def test_bch_routes_agree():
     assert bch_eulerian(6).series == bch_oracle(6).series
+
+
+def test_bch_power_word_route_equals_permutation_oracle():
+    for n in range(1, 9):
+        assert bch_eulerian(n).series == bch_permutation_oracle(n).series, n
+
+
+def test_bch_power_word_route_equals_exp_log_at_degree_10():
+    assert bch_eulerian(10).series == bch_oracle(10).series
+
+
+def test_production_route_calls_no_permutation_sum(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("production code reached the S_n permutation sum")
+
+    clear_caches()
+    monkeypatch.setattr(permutations, "sn_with_descents", forbidden)
+    monkeypatch.setattr(idempotents, "sn_with_descents", forbidden)
+    monkeypatch.setattr(idempotents, "_eulerian_word", forbidden)
+    assert bch_eulerian(9).order == 9
+    p = parse_poly(XY, "2/3*xxyxy - 1/5*yyx + xy")
+    assert verify_kv1(general_solution(p, order=9), 9).is_zero()
+    assert solve_split_chain(8).component(8) == f0(8).component(8)
 
 
 def test_bch_swap_is_substitution_symmetric():
@@ -261,6 +287,42 @@ def test_verify_split():
     zero_defect = verify_split(GradedSeries.zero(XY, 5), 5)
     _, minus = phi_split(bch_eulerian(5))
     assert zero_defect == minus.substitute(SWAP)
+
+
+def test_verifiers_refuse_orders_above_their_input():
+    pair = particular_solution(4)
+    with pytest.raises(ValueError, match="order 6 is above the order 4"):
+        verify_kv1(pair, 6)
+    with pytest.raises(ValueError, match="order 6 is above the order 4"):
+        verify_split(pair.F, 6)
+    with pytest.raises(ValueError, match="order 6 is above the order 4"):
+        verify_homogeneous(pair, 6)
+    sols = multilinear_particular_solution(3, 3)
+    with pytest.raises(ValueError, match="order 4 is above the order 3"):
+        verify_multilinear(sols, 4)
+    # a lower order is a plain truncation and still verifies
+    assert verify_kv1(particular_solution(6), 4).is_zero()
+    assert verify_multilinear(sols, 2).is_zero()
+
+
+def test_verifiers_refuse_a_bch_series_of_lower_order():
+    pair = particular_solution(6)
+    low = bch_eulerian(4)
+    with pytest.raises(ValueError, match="order 4, below the requested order 6"):
+        verify_kv1(pair, 6, phi=low)
+    with pytest.raises(ValueError, match="order 4, below the requested order 6"):
+        verify_split(pair.F, 6, phi=low)
+    sols = multilinear_particular_solution(3, 4)
+    with pytest.raises(ValueError, match="order 3, below the requested order 4"):
+        verify_multilinear(sols, 4, phi=multilinear_bch(3, 3))
+
+
+def test_clear_caches_resets_bernoulli_memo():
+    assert scalars.bernoulli(12) == Fraction(-691, 2730)
+    assert len(scalars._bernoulli_values) > 1
+    clear_caches()
+    assert scalars._bernoulli_values == [Fraction(1)]
+    assert scalars.bernoulli(12) == Fraction(-691, 2730)
 
 
 def test_verify_kv1():
