@@ -14,6 +14,8 @@ polynomial, so instances are safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .scalars import format_rational, parse_rational
@@ -93,10 +95,11 @@ def _as_fraction(value) -> Fraction:
 class NCPoly:
     """A noncommutative polynomial: finitely many words with rational coefficients.
 
-    ``terms`` never stores zero coefficients, so ``==`` is exact term-wise
-    equality.  Addition and subtraction use ``+``/``-``; ``*`` is the
-    concatenation product when both operands are polynomials and scalar
-    multiplication when one side is a rational or integer.
+    ``terms`` is a read-only view that never holds zero coefficients, so
+    ``==`` is exact term-wise equality and a shared (cached) value cannot be
+    changed by its caller.  Addition and subtraction use ``+``/``-``; ``*``
+    is the concatenation product when both operands are polynomials and
+    scalar multiplication when one side is a rational or integer.
     """
 
     __slots__ = ("alphabet", "terms")
@@ -113,7 +116,7 @@ class NCPoly:
                 if any(not 0 <= i < size for i in word):
                     raise ValueError(f"word {word} has letters outside the alphabet")
                 clean[word] = coeff
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
 
     # -- constructors ------------------------------------------------------
 
@@ -194,7 +197,7 @@ class NCPoly:
     def _raw(cls, alphabet: Alphabet, terms: dict[Word, Fraction]) -> "NCPoly":
         poly = cls.__new__(cls)
         poly.alphabet = alphabet
-        poly.terms = terms
+        poly.terms = MappingProxyType(terms)
         return poly
 
     # -- inspection --------------------------------------------------------
@@ -239,12 +242,8 @@ def concat(p: NCPoly, q: NCPoly) -> NCPoly:
     for wp, cp in p.terms.items():
         for wq, cq in q.terms.items():
             word = wp + wq
-            acc = terms.get(word, _ZERO) + cp * cq
-            if acc:
-                terms[word] = acc
-            else:
-                terms.pop(word, None)
-    return NCPoly._raw(p.alphabet, terms)
+            terms[word] = terms.get(word, _ZERO) + cp * cq
+    return NCPoly._raw(p.alphabet, {w: c for w, c in terms.items() if c})
 
 
 def bracket(p: NCPoly, q: NCPoly) -> NCPoly:
@@ -315,12 +314,8 @@ def substitute(p: NCPoly, images: Mapping[str, str]) -> NCPoly:
             out.append(j)
             sign *= s
         new_word = tuple(out)
-        acc = terms.get(new_word, _ZERO) + sign * coeff
-        if acc:
-            terms[new_word] = acc
-        else:
-            terms.pop(new_word, None)
-    return NCPoly._raw(alphabet, terms)
+        terms[new_word] = terms.get(new_word, _ZERO) + sign * coeff
+    return NCPoly._raw(alphabet, {w: c for w, c in terms.items() if c})
 
 
 def permute_word(word: Word, perm) -> Word:
@@ -334,17 +329,19 @@ def permute_word(word: Word, perm) -> Word:
     return tuple(word[s - 1] for s in images)
 
 
+def integer_form(terms: Mapping[Word, Fraction]) -> tuple[dict[Word, int], int]:
+    """(numerators, D) with terms = numerators / D, D the lcm of the denominators."""
+    scale = lcm(*(c.denominator for c in terms.values()))
+    return {w: c.numerator * (scale // c.denominator) for w, c in terms.items()}, scale
+
+
 def apply_word_map(p: NCPoly, word_map) -> NCPoly:
     """Linear extension of a map word -> dict(word -> Fraction)."""
     terms: dict[Word, Fraction] = {}
     for word, coeff in p.terms.items():
         for w2, c2 in word_map(word).items():
-            acc = terms.get(w2, _ZERO) + coeff * c2
-            if acc:
-                terms[w2] = acc
-            else:
-                terms.pop(w2, None)
-    return NCPoly._raw(p.alphabet, terms)
+            terms[w2] = terms.get(w2, _ZERO) + coeff * c2
+    return NCPoly._raw(p.alphabet, {w: c for w, c in terms.items() if c})
 
 
 # -- co-shuffle --------------------------------------------------------------
@@ -369,11 +366,7 @@ class TensorSquare:
             raise ValueError("alphabet mismatch")
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            acc = terms.get(key, _ZERO) + coeff
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
+            terms[key] = terms.get(key, _ZERO) + coeff
         return TensorSquare(self.alphabet, terms)
 
     def __mul__(self, other: "TensorSquare") -> "TensorSquare":
@@ -384,11 +377,7 @@ class TensorSquare:
         for (l1, r1), c1 in self.terms.items():
             for (l2, r2), c2 in other.terms.items():
                 key = (l1 + l2, r1 + r2)
-                acc = terms.get(key, _ZERO) + c1 * c2
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
+                terms[key] = terms.get(key, _ZERO) + c1 * c2
         return TensorSquare(self.alphabet, terms)
 
     def __repr__(self) -> str:
@@ -421,11 +410,7 @@ def coshuffle(p: NCPoly) -> TensorSquare:
     terms: dict[tuple[Word, Word], Fraction] = {}
     for word, coeff in p.terms.items():
         for key, mult in word_coshuffle(word).items():
-            acc = terms.get(key, _ZERO) + coeff * mult
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
+            terms[key] = terms.get(key, _ZERO) + coeff * mult
     return TensorSquare(p.alphabet, terms)
 
 
@@ -570,10 +555,6 @@ def parse_poly(alphabet: Alphabet, text: str) -> NCPoly:
         if not word and not have_coeff:
             raise PolyParseError("expected a term", i)
         key = tuple(word)
-        acc = terms.get(key, _ZERO) + sign * coeff
-        if acc:
-            terms[key] = acc
-        else:
-            terms.pop(key, None)
+        terms[key] = terms.get(key, _ZERO) + sign * coeff
         i = skip_ws(i)
     return NCPoly(alphabet, terms)

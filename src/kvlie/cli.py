@@ -98,8 +98,8 @@ def _check_degree(n: int, force: bool) -> None:
         raise SystemExit("kvlie: --degree must be >= 1")
     if n > MAX_UNFORCED_DEGREE and not force:
         raise SystemExit(
-            f"kvlie: degree {n} exceeds {MAX_UNFORCED_DEGREE}; the cost grows about 3x "
-            "per degree (verify kv1 takes about 9 s at degree 12), pass --force to proceed"
+            f"kvlie: degree {n} exceeds {MAX_UNFORCED_DEGREE}; the cost grows about 2x "
+            "per degree (verify kv1 takes about 2 s at degree 12), pass --force to proceed"
         )
 
 

@@ -3,7 +3,9 @@
 Both projectors onto the free Lie algebra have one production construction
 and independent oracles that the test suite plays against it:
 
-* ``dynkin`` -- right-nested bracketing with a 1/n prefactor (production),
+* ``dynkin`` -- right-nested bracketing with a 1/n prefactor, applied to a
+  whole homogeneous component at once through its letter parts,
+  r(sum_a a p_a) = sum_a [a, r(p_a)], in integer arithmetic (production),
   and ``dynkin_via_descents`` -- the descent-class permutation sum (oracle);
 * ``eulerian_power_word`` -- e on a power word x_1^i_1 ... x_k^i_k through
   the run-length convolution recursion (production: the BCH series and the
@@ -17,17 +19,19 @@ The permutation sum for the Eulerian idempotent carries an explicit 1/n per
 degree; without it the convolution construction is not reproduced (already
 visible on xy, where the convolution forces (xy - yx)/2).
 
-All maps are linear extensions of word-level maps, which are memoised: words
-are plain tuples of letter indices, so the caches are alphabet-agnostic.
+The other maps are linear extensions of word-level maps, which are memoised:
+words are plain tuples of letter indices, so the caches are alphabet-agnostic.
+The production kernels sum in integers and divide by one common denominator
+per component or word.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
-from .algebra import NCPoly, Word, apply_word_map, concat, letter_part
+from .algebra import NCPoly, Word, apply_word_map, concat, integer_form, letter_part
 from .permutations import descent_class_images, sn_with_descents
 
 _ZERO = Fraction(0)
@@ -36,25 +40,24 @@ _ZERO = Fraction(0)
 # -- Dynkin idempotent --------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _dynkin_word(word: Word) -> dict[Word, Fraction]:
-    """gamma on a single word: (1/n) [v1, [v2, [... [v_{n-1}, vn] ...]]]."""
-    n = len(word)
-    if n == 0:
-        return {}
-    if n == 1:
-        return {word: Fraction(1)}
-    terms: dict[Word, int] = {word[-1:]: 1}
-    for letter in reversed(word[:-1]):
-        nxt: dict[Word, int] = {}
-        for w, c in terms.items():
-            left = (letter,) + w
-            nxt[left] = nxt.get(left, 0) + c
-            right = w + (letter,)
-            nxt[right] = nxt.get(right, 0) - c
-        terms = {w: c for w, c in nxt.items() if c}
-    inv = Fraction(1, n)
-    return {w: inv * c for w, c in terms.items()}
+def _right_nested(terms: dict[Word, int]) -> dict[Word, int]:
+    """r(p) = sum_a [a, r(p_a)] for p = sum_a a * p_a homogeneous of degree >= 1,
+    with r the identity on letters: right-nested bracketing, each prefix shared
+    by every word that starts with it."""
+    groups: dict[int, dict[Word, int]] = {}
+    for w, c in terms.items():
+        groups.setdefault(w[0], {})[w[1:]] = c
+    out: dict[Word, int] = {}
+    for letter, rest in groups.items():
+        head = (letter,)
+        if () in rest:
+            out[head] = rest[()]
+            continue
+        for w, c in _right_nested(rest).items():
+            left, right = head + w, w + head
+            out[left] = out.get(left, 0) + c
+            out[right] = out.get(right, 0) - c
+    return {w: c for w, c in out.items() if c}
 
 
 def dynkin(p: NCPoly) -> NCPoly:
@@ -62,8 +65,15 @@ def dynkin(p: NCPoly) -> NCPoly:
 
     gamma kills constants, fixes letters, and fixes exactly the Lie elements
     (Friedrichs criterion), so applying it twice equals applying it once.
+    On the degree-n component, scaled to integers by the lcm D of its
+    denominators, gamma is r / (n * D) with r the right-nested bracketing.
     """
-    return apply_word_map(p, _dynkin_word)
+    terms: dict[Word, Fraction] = {}
+    for n in p.degrees():
+        if n:
+            ints, scale = integer_form(p.homogeneous_component(n).terms)
+            terms.update((w, Fraction(c, n * scale)) for w, c in _right_nested(ints).items())
+    return NCPoly._raw(p.alphabet, terms)
 
 
 @lru_cache(maxsize=None)
@@ -108,12 +118,8 @@ def _eulerian_word(word: Word) -> dict[Word, Fraction]:
     coeff = [Fraction((-1) ** d, n * comb(n - 1, d)) for d in range(n)]
     out: dict[Word, Fraction] = {}
     for (permuted, d), cnt in counts.items():
-        acc = out.get(permuted, _ZERO) + cnt * coeff[d]
-        if acc:
-            out[permuted] = acc
-        else:
-            out.pop(permuted, None)
-    return out
+        out[permuted] = out.get(permuted, _ZERO) + cnt * coeff[d]
+    return {w: c for w, c in out.items() if c}
 
 
 def eulerian(p: NCPoly) -> NCPoly:
@@ -156,12 +162,8 @@ def _eulerian_word_convolution(word: Word) -> dict[Word, Fraction]:
     for k in range(1, n + 1):
         sign = Fraction((-1) ** (k - 1), k)
         for w, c in _jstar_word(k, word).items():
-            acc = out.get(w, _ZERO) + sign * c
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
-    return out
+            out[w] = out.get(w, _ZERO) + sign * c
+    return {w: c for w, c in out.items() if c}
 
 
 def eulerian_via_convolution(p: NCPoly) -> NCPoly:
@@ -241,18 +243,17 @@ def _jstar_segments(k: int, segments: Segments) -> dict[Word, int]:
 
 @lru_cache(maxsize=None)
 def _eulerian_segments(segments: Segments) -> dict[Word, Fraction]:
+    """sum_k (-1)^(k-1) J*k / k, summed in integers over L = lcm(1..n) and
+    divided by L once per word."""
     segments = _normalize_segments(segments)
     n = sum(c for _, c in segments)
-    out: dict[Word, Fraction] = {}
+    common = lcm(*range(1, n + 1))
+    out: dict[Word, int] = {}
     for k in range(1, n + 1):
-        sign = Fraction((-1) ** (k - 1), k)
+        weight = (-1) ** (k - 1) * (common // k)
         for w, c in _jstar_segments(k, segments).items():
-            acc = out.get(w, _ZERO) + sign * c
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
-    return out
+            out[w] = out.get(w, 0) + weight * c
+    return {w: Fraction(c, common) for w, c in out.items() if c}
 
 
 def eulerian_power_word(p: NCPoly | None = None, *, alphabet=None, segments: Segments | None = None) -> NCPoly:

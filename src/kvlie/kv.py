@@ -21,6 +21,7 @@ failure is diagnosable term by term.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -665,34 +666,17 @@ def multilinear_particular_solution(k: int, order: int) -> list[GradedSeries]:
 def clear_caches() -> None:
     """Drop every memoised table (word-level idempotent values, permutation
     tables, BCH series, the Bernoulli prefix, ...); mainly for cold-start
-    timing and memory tests."""
-    from . import idempotents as _idem
-    from . import lyndon as _lyndon
-    from . import permutations as _perm
+    timing and memory tests.  The lru caches are found in the loaded kvlie
+    modules, so a new cache needs no registration here."""
     from . import scalars as _scalars
 
     with _scalars._bernoulli_lock:
         _scalars._bernoulli_values[:] = [Fraction(1)]
-
-    for fn in (
-        bch_eulerian,
-        bch_oracle,
-        a_series,
-        f0,
-        g0,
-        _idem._dynkin_word,
-        _idem._dynkin_word_descents,
-        _idem._eulerian_word,
-        _idem._jstar_word,
-        _idem._eulerian_word_convolution,
-        _idem._jstar_segments,
-        _idem._eulerian_segments,
-        _perm.descent_class_images,
-        _perm._sn_descents_cached,
-        _lyndon._lyndon_words,
-        _lyndon._standard_bracketing_word,
-    ):
-        fn.cache_clear()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kvlie."):
+            for fn in vars(module).values():
+                if hasattr(fn, "cache_clear") and getattr(fn, "__module__", None) == name:
+                    fn.cache_clear()
 
 
 def verify_multilinear(

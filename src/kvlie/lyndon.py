@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
-from .algebra import Alphabet, NCPoly, Word
+from .algebra import Alphabet, NCPoly, Word, integer_form
 from .scalars import moebius
 
 
@@ -134,23 +135,40 @@ def to_lie_coordinates(p: NCPoly) -> LieCoordinates:
 
     Repeatedly reads the lexicographically least remaining word; by
     unitriangularity it must be Lyndon with the coordinate as coefficient,
-    and subtracting that bracketing only leaves larger words.
+    and subtracting that bracketing only leaves larger words.  The
+    elimination runs in place on integers (p scaled by the lcm D of its
+    denominators), visiting words through a heap.
     """
     if not p.is_homogeneous():
         raise ValueError("to_lie_coordinates requires a homogeneous polynomial")
     if not p:
         return LieCoordinates(0, {})
-    degree = p.max_degree()
+    residual, scale = integer_form(p.terms)
+    heap = list(residual)
+    heapify(heap)
     coords: dict[Word, Fraction] = {}
-    residual = p
-    while residual:
-        word = min(residual.terms)
-        coeff = residual.terms[word]
+    while heap:
+        word = heappop(heap)
+        coeff = residual.get(word)
+        if coeff is None:
+            continue  # cancelled since it was pushed
         if not is_lyndon(word):
-            raise NotLieElementError(residual)
-        coords[word] = coeff
-        residual = residual - standard_bracketing(p.alphabet, word).scaled(coeff)
-    return LieCoordinates(degree, coords)
+            break
+        coords[word] = Fraction(coeff, scale)
+        for w, c in _standard_bracketing_word(word).items():
+            acc = residual.get(w)
+            if acc is None:
+                residual[w] = -coeff * c
+                heappush(heap, w)
+            elif acc == coeff * c:
+                del residual[w]
+            else:
+                residual[w] = acc - coeff * c
+    if residual:
+        raise NotLieElementError(
+            NCPoly(p.alphabet, {w: Fraction(c, scale) for w, c in residual.items()})
+        )
+    return LieCoordinates(p.max_degree(), coords)
 
 
 def from_lie_coordinates(alphabet: Alphabet, coords: LieCoordinates) -> NCPoly:

@@ -1,0 +1,111 @@
+"""The integer word kernels against their oracles, on whole polynomials.
+
+Single-word tests cannot see a bug in how the production kernels group
+words (by degree, by leading letter, by common denominator), so these tests
+draw dense polynomials of mixed degree with mixed denominators.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kvlie.algebra import XY, Alphabet, NCPoly, default_alphabet, letter_part, parse_poly
+from kvlie.idempotents import dynkin, dynkin_via_descents, eulerian_power_word
+from kvlie.lyndon import (
+    NotLieElementError,
+    from_lie_coordinates,
+    is_lyndon,
+    standard_bracketing,
+    to_lie_coordinates,
+)
+
+COEFFS = st.builds(
+    Fraction, st.integers(-30, 30).filter(bool), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12, 35])
+)
+
+
+@st.composite
+def polynomials(draw, max_degree=8, degrees=None):
+    """A polynomial over 2 or 3 letters: a few degrees, each with up to 40 of
+    its words, so that words share prefixes."""
+    k = draw(st.sampled_from([2, 3]))
+    if degrees is None:
+        degrees = draw(st.lists(st.integers(0, max_degree), min_size=1, max_size=3, unique=True))
+    terms = {}
+    for d in degrees:
+        words = st.tuples(*[st.integers(0, k - 1)] * d)
+        terms.update(draw(st.dictionaries(words, COEFFS, min_size=1, max_size=min(k**d, 40))))
+    return NCPoly(default_alphabet(k), terms)
+
+
+def eliminate_by_polynomials(p: NCPoly) -> NCPoly:
+    """Reference Lyndon elimination on whole polynomials: the residual left at
+    the first non-Lyndon least word (zero for a Lie element)."""
+    residual = p
+    while residual:
+        word = min(residual.terms)
+        if not is_lyndon(word):
+            return residual
+        residual = residual - standard_bracketing(p.alphabet, word).scaled(residual.terms[word])
+    return residual
+
+
+@settings(deadline=None, max_examples=150)
+@given(polynomials())
+def test_dynkin_equals_descent_oracle(p):
+    assert dynkin(p) == dynkin_via_descents(p)
+
+
+def test_dynkin_equals_descent_oracle_on_a_series_inputs():
+    # every polynomial a_series(10) hands to gamma: (e(x^i y^j))_x with i + j <= 11
+    for n in range(2, 12):
+        for i in range(1, n):
+            e_val = eulerian_power_word(alphabet=XY, segments=((0, i), (1, n - i)))
+            p = letter_part(e_val, "x")
+            assert dynkin(p) == dynkin_via_descents(p), (i, n - i)
+
+
+def homogeneous(max_degree):
+    return st.integers(1, max_degree).flatmap(lambda d: polynomials(degrees=[d]))
+
+
+@settings(deadline=None, max_examples=100)
+@given(homogeneous(7))
+def test_lie_coordinates_round_trip_on_random_lie_elements(p):
+    q = dynkin(p)
+    coords = to_lie_coordinates(q)
+    assert all(is_lyndon(w) for w in coords.coords)
+    assert from_lie_coordinates(q.alphabet, coords) == q
+
+
+@settings(deadline=None, max_examples=100)
+@given(homogeneous(6))
+def test_elimination_matches_reference_on_random_input(p):
+    expected = eliminate_by_polynomials(p)
+    if expected:
+        with pytest.raises(NotLieElementError) as err:
+            to_lie_coordinates(p)
+        assert err.value.residual == expected
+    else:
+        assert from_lie_coordinates(p.alphabet, to_lie_coordinates(p)) == p
+
+
+@pytest.mark.parametrize(
+    "letters, text",
+    [("xy", "xy + yx"), ("xy", "xxy"), ("xy", "yx"), ("xy", "1/2*xy + 1/3*yx"),
+     ("xy", "2/3*xyy - 1/5*yxy + 7/4*yyx"), ("xy", "xy - yx + xxy"),
+     ("xyz", "3/7*xzy"), ("xyz", "xyz - 1/2*zyx + 5/6*yzx")],
+)
+def test_non_lie_residual_equals_reference(letters, text):
+    p = parse_poly(Alphabet(letters), text)
+    assert p != dynkin(p)  # not a Lie element
+    for d in p.degrees():
+        component = p.homogeneous_component(d)
+        expected = eliminate_by_polynomials(component)
+        if not expected:
+            continue
+        with pytest.raises(NotLieElementError) as err:
+            to_lie_coordinates(component)
+        assert err.value.residual == expected

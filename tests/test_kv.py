@@ -325,6 +325,50 @@ def test_clear_caches_resets_bernoulli_memo():
     assert scalars.bernoulli(12) == Fraction(-691, 2730)
 
 
+def _kvlie_lru_caches():
+    """Every lru_cache defined in a kvlie module, found by importing the package."""
+    import importlib
+    import pkgutil
+
+    import kvlie
+
+    caches = {}
+    for info in pkgutil.iter_modules(kvlie.__path__):
+        module = importlib.import_module(f"kvlie.{info.name}")
+        for name, fn in vars(module).items():
+            if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = fn
+    return caches
+
+
+def test_clear_caches_empties_every_lru_cache():
+    caches = _kvlie_lru_caches()
+    assert {"kv.f0", "kv.bch_oracle", "lyndon._standard_bracketing_word",
+            "idempotents._jstar_segments", "permutations._sn_descents_cached"} <= set(caches)
+    f0(6)
+    bch_oracle(5)
+    bch_permutation_oracle(5)
+    assert sum(fn.cache_info().currsize for fn in caches.values()) > 0
+    clear_caches()
+    assert {name: fn.cache_info().currsize for name, fn in caches.items() if fn.cache_info().currsize} == {}
+
+
+def test_cached_results_are_read_only():
+    clear_caches()
+    expected = f0(4)
+    component = expected.parts[2]
+    assert component
+    with pytest.raises(AttributeError):
+        component.terms.clear()
+    with pytest.raises(TypeError):
+        component.terms[(0, 0)] = Fraction(1)
+    with pytest.raises(TypeError):
+        del component.terms[next(iter(component.terms))]
+    assert f0(4) is expected
+    clear_caches()
+    assert f0(4) == expected
+
+
 def test_verify_kv1():
     pair = particular_solution(6)
     assert verify_kv1(pair, 6).is_zero()
