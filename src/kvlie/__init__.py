@@ -15,7 +15,6 @@ from .algebra import (
     NCPoly,
     PolyParseError,
     TensorSquare,
-    ad,
     ad_pow,
     bracket,
     concat,
@@ -44,10 +43,8 @@ from .idempotents import (
 from .kv import (
     BchSeries,
     KvSolutionPair,
-    OperatorSpec,
     a_series,
     antisymmetric_kernel_element,
-    apply_operator,
     bch_eulerian,
     bch_oracle,
     bch_permutation_oracle,

@@ -92,20 +92,33 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
-class NCPoly:
+class Frozen:
+    """Slots set once, by the constructors through ``object.__setattr__``;
+    rebinding or deleting one afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None)
+
+
+class NCPoly(Frozen):
     """A noncommutative polynomial: finitely many words with rational coefficients.
 
     ``terms`` is a read-only view that never holds zero coefficients, so
-    ``==`` is exact term-wise equality and a shared (cached) value cannot be
-    changed by its caller.  Addition and subtraction use ``+``/``-``; ``*``
-    is the concatenation product when both operands are polynomials and
-    scalar multiplication when one side is a rational or integer.
+    ``==`` is exact term-wise equality; neither slot can be rebound, so a
+    shared (cached) value cannot be changed by its caller.  Addition and
+    subtraction use ``+``/``-``; ``*`` is the concatenation product when both
+    operands are polynomials and scalar multiplication when one side is a
+    rational or integer.
     """
 
     __slots__ = ("alphabet", "terms")
 
     def __init__(self, alphabet: Alphabet, terms: Mapping[Word, Fraction] | None = None):
-        self.alphabet = alphabet
         clean: dict[Word, Fraction] = {}
         if terms:
             size = alphabet.size
@@ -116,7 +129,8 @@ class NCPoly:
                 if any(not 0 <= i < size for i in word):
                     raise ValueError(f"word {word} has letters outside the alphabet")
                 clean[word] = coeff
-        self.terms = MappingProxyType(clean)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     # -- constructors ------------------------------------------------------
 
@@ -196,8 +210,8 @@ class NCPoly:
     @classmethod
     def _raw(cls, alphabet: Alphabet, terms: dict[Word, Fraction]) -> "NCPoly":
         poly = cls.__new__(cls)
-        poly.alphabet = alphabet
-        poly.terms = MappingProxyType(terms)
+        object.__setattr__(poly, "alphabet", alphabet)
+        object.__setattr__(poly, "terms", MappingProxyType(terms))
         return poly
 
     # -- inspection --------------------------------------------------------
@@ -257,11 +271,6 @@ def _coerce_poly(alphabet: Alphabet, z) -> NCPoly:
     if isinstance(z, str):
         return NCPoly.letter(alphabet, z)
     raise TypeError("expected a letter symbol or a polynomial")
-
-
-def ad(z, p: NCPoly) -> NCPoly:
-    """ad(z): p -> [z, p], where z is a letter symbol or a polynomial."""
-    return bracket(_coerce_poly(p.alphabet, z), p)
 
 
 def ad_pow(z, k: int, p: NCPoly) -> NCPoly:
@@ -335,6 +344,27 @@ def integer_form(terms: Mapping[Word, Fraction]) -> tuple[dict[Word, int], int]:
     return {w: c.numerator * (scale // c.denominator) for w, c in terms.items()}, scale
 
 
+def from_integer_form(alphabet: Alphabet, numerators: Mapping[Word, int], scale: int) -> NCPoly:
+    """The polynomial numerators / scale; ``numerators`` holds no zeros."""
+    return NCPoly._raw(alphabet, {w: Fraction(c, scale) for w, c in numerators.items()})
+
+
+def sum_integer_forms(alphabet: Alphabet, items) -> NCPoly:
+    """sum of weight * numerators / scale over (weight, numerators, scale) items.
+
+    Accumulates in integers over the lcm L of the weighted denominators and
+    builds one Fraction(c, L) per output word.
+    """
+    items = [(w, nums, w.denominator * scale) for w, nums, scale in items if w and nums]
+    common = lcm(*(den for _, _, den in items))
+    out: dict[Word, int] = {}
+    for weight, nums, den in items:
+        factor = weight.numerator * (common // den)
+        for word, c in nums.items():
+            out[word] = out.get(word, 0) + factor * c
+    return from_integer_form(alphabet, {w: c for w, c in out.items() if c}, common)
+
+
 def apply_word_map(p: NCPoly, word_map) -> NCPoly:
     """Linear extension of a map word -> dict(word -> Fraction)."""
     terms: dict[Word, Fraction] = {}
@@ -360,14 +390,6 @@ class TensorSquare:
         if not isinstance(other, TensorSquare):
             return NotImplemented
         return self.alphabet == other.alphabet and self.terms == other.terms
-
-    def __add__(self, other: "TensorSquare") -> "TensorSquare":
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            terms[key] = terms.get(key, _ZERO) + coeff
-        return TensorSquare(self.alphabet, terms)
 
     def __mul__(self, other: "TensorSquare") -> "TensorSquare":
         """Componentwise product (a (x) b)(c (x) d) = ac (x) bd."""
@@ -417,27 +439,24 @@ def coshuffle(p: NCPoly) -> TensorSquare:
 # -- text, JSON and LaTeX forms ----------------------------------------------
 
 
+def _signed_terms(p: NCPoly, body) -> str:
+    """The canonical terms of p joined with signs; body(|c|, word text) renders one."""
+    pieces: list[str] = []
+    for k, (word, coeff) in enumerate(p.sorted_terms()):
+        sign = ("-" if coeff < 0 else "") if k == 0 else ("- " if coeff < 0 else "+ ")
+        pieces.append(sign + body(abs(coeff), p.alphabet.word_text(word)))
+    return " ".join(pieces) or "0"
+
+
+def _text_body(mag: Fraction, wtext: str) -> str:
+    if not wtext:
+        return format_rational(mag)
+    return wtext if mag == 1 else f"{format_rational(mag)}*{wtext}"
+
+
 def to_text(p: NCPoly) -> str:
     """Canonical text form, e.g. "1/4*y + 1/24*xy - 1/24*yx"."""
-    items = p.sorted_terms()
-    if not items:
-        return "0"
-    pieces: list[str] = []
-    for k, (word, coeff) in enumerate(items):
-        negative = coeff < 0
-        mag = -coeff if negative else coeff
-        wtext = p.alphabet.word_text(word)
-        if not wtext:
-            body = format_rational(mag)
-        elif mag == 1:
-            body = wtext
-        else:
-            body = f"{format_rational(mag)}*{wtext}"
-        if k == 0:
-            pieces.append(("-" if negative else "") + body)
-        else:
-            pieces.append(("- " if negative else "+ ") + body)
-    return " ".join(pieces)
+    return _signed_terms(p, _text_body)
 
 
 def to_json_terms(p: NCPoly) -> list[dict[str, str]]:
@@ -455,25 +474,16 @@ def from_json_terms(alphabet: Alphabet, items: Iterable[Mapping[str, str]]) -> N
     return NCPoly(alphabet, terms)
 
 
+def _latex_body(mag: Fraction, wtext: str) -> str:
+    if mag.denominator == 1:
+        ctext = "" if mag == 1 else str(mag)
+    else:
+        ctext = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+    return (ctext + wtext) or "1"
+
+
 def to_latex(p: NCPoly) -> str:
-    items = p.sorted_terms()
-    if not items:
-        return "0"
-    pieces: list[str] = []
-    for k, (word, coeff) in enumerate(items):
-        negative = coeff < 0
-        mag = -coeff if negative else coeff
-        if mag.denominator == 1:
-            ctext = "" if mag == 1 else str(mag)
-        else:
-            ctext = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        wtext = p.alphabet.word_text(word)
-        body = (ctext + wtext) or "1"
-        if k == 0:
-            pieces.append(("-" if negative else "") + body)
-        else:
-            pieces.append(("- " if negative else "+ ") + body)
-    return " ".join(pieces)
+    return _signed_terms(p, _latex_body)
 
 
 class PolyParseError(ValueError):

@@ -2,8 +2,9 @@
 
 Exit codes: 0 when the requested identity holds or output was produced,
 1 when a mathematical defect was found, 2 for usage or parse errors.
-Identical flags produce byte-identical output; the KVLIE_THREADS
-environment variable caps the workers used for per-degree defect checks.
+Identical flags produce byte-identical output.  The KVLIE_THREADS
+environment variable is still validated but no longer used: a thread pool
+over the per-degree defect report saved no time under the GIL.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,16 +58,14 @@ class CliConfig:
     variables: int
     format: str
     output: str | None
-    parallelism: int
 
 
-def _parallelism_hint() -> int:
+def _check_threads_env() -> None:
     raw = os.environ.get("KVLIE_THREADS", "1")
     try:
-        value = int(raw)
+        int(raw)
     except ValueError:
         raise SystemExit(f"kvlie: invalid KVLIE_THREADS value {raw!r}")
-    return max(1, value)
 
 
 def _render_poly(p: NCPoly, fmt: str) -> str:
@@ -99,28 +97,16 @@ def _check_degree(n: int, force: bool) -> None:
     if n > MAX_UNFORCED_DEGREE and not force:
         raise SystemExit(
             f"kvlie: degree {n} exceeds {MAX_UNFORCED_DEGREE}; the cost grows about 2x "
-            "per degree (verify kv1 takes about 2 s at degree 12), pass --force to proceed"
+            "per degree (verify kv1 takes about 1.8 s at degree 12), pass --force to proceed"
         )
 
 
-def _defect_lines(defect: GradedSeries, workers: int) -> list[str]:
-    """Per-degree defect report; degrees are checked independently."""
-    alphabet = defect.alphabet
-
-    def one(d: int) -> list[str]:
-        comp = defect.parts[d]
-        return [
-            f"defect at degree {d}: {alphabet.word_text(w)} coefficient {c}"
-            for w, c in comp.sorted_terms()
-        ]
-
-    degrees = range(len(defect.parts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(one, degrees))
-    else:
-        chunks = [one(d) for d in degrees]
-    return [line for chunk in chunks for line in chunk]
+def _defect_lines(defect: GradedSeries) -> list[str]:
+    """Per-degree defect report, lowest degree first."""
+    return [
+        f"defect at degree {d}: {defect.alphabet.word_text(w)} coefficient {c}"
+        for d, w, c in defect.iter_terms()
+    ]
 
 
 def _check_vars(k: int) -> None:
@@ -152,7 +138,7 @@ def _cmd_bch(args, config: CliConfig) -> int:
         right = bch_oracle(config.degree, config.variables)
     if args.method == "both":
         diff = left.series - right.series
-        lines = _defect_lines(diff, config.parallelism)
+        lines = _defect_lines(diff)
         _emit("\n".join(lines), config.output)
         return EXIT_OK if diff.is_zero() else EXIT_DEFECT
     series = left if args.method == "eulerian" else right
@@ -198,7 +184,7 @@ def _cmd_verify(args, config: CliConfig) -> int:
             config.output,
         )
         return EXIT_OK
-    lines = _defect_lines(defect, config.parallelism)
+    lines = _defect_lines(defect)
     _emit(lines[0], config.output)
     return EXIT_DEFECT
 
@@ -220,7 +206,7 @@ def _cmd_solution(args, config: CliConfig) -> int:
         body = f"F = {render(pair.F.to_poly())}\nG = {render(pair.G.to_poly())}"
     _emit(body, config.output)
     if not defect.is_zero():
-        first = _defect_lines(defect, config.parallelism)[0]
+        first = _defect_lines(defect)[0]
         print(f"kvlie: self-verification failed: {first}", file=sys.stderr)
         return EXIT_DEFECT
     return EXIT_OK
@@ -327,8 +313,8 @@ def main(argv: list[str] | None = None) -> int:
             variables=2 if getattr(args, "vars", None) is None else args.vars,
             format=args.format,
             output=args.output,
-            parallelism=_parallelism_hint(),
         )
+        _check_threads_env()
         _check_degree(config.degree, args.force)
         if config.variables < 2:
             raise SystemExit("kvlie: --vars must be >= 2")

@@ -265,8 +265,10 @@ def eulerian_power_word(p: NCPoly | None = None, *, alphabet=None, segments: Seg
     """
     if segments is None or alphabet is None:
         raise ValueError("eulerian_power_word needs alphabet= and segments=")
-    data = _eulerian_segments(_normalize_segments(tuple(segments)))
-    return NCPoly(alphabet, data)
+    segments = _normalize_segments(tuple(segments))
+    if any(not 0 <= letter < alphabet.size for letter, _ in segments):
+        raise ValueError(f"segments {segments} have letters outside the alphabet")
+    return NCPoly._raw(alphabet, _eulerian_segments(segments))
 
 
 # -- kernel of the Dynkin idempotent -------------------------------------------

@@ -26,97 +26,50 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _words_of
+from math import prod
 
 from .algebra import (
     XY,
-    Alphabet,
     NCPoly,
     Word,
     bracket,
     concat,
     default_alphabet,
+    integer_form,
     letter_part,
     substitute,
+    sum_integer_forms,
 )
 from .idempotents import dynkin, dynkin_kernel_basis, eulerian_power_word, psi
 from .linalg import nullspace_dimension, rank, solve_affine
 from .lyndon import lyndon_words, standard_bracketing, to_lie_coordinates
 from .scalars import bernoulli, factorial
-from .series import GradedSeries
+from .series import GradedSeries, _ad_power_sum
 
 SWAP = {"x": "y", "y": "x"}
 NEGATE_SWAP = {"x": "-y", "y": "-x"}
 NEGATE = {"x": "-x", "y": "-y"}
+X = NCPoly.letter(XY, "x")
+Y = NCPoly.letter(XY, "y")
+MINUS_X = X.scaled(-1)
 
 
-# -- operators ---------------------------------------------------------------
+# -- operators: weighted sums sum_k w_k ad(z)^k on the integer series kernel --
 
 
 def op_ad(base: NCPoly, s: GradedSeries) -> GradedSeries:
     """ad(base) applied componentwise; base must be homogeneous of degree 1."""
-    if base and (not base.is_homogeneous() or base.max_degree() != 1):
-        raise ValueError("operator base must be homogeneous of degree 1")
-    parts = [NCPoly.zero(s.alphabet) for _ in range(s.order + 1)]
-    for d, p in enumerate(s.parts):
-        if p and d + 1 <= s.order:
-            parts[d + 1] = bracket(base, p)
-    return GradedSeries(s.alphabet, s.order, parts)
+    return _ad_power_sum(base, s, (0, 1))
 
 
 def op_exp_ad_minus_one(base: NCPoly, s: GradedSeries) -> GradedSeries:
     """E(base) = exp(ad base) - 1, truncated at the series order."""
-    acc = GradedSeries.zero(s.alphabet, s.order)
-    term = s
-    for k in range(1, s.order + 1):
-        term = op_ad(base, term)
-        if term.is_zero():
-            break
-        acc = acc + term.scaled(Fraction(1, factorial(k)))
-    return acc
+    return _ad_power_sum(base, s, [0] + [Fraction(1, factorial(k)) for k in range(1, s.order + 1)])
 
 
 def op_bernoulli(base: NCPoly, s: GradedSeries) -> GradedSeries:
     """Ber(base) = sum_k B_k ad(base)^k / k!, the inverse of E up to ad."""
-    acc = s  # B_0 = 1
-    term = s
-    for k in range(1, s.order + 1):
-        term = op_ad(base, term)
-        if term.is_zero():
-            break
-        bk = bernoulli(k)
-        if bk:
-            acc = acc + term.scaled(bk / factorial(k))
-    return acc
-
-
-@dataclass(frozen=True)
-class OperatorSpec:
-    """A degree-truncated operator E(z), Ber(z) or ad(z) with z = sign * letter."""
-
-    letter: str
-    sign: int
-    kind: str  # "E" | "Ber" | "ad"
-    order: int
-
-    def base(self, alphabet: Alphabet) -> NCPoly:
-        if self.sign not in (1, -1):
-            raise ValueError("operator sign must be +1 or -1")
-        return NCPoly.letter(alphabet, self.letter).scaled(self.sign)
-
-    def apply(self, s: GradedSeries) -> GradedSeries:
-        base = self.base(s.alphabet)
-        s = s.truncate(self.order) if s.order > self.order else s
-        if self.kind == "E":
-            return op_exp_ad_minus_one(base, s)
-        if self.kind == "Ber":
-            return op_bernoulli(base, s)
-        if self.kind == "ad":
-            return op_ad(base, s)
-        raise ValueError(f"unknown operator kind {self.kind!r}")
-
-
-def apply_operator(op: OperatorSpec, s: GradedSeries) -> GradedSeries:
-    return op.apply(s)
+    return _ad_power_sum(base, s, [bernoulli(k) / factorial(k) for k in range(s.order + 1)])
 
 
 # -- Baker-Campbell-Hausdorff series -----------------------------------------
@@ -177,17 +130,15 @@ def _bch_from_power_words(order: int, k: int, power_word_value) -> BchSeries:
     alphabet = default_alphabet(k)
     parts = [NCPoly.zero(alphabet)]
     for m in range(1, order + 1):
-        comp = NCPoly.zero(alphabet)
+        items = []
         for counts in _compositions(m, k):
             value = power_word_value(alphabet, counts)
             if m >= 2 and sum(1 for c in counts if c) == 1 and value:
                 raise AssertionError(f"e on the pure power word {counts} did not vanish")
-            denom = 1
-            for c in counts:
-                denom *= factorial(c)
-            comp = comp + value.scaled(Fraction(1, denom))
-        parts.append(comp)
-    series = GradedSeries(alphabet, order, parts)
+            weight = Fraction(1, prod(factorial(c) for c in counts))
+            items.append((weight, *integer_form(value.terms)))
+        parts.append(sum_integer_forms(alphabet, items))
+    series = GradedSeries._raw(alphabet, order, parts)
     _certify_lie(series)
     return BchSeries(series, alphabet.letters)
 
@@ -301,15 +252,14 @@ def a_series(order: int) -> GradedSeries:
     parts = [NCPoly.zero(alphabet)]
     for d in range(1, order + 1):
         n = d + 1
-        comp = NCPoly.zero(alphabet)
+        items = []
         for i in range(1, n):
             j = n - i
             e_val = eulerian_power_word(alphabet=alphabet, segments=((0, i), (1, j)))
-            comp = comp + dynkin(letter_part(e_val, "x")).scaled(
-                Fraction(1, factorial(i) * factorial(j))
-            )
-        parts.append(comp.scaled(Fraction(n - 1, n)))
-    series = GradedSeries(alphabet, order, parts)
+            weight = Fraction(n - 1, n * factorial(i) * factorial(j))
+            items.append((weight, *integer_form(dynkin(letter_part(e_val, "x")).terms)))
+        parts.append(sum_integer_forms(alphabet, items))
+    series = GradedSeries._raw(alphabet, order, parts)
     _certify_lie(series)
     return series
 
@@ -318,8 +268,7 @@ def a_series(order: int) -> GradedSeries:
 def f0(order: int) -> GradedSeries:
     """The particular solution F0(x, y) = -Ber(-x) applied to a(-x, -y)."""
     s = a_series(order).substitute(NEGATE)
-    minus_x = NCPoly.letter(XY, "x").scaled(-1)
-    return -op_bernoulli(minus_x, s)
+    return -op_bernoulli(MINUS_X, s)
 
 
 @lru_cache(maxsize=None)
@@ -338,11 +287,6 @@ class KvSolutionPair:
     @property
     def order(self) -> int:
         return self.F.order
-
-    def substitute_negate_swap(self) -> "KvSolutionPair":
-        return KvSolutionPair(
-            self.F.substitute(NEGATE_SWAP), self.G.substitute(NEGATE_SWAP)
-        )
 
 
 def particular_solution(order: int) -> KvSolutionPair:
@@ -374,8 +318,7 @@ def verify_split(F: GradedSeries, order: int | None = None, phi: BchSeries | Non
     phi = bch_eulerian(order) if phi is None else phi
     _, minus = phi_split(phi)
     target = minus.substitute(SWAP)
-    minus_x = NCPoly.letter(XY, "x").scaled(-1)
-    return target - op_exp_ad_minus_one(minus_x, F.truncate(order))
+    return target - op_exp_ad_minus_one(MINUS_X, F.truncate(order))
 
 
 def verify_kv1(pair: KvSolutionPair, order: int | None = None, phi: BchSeries | None = None) -> GradedSeries:
@@ -387,20 +330,16 @@ def verify_kv1(pair: KvSolutionPair, order: int | None = None, phi: BchSeries | 
     order = _checked_order(order, min(pair.F.order, pair.G.order), "pair (F, G)", phi)
     phi = bch_eulerian(order) if phi is None else phi
     tail = phi.tail().substitute(SWAP)
-    minus_x = NCPoly.letter(XY, "x").scaled(-1)
-    y = NCPoly.letter(XY, "y")
     F = pair.F.truncate(order)
     G = pair.G.truncate(order)
-    return tail - op_exp_ad_minus_one(minus_x, F) + op_exp_ad_minus_one(y, G)
+    return tail - op_exp_ad_minus_one(MINUS_X, F) + op_exp_ad_minus_one(Y, G)
 
 
 def verify_homogeneous(pair: KvSolutionPair, order: int | None = None) -> GradedSeries:
     """Defect of the homogeneous equation E(-x) F = E(y) G."""
     order = _checked_order(order, min(pair.F.order, pair.G.order), "pair (F, G)")
-    minus_x = NCPoly.letter(XY, "x").scaled(-1)
-    y = NCPoly.letter(XY, "y")
-    return op_exp_ad_minus_one(minus_x, pair.F.truncate(order)) - op_exp_ad_minus_one(
-        y, pair.G.truncate(order)
+    return op_exp_ad_minus_one(MINUS_X, pair.F.truncate(order)) - op_exp_ad_minus_one(
+        Y, pair.G.truncate(order)
     )
 
 
@@ -438,12 +377,10 @@ def homogeneous_solution(
     """
     if dynkin(p):
         raise ValueError("polynomial is not in the kernel of the Dynkin idempotent")
-    minus_x = NCPoly.letter(XY, "x").scaled(-1)
-    y = NCPoly.letter(XY, "y")
     P = GradedSeries.from_poly(dynkin(letter_part(p, "x")), order)
     Q = GradedSeries.from_poly(dynkin(letter_part(p, "y")), order)
-    F = op_bernoulli(minus_x, P) + GradedSeries.generator(XY, "x", order).scaled(lambda1)
-    G = op_bernoulli(y, Q) + GradedSeries.generator(XY, "y", order).scaled(lambda2)
+    F = op_bernoulli(MINUS_X, P) + GradedSeries.generator(XY, "x", order).scaled(lambda1)
+    G = op_bernoulli(Y, Q) + GradedSeries.generator(XY, "y", order).scaled(lambda2)
     return KvSolutionPair(F, G)
 
 
@@ -461,18 +398,16 @@ def general_solution(
     Psi projects p onto the kernel of the Dynkin idempotent first, so no
     precondition on p is needed; p = 0 returns the particular solution.
     """
-    minus_x = NCPoly.letter(XY, "x").scaled(-1)
-    y = NCPoly.letter(XY, "y")
     Px = GradedSeries.from_poly(psi(p, "x"), order)
     Py = GradedSeries.from_poly(psi(p, "y"), order)
     F = (
         f0(order)
-        + op_bernoulli(minus_x, Px)
+        + op_bernoulli(MINUS_X, Px)
         + GradedSeries.generator(XY, "x", order).scaled(lambda1)
     )
     G = (
         g0(order)
-        + op_bernoulli(y, Py)
+        + op_bernoulli(Y, Py)
         + GradedSeries.generator(XY, "y", order).scaled(lambda2)
     )
     return KvSolutionPair(F, G)
@@ -517,7 +452,6 @@ def solve_split_chain(max_degree: int, phi: BchSeries | None = None) -> GradedSe
         raise ValueError("need the BCH series one degree beyond the solve target")
     _, minus = phi_split(phi)
     target = minus.substitute(SWAP)
-    minus_x = NCPoly.letter(XY, "x").scaled(-1)
 
     parts = [NCPoly.zero(XY)]
     for d in range(1, max_degree + 1):
@@ -528,9 +462,9 @@ def solve_split_chain(max_degree: int, phi: BchSeries | None = None) -> GradedSe
             if lower:
                 term = lower
                 for _ in range(k):
-                    term = bracket(minus_x, term)
+                    term = bracket(MINUS_X, term)
                 rhs_poly = rhs_poly - term.scaled(Fraction(1, factorial(k)))
-        basis_words, images = _ad_matrix_columns(minus_x, d)
+        basis_words, images = _ad_matrix_columns(MINUS_X, d)
         row_words = sorted(
             set().union(*[set(img.terms) for img in images], set(rhs_poly.terms))
         )
@@ -589,11 +523,9 @@ def operator_nullity(letter: str, degree: int, blocks: int = 2) -> int:
 
 def leading_pair_nullity(degree: int) -> int:
     """Dimension of {(P, Q) in Lie_n^2 : [x, P] + [y, Q] = 0} at n = degree."""
-    x = NCPoly.letter(XY, "x")
-    y = NCPoly.letter(XY, "y")
     basis_words = [lw.word for lw in lyndon_words(XY, degree)]
-    columns = [bracket(x, standard_bracketing(XY, w)) for w in basis_words]
-    columns += [bracket(y, standard_bracketing(XY, w)) for w in basis_words]
+    columns = [bracket(X, standard_bracketing(XY, w)) for w in basis_words]
+    columns += [bracket(Y, standard_bracketing(XY, w)) for w in basis_words]
     matrix = [
         [col.coefficient(t) for col in columns]
         for t in _words_of(range(2), repeat=degree + 1)
@@ -617,11 +549,9 @@ def kernel_parameterized_leading_dim(degree: int) -> int:
         Q = dynkin(letter_part(p, "y"))
         vectors.append(coords(P) + coords(Q))
     if degree == 1:
-        x = NCPoly.letter(XY, "x")
-        y = NCPoly.letter(XY, "y")
         zero = [Fraction(0)] * len(basis_words)
-        vectors.append(coords(x) + zero)
-        vectors.append(zero + coords(y))
+        vectors.append(coords(X) + zero)
+        vectors.append(zero + coords(Y))
     return rank(vectors)
 
 

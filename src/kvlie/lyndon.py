@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 
-from .algebra import Alphabet, NCPoly, Word, integer_form
+from .algebra import Alphabet, NCPoly, Word, from_integer_form, integer_form
 from .scalars import moebius
 
 
@@ -165,9 +165,7 @@ def to_lie_coordinates(p: NCPoly) -> LieCoordinates:
             else:
                 residual[w] = acc - coeff * c
     if residual:
-        raise NotLieElementError(
-            NCPoly(p.alphabet, {w: Fraction(c, scale) for w, c in residual.items()})
-        )
+        raise NotLieElementError(from_integer_form(p.alphabet, residual, scale))
     return LieCoordinates(p.max_degree(), coords)
 
 

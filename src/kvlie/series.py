@@ -4,17 +4,27 @@ A :class:`GradedSeries` holds one homogeneous polynomial per degree 0..order
 and never reads above its truncation order.  exp and log are the truncated
 formal exponential/logarithm used as the direct-expansion oracle for the
 Baker-Campbell-Hausdorff series.
+
+Products and weighted power sums run on one integer kernel: components are
+held as integer numerators over the lcm of their denominators, accumulated in
+``int`` over one denominator per output degree, with one ``Fraction`` per
+output word at the end.  ``_power_sum`` (sum_k w_k s^k) carries exp and log,
+``_ad_power_sum`` (sum_k w_k ad(b)^k s) the operators ad, E and Ber.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from math import factorial, lcm
+from typing import Iterator, Mapping, Sequence
 
-from .algebra import Alphabet, NCPoly, Word, concat, substitute, to_text
+from .algebra import Alphabet, Frozen, NCPoly, Word, from_integer_form, integer_form, substitute
+from .algebra import sum_integer_forms, to_text
+
+IntegerParts = list[tuple[dict[Word, int], int]]
 
 
-class GradedSeries:
+class GradedSeries(Frozen):
     """A series truncated at ``order``: components[d] is homogeneous of degree d."""
 
     __slots__ = ("alphabet", "order", "parts")
@@ -22,8 +32,6 @@ class GradedSeries:
     def __init__(self, alphabet: Alphabet, order: int, parts: Sequence[NCPoly] | None = None):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        self.alphabet = alphabet
-        self.order = order
         zero = NCPoly.zero(alphabet)
         built = [zero] * (order + 1)
         if parts is not None:
@@ -35,9 +43,21 @@ class GradedSeries:
                 if p and (not p.is_homogeneous() or p.max_degree() != d):
                     raise ValueError(f"component {d} is not homogeneous of degree {d}")
                 built[d] = p
-        self.parts = tuple(built)
+        self._fill(alphabet, order, built)
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def _raw(cls, alphabet: Alphabet, order: int, parts: Sequence[NCPoly]) -> "GradedSeries":
+        """Trusted constructor for components built degree by degree: parts[d]
+        must already be homogeneous of degree d, for d = 0..order."""
+        return cls.__new__(cls)._fill(alphabet, order, parts)
+
+    def _fill(self, alphabet: Alphabet, order: int, parts: Sequence[NCPoly]) -> "GradedSeries":
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "parts", tuple(parts))
+        return self
 
     @classmethod
     def zero(cls, alphabet: Alphabet, order: int) -> "GradedSeries":
@@ -87,35 +107,30 @@ class GradedSeries:
 
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
         self._check_compatible(other)
-        return GradedSeries(
+        return GradedSeries._raw(
             self.alphabet, self.order, [a + b for a, b in zip(self.parts, other.parts)]
         )
 
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
         self._check_compatible(other)
-        return GradedSeries(
+        return GradedSeries._raw(
             self.alphabet, self.order, [a - b for a, b in zip(self.parts, other.parts)]
         )
 
     def __neg__(self) -> "GradedSeries":
-        return GradedSeries(self.alphabet, self.order, [-p for p in self.parts])
+        return GradedSeries._raw(self.alphabet, self.order, [-p for p in self.parts])
 
     def scaled(self, scalar) -> "GradedSeries":
-        return GradedSeries(self.alphabet, self.order, [p.scaled(scalar) for p in self.parts])
+        return GradedSeries._raw(self.alphabet, self.order, [p.scaled(scalar) for p in self.parts])
 
     def __mul__(self, other):
         if not isinstance(other, GradedSeries):
             return self.scaled(other)
         self._check_compatible(other)
-        parts = [NCPoly.zero(self.alphabet) for _ in range(self.order + 1)]
-        for a, pa in enumerate(self.parts):
-            if not pa:
-                continue
-            for b in range(self.order + 1 - a):
-                pb = other.parts[b]
-                if pb:
-                    parts[a + b] = parts[a + b] + concat(pa, pb)
-        return GradedSeries(self.alphabet, self.order, parts)
+        product = _integer_product(_integer_parts(self), _integer_parts(other))
+        return GradedSeries._raw(
+            self.alphabet, self.order, [from_integer_form(self.alphabet, *p) for p in product]
+        )
 
     def __rmul__(self, scalar):
         return self.scaled(scalar)
@@ -128,12 +143,9 @@ class GradedSeries:
         return GradedSeries(self.alphabet, order, list(self.parts[: keep + 1]))
 
     def substitute(self, images: Mapping[str, str]) -> "GradedSeries":
-        return GradedSeries(
+        return GradedSeries._raw(
             self.alphabet, self.order, [substitute(p, images) for p in self.parts]
         )
-
-    def map_components(self, fn: Callable[[NCPoly], NCPoly]) -> "GradedSeries":
-        return GradedSeries(self.alphabet, self.order, [fn(p) for p in self.parts])
 
     def to_poly(self) -> NCPoly:
         total = NCPoly.zero(self.alphabet)
@@ -158,32 +170,90 @@ class GradedSeries:
                 yield d, word, coeff
 
 
+# -- the integer kernel ---------------------------------------------------------
+
+
+def _integer_parts(s: GradedSeries) -> IntegerParts:
+    return [integer_form(p.terms) for p in s.parts]
+
+
+def _integer_product(left: IntegerParts, right: IntegerParts) -> IntegerParts:
+    """Truncated product of two series in integer form, one lcm denominator per degree."""
+    out: IntegerParts = []
+    for m in range(len(left)):
+        pairs = [(left[a], right[m - a]) for a in range(m + 1) if left[a][0] and right[m - a][0]]
+        common = lcm(*(da * db for (_, da), (_, db) in pairs))
+        acc: dict[Word, int] = {}
+        for (na, da), (nb, db) in pairs:
+            factor = common // (da * db)
+            for wa, ca in na.items():
+                ca *= factor
+                for wb, cb in nb.items():
+                    word = wa + wb
+                    acc[word] = acc.get(word, 0) + ca * cb
+        out.append(({w: c for w, c in acc.items() if c}, common))
+    return out
+
+
+def _power_sum(s: GradedSeries, weights: Sequence) -> GradedSeries:
+    """sum_k weights[k] * s^k, truncated at the order of s (component 0 of s
+    must vanish, so s^k starts in degree k and k <= order suffices)."""
+    base = _integer_parts(s)
+    power: IntegerParts = [({(): 1}, 1)] + [({}, 1)] * s.order
+    terms: list[list] = [[] for _ in range(s.order + 1)]
+    for k, weight in enumerate(weights[: s.order + 1]):
+        if k:
+            power = _integer_product(power, base)
+        if not any(nums for nums, _ in power):
+            break
+        for d, (nums, scale) in enumerate(power):
+            terms[d].append((weight, nums, scale))
+    return GradedSeries._raw(s.alphabet, s.order, [sum_integer_forms(s.alphabet, t) for t in terms])
+
+
+def _ad_power_sum(base: NCPoly, s: GradedSeries, weights: Sequence) -> GradedSeries:
+    """sum_k weights[k] * ad(base)^k s, truncated at the order of s.
+
+    ``base`` must be homogeneous of degree 1 (any rational combination of
+    letters, zero included); ad(base)^k of a component scaled to integers
+    stays in integers, with the base's own denominator once per power.
+    """
+    if base and (not base.is_homogeneous() or base.max_degree() != 1):
+        raise ValueError("operator base must be homogeneous of degree 1")
+    base._check_same_alphabet(s.parts[0])
+    coeffs, base_scale = integer_form(base.terms)
+    letters = list(coeffs.items())
+    terms: list[list] = [[] for _ in range(s.order + 1)]
+    for d, part in enumerate(s.parts):
+        nums, scale = integer_form(part.terms)
+        for k, weight in enumerate(weights[: s.order + 1 - d]):
+            if k:
+                out: dict[Word, int] = {}
+                for word, c in nums.items():
+                    for letter, b in letters:
+                        left, right = letter + word, word + letter
+                        out[left] = out.get(left, 0) + b * c
+                        out[right] = out.get(right, 0) - b * c
+                nums = {w: c for w, c in out.items() if c}
+                scale *= base_scale
+            if not nums:
+                break
+            terms[d + k].append((weight, nums, scale))
+    return GradedSeries._raw(s.alphabet, s.order, [sum_integer_forms(s.alphabet, t) for t in terms])
+
+
 def series_exp(s: GradedSeries) -> GradedSeries:
-    """Truncated exponential; requires a vanishing constant component."""
+    """Truncated exponential sum_k s^k / k! on the integer kernel; requires a
+    vanishing constant component."""
     if s.parts[0]:
         raise ValueError("series_exp requires component 0 to vanish")
-    out = GradedSeries.one(s.alphabet, s.order)
-    power = GradedSeries.one(s.alphabet, s.order)
-    fact = 1
-    for k in range(1, s.order + 1):
-        power = power * s
-        fact *= k
-        out = out + power.scaled(Fraction(1, fact))
-        if power.is_zero():
-            break
-    return out
+    return _power_sum(s, [Fraction(1, factorial(k)) for k in range(s.order + 1)])
 
 
 def series_log(s: GradedSeries) -> GradedSeries:
-    """Truncated logarithm; requires constant component equal to 1."""
+    """Truncated logarithm sum_k (-1)^(k-1) (s - 1)^k / k on the integer
+    kernel; requires constant component equal to 1."""
     if s.parts[0] != NCPoly.unit(s.alphabet):
         raise ValueError("series_log requires component 0 equal to 1")
-    u = s - GradedSeries.one(s.alphabet, s.order)
-    out = GradedSeries.zero(s.alphabet, s.order)
-    power = GradedSeries.one(s.alphabet, s.order)
-    for k in range(1, s.order + 1):
-        power = power * u
-        out = out + power.scaled(Fraction((-1) ** (k - 1), k))
-        if power.is_zero():
-            break
-    return out
+    u = GradedSeries._raw(s.alphabet, s.order, (NCPoly.zero(s.alphabet),) + s.parts[1:])
+    return _power_sum(u, [0] + [Fraction((-1) ** (k - 1), k) for k in range(1, s.order + 1)])

@@ -98,6 +98,8 @@ def test_eulerian_power_word_route():
             fast = eulerian_power_word(alphabet=XY, segments=((0, i), (1, j)))
             slow = eulerian(NCPoly.from_word(XY, power_word(i, j)))
             assert fast == slow, (i, j)
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        eulerian_power_word(alphabet=XY, segments=((0, 2), (2, 1)))
 
 
 def test_eulerian_idempotent_and_kills_pure_powers():

@@ -19,10 +19,8 @@ from kvlie.kv import (
     SWAP,
     BchSeries,
     KvSolutionPair,
-    OperatorSpec,
     a_series,
     antisymmetric_kernel_element,
-    apply_operator,
     bch_eulerian,
     bch_oracle,
     bch_permutation_oracle,
@@ -192,19 +190,6 @@ def test_operator_examples():
     assert op_ad(X, y_series).component(2) == parse_poly(XY, "xy - yx")
 
 
-def test_operator_spec_wrapper():
-    y_series = GradedSeries.from_poly(Y, 2)
-    spec = OperatorSpec("x", 1, "E", 2)
-    assert apply_operator(spec, y_series).to_poly() == parse_poly(XY, "xy - yx")
-    assert OperatorSpec("x", -1, "ad", 2).apply(y_series).component(2) == parse_poly(
-        XY, "yx - xy"
-    )
-    with pytest.raises(ValueError):
-        OperatorSpec("x", 1, "nope", 2).apply(y_series)
-    with pytest.raises(ValueError):
-        OperatorSpec("x", 2, "E", 2).apply(y_series)
-
-
 def test_bernoulli_and_exponential_operators_invert():
     rng = random.Random(40)
     s = lie_series(rng, 8)
@@ -364,7 +349,18 @@ def test_cached_results_are_read_only():
         component.terms[(0, 0)] = Fraction(1)
     with pytest.raises(TypeError):
         del component.terms[next(iter(component.terms))]
+    snapshot = [dict(p.terms) for p in expected.parts]
+    with pytest.raises(AttributeError):
+        f0(4).parts[2].terms = {}
+    with pytest.raises(AttributeError):
+        f0(4).parts = ()
+    with pytest.raises(AttributeError):
+        bch_oracle(3).series.order = 99
+    with pytest.raises(AttributeError):
+        del f0(4).parts[1].alphabet
     assert f0(4) is expected
+    assert [dict(p.terms) for p in f0(4).parts] == snapshot
+    assert bch_oracle(3).series.order == 3
     clear_caches()
     assert f0(4) == expected
 

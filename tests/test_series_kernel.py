@@ -1,0 +1,124 @@
+"""The integer series kernel against term-by-term Fraction arithmetic.
+
+The kernel groups words by output degree and by common denominator, so these
+tests draw series over 2 and 3 letters whose components mix denominators and
+are dense or non-Lie, and check the products, exp/log and the operator sums
+built on it.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kvlie.algebra import XY, NCPoly, bracket, default_alphabet, parse_poly
+from kvlie.kv import general_solution, op_ad, op_bernoulli, op_exp_ad_minus_one, verify_kv1
+from kvlie.series import GradedSeries, series_exp, series_log
+
+COEFFS = st.builds(
+    Fraction, st.integers(-30, 30).filter(bool), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12, 35])
+)
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+def component(draw, k, d):
+    """Zero, a few words, or every word of degree d (when there are at most 27)."""
+    words = st.tuples(*[st.integers(0, k - 1)] * d)
+    kind = draw(st.sampled_from(["zero", "sparse", "dense"] if k**d <= 27 else ["zero", "sparse"]))
+    if kind == "zero":
+        return {}
+    if kind == "dense":
+        return {w: draw(COEFFS) for w in _all_words(k, d)}
+    return draw(st.dictionaries(words, COEFFS, min_size=1, max_size=min(k**d, 12)))
+
+
+def _all_words(k, d):
+    if d == 0:
+        return [()]
+    return [w + (a,) for w in _all_words(k, d - 1) for a in range(k)]
+
+
+@st.composite
+def series(draw, k=None, max_order=5, order=None, constant=True):
+    """A graded series over 2 or 3 letters; component 0 may be nonzero."""
+    k = draw(st.sampled_from([2, 3])) if k is None else k
+    order = draw(st.integers(1, max_order)) if order is None else order
+    alphabet = default_alphabet(k)
+    parts = [NCPoly(alphabet, component(draw, k, d)) for d in range(order + 1)]
+    if not constant:
+        parts[0] = NCPoly.zero(alphabet)
+    return GradedSeries(alphabet, order, parts)
+
+
+def naive_product(s: GradedSeries, t: GradedSeries) -> GradedSeries:
+    terms = [{} for _ in range(s.order + 1)]
+    for a, pa in enumerate(s.parts):
+        for b, pb in enumerate(t.parts):
+            if a + b <= s.order:
+                for wa, ca in pa.terms.items():
+                    for wb, cb in pb.terms.items():
+                        acc = terms[a + b]
+                        acc[wa + wb] = acc.get(wa + wb, Fraction(0)) + ca * cb
+    return GradedSeries(s.alphabet, s.order, [NCPoly(s.alphabet, t) for t in terms])
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_product_equals_naive_fraction_product(data):
+    s = data.draw(series())
+    t = data.draw(series(k=s.alphabet.size, order=s.order))
+    assert s * t == naive_product(s, t)
+
+
+@settings(deadline=None, max_examples=40)
+@given(series(max_order=4, constant=False))
+def test_log_inverts_exp(s):
+    assert series_log(series_exp(s)) == s
+    one = GradedSeries.one(s.alphabet, s.order)
+    assert series_exp(series_log(one + s)) == one + s
+
+
+@st.composite
+def degree_one_bases(draw, alphabet):
+    """Rational combinations of the letters; all-zero weights give the zero base."""
+    weights = draw(st.lists(RATIONALS, min_size=alphabet.size, max_size=alphabet.size))
+    return NCPoly(alphabet, {(i,): c for i, c in enumerate(weights)})
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_exp_ad_inverts_bernoulli_up_to_ad(data):
+    s = data.draw(series(max_order=5))
+    b = data.draw(degree_one_bases(s.alphabet))
+    ad_s = op_ad(b, s)
+    assert list(ad_s.parts[1:]) == [bracket(b, p) for p in s.parts[:-1]]
+    assert op_exp_ad_minus_one(b, op_bernoulli(b, s)) == ad_s
+
+
+def test_operator_bases():
+    s = GradedSeries.from_poly(parse_poly(XY, "xy - 2/3*y"), 4)
+    b = parse_poly(XY, "2*x - 3/5*y")
+    assert op_ad(b, s).component(3) == bracket(b, s.component(2))
+    assert op_exp_ad_minus_one(b, op_bernoulli(b, s)) == op_ad(b, s)
+    zero = NCPoly.zero(XY)
+    assert op_ad(zero, s).is_zero()
+    assert op_bernoulli(zero, s) == s
+    assert op_exp_ad_minus_one(zero, s).is_zero()
+    for bad in ("xy", "x + xy", "1", "x + 1"):
+        with pytest.raises(ValueError, match="homogeneous of degree 1"):
+            op_exp_ad_minus_one(parse_poly(XY, bad), s)
+
+
+@st.composite
+def xy_polynomials(draw, max_degree):
+    words = st.lists(st.integers(0, 1), min_size=1, max_size=max_degree).map(tuple)
+    return NCPoly(XY, draw(st.dictionaries(words, COEFFS, min_size=1, max_size=6)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(2, 6).flatmap(lambda order: st.tuples(
+    st.just(order), xy_polynomials(order + 1), RATIONALS, RATIONALS)))
+def test_general_solution_verifies(args):
+    order, p, lam1, lam2 = args
+    assert verify_kv1(general_solution(p, lam1, lam2, order), order).is_zero()
