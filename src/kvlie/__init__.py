@@ -2,11 +2,18 @@
 Kashiwara-Vergne equation.
 
 Noncommutative polynomials over the rationals, the Dynkin and Eulerian
-idempotents, the Baker-Campbell-Hausdorff series (a power-word
-construction and two oracles), the explicit particular solution of the first
-Kashiwara-Vergne equation, and the parameterisation of all its solutions by
-the kernel of the Dynkin idempotent -- every identity checkable degree by
-degree in exact arithmetic.
+idempotents, the Baker-Campbell-Hausdorff series, the explicit particular
+solution of the first Kashiwara-Vergne equation, and the parameterisation of
+all its solutions by the kernel of the Dynkin idempotent -- every identity
+checkable degree by degree in exact arithmetic.
+
+Each object has one production construction: the BCH series is the Eulerian
+idempotent on power words (``bch_eulerian``), the Dynkin idempotent is the
+right-nested bracketing on whole components (``dynkin``).  ``bch_oracle``
+(log of a product of exponentials) is exported because ``kvlie bch`` prints
+it.  The other independent constructions that the tests play against
+production -- permutation sums, descent classes, convolution, linear solves
+-- live in :mod:`kvlie.oracles`, which this package does not import.
 """
 
 from .algebra import (
@@ -14,15 +21,12 @@ from .algebra import (
     Alphabet,
     NCPoly,
     PolyParseError,
-    TensorSquare,
     ad_pow,
     bracket,
     concat,
-    coshuffle,
     default_alphabet,
     letter_part,
     parse_poly,
-    permute_word,
     substitute,
     to_json_terms,
     to_latex,
@@ -30,13 +34,8 @@ from .algebra import (
 )
 from .idempotents import (
     dynkin,
-    dynkin_kernel_basis,
-    dynkin_via_descents,
-    eulerian,
     eulerian_power_word,
-    eulerian_via_convolution,
     kernel_generator,
-    kernel_generator_explicit,
     patras_reutenauer_generator,
     psi,
 )
@@ -47,17 +46,14 @@ from .kv import (
     antisymmetric_kernel_element,
     bch_eulerian,
     bch_oracle,
-    bch_permutation_oracle,
     f0,
     g0,
     general_solution,
     homogeneous_solution,
-    multilinear_bch,
     multilinear_f0,
     multilinear_particular_solution,
     particular_solution,
     phi_split,
-    solve_split_linear,
     symmetrize,
     verify_homogeneous,
     verify_kv1,
@@ -75,17 +71,6 @@ from .lyndon import (
     standard_bracketing,
     to_lie_coordinates,
     witt_dimension,
-)
-from .permutations import (
-    Permutation,
-    compose,
-    descent_count,
-    descent_set,
-    enumerate_descent_class,
-    enumerate_sn,
-    identity,
-    inverse,
-    reversal,
 )
 from .scalars import Rational, bernoulli, binomial, factorial, moebius
 from .series import GradedSeries, series_exp, series_log

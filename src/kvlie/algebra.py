@@ -3,9 +3,10 @@
 The tensor algebra on an alphabet is modelled as the algebra of
 noncommutative polynomials: a word is a tuple of letter indices, and a
 polynomial (:class:`NCPoly`) is a finitely supported map from words to
-nonzero rationals.  The concatenation product, the Lie bracket, the
-co-shuffle coproduct, letter-part extraction and signed letter substitution
-all live here.
+nonzero rationals.  The concatenation product, the Lie bracket, letter-part
+extraction, signed letter substitution, the integer form (numerators over one
+common denominator) that the kernels compute in, and the text, JSON and LaTeX
+forms all live here.
 
 Values are immutable once constructed; every operation returns a fresh
 polynomial, so instances are safe to share.
@@ -94,7 +95,9 @@ def _as_fraction(value) -> Fraction:
 
 class Frozen:
     """Slots set once, by the constructors through ``object.__setattr__``;
-    rebinding or deleting one afterwards raises AttributeError."""
+    rebinding or deleting one afterwards raises AttributeError.  Subclasses
+    define ``__reduce__`` to rebuild through their public constructor, so
+    ``copy``, ``deepcopy`` and ``pickle`` work and give immutable values."""
 
     __slots__ = ()
 
@@ -206,6 +209,9 @@ class NCPoly(Frozen):
 
     def __rmul__(self, scalar):
         return self.scaled(scalar)
+
+    def __reduce__(self):
+        return NCPoly, (self.alphabet, dict(self.terms))
 
     @classmethod
     def _raw(cls, alphabet: Alphabet, terms: dict[Word, Fraction]) -> "NCPoly":
@@ -327,17 +333,6 @@ def substitute(p: NCPoly, images: Mapping[str, str]) -> NCPoly:
     return NCPoly._raw(alphabet, {w: c for w, c in terms.items() if c})
 
 
-def permute_word(word: Word, perm) -> Word:
-    """Right action of a permutation: position i of the result carries word[perm(i)].
-
-    ``perm`` is a Permutation or a tuple of 1-based images.
-    """
-    images = perm.images if hasattr(perm, "images") else tuple(perm)
-    if len(images) != len(word):
-        raise ValueError("permutation size does not match word degree")
-    return tuple(word[s - 1] for s in images)
-
-
 def integer_form(terms: Mapping[Word, Fraction]) -> tuple[dict[Word, int], int]:
     """(numerators, D) with terms = numerators / D, D the lcm of the denominators."""
     scale = lcm(*(c.denominator for c in terms.values()))
@@ -363,77 +358,6 @@ def sum_integer_forms(alphabet: Alphabet, items) -> NCPoly:
         for word, c in nums.items():
             out[word] = out.get(word, 0) + factor * c
     return from_integer_form(alphabet, {w: c for w, c in out.items() if c}, common)
-
-
-def apply_word_map(p: NCPoly, word_map) -> NCPoly:
-    """Linear extension of a map word -> dict(word -> Fraction)."""
-    terms: dict[Word, Fraction] = {}
-    for word, coeff in p.terms.items():
-        for w2, c2 in word_map(word).items():
-            terms[w2] = terms.get(w2, _ZERO) + coeff * c2
-    return NCPoly._raw(p.alphabet, {w: c for w, c in terms.items() if c})
-
-
-# -- co-shuffle --------------------------------------------------------------
-
-
-class TensorSquare:
-    """An element of T(V) (x) T(V): finitely supported map (word, word) -> rational."""
-
-    __slots__ = ("alphabet", "terms")
-
-    def __init__(self, alphabet: Alphabet, terms: Mapping[tuple[Word, Word], Fraction] | None = None):
-        self.alphabet = alphabet
-        self.terms = {k: _as_fraction(v) for k, v in (terms or {}).items() if v}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorSquare):
-            return NotImplemented
-        return self.alphabet == other.alphabet and self.terms == other.terms
-
-    def __mul__(self, other: "TensorSquare") -> "TensorSquare":
-        """Componentwise product (a (x) b)(c (x) d) = ac (x) bd."""
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-        terms: dict[tuple[Word, Word], Fraction] = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                key = (l1 + l2, r1 + r2)
-                terms[key] = terms.get(key, _ZERO) + c1 * c2
-        return TensorSquare(self.alphabet, terms)
-
-    def __repr__(self) -> str:
-        bits = []
-        for (l, r), c in sorted(self.terms.items()):
-            lt = self.alphabet.word_text(l) or "1"
-            rt = self.alphabet.word_text(r) or "1"
-            bits.append(f"{c}*{lt}(x){rt}")
-        return "TensorSquare(" + " + ".join(bits) + ")"
-
-
-def word_coshuffle(word: Word) -> dict[tuple[Word, Word], int]:
-    """Co-shuffle of a single word: sum over subsequence/complement splits."""
-    n = len(word)
-    out: dict[tuple[Word, Word], int] = {}
-    for mask in range(1 << n):
-        left = tuple(word[i] for i in range(n) if mask >> i & 1)
-        right = tuple(word[i] for i in range(n) if not mask >> i & 1)
-        key = (left, right)
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
-def coshuffle(p: NCPoly) -> TensorSquare:
-    """The coproduct determined by making every letter primitive.
-
-    Delta(v) = 1 (x) v + v (x) 1 on letters, extended as an algebra morphism;
-    on a word this is the sum over all subsequence/complement splittings.
-    """
-    terms: dict[tuple[Word, Word], Fraction] = {}
-    for word, coeff in p.terms.items():
-        for key, mult in word_coshuffle(word).items():
-            terms[key] = terms.get(key, _ZERO) + coeff * mult
-    return TensorSquare(p.alphabet, terms)
 
 
 # -- text, JSON and LaTeX forms ----------------------------------------------
@@ -486,6 +410,11 @@ def to_latex(p: NCPoly) -> str:
     return _signed_terms(p, _latex_body)
 
 
+# Coefficients are ASCII digits only: str.isdigit() also accepts digits that
+# int() rejects (superscripts) or reads as other digits (Arabic-Indic).
+_DIGITS = "0123456789"
+
+
 class PolyParseError(ValueError):
     """Raised when polynomial text does not match the grammar; carries the position."""
 
@@ -508,6 +437,11 @@ def parse_poly(alphabet: Alphabet, text: str) -> NCPoly:
             j += 1
         return j
 
+    def skip_digits(j: int) -> int:
+        while j < n and text[j] in _DIGITS:
+            j += 1
+        return j
+
     i = skip_ws(i)
     if i == n:
         raise PolyParseError("empty polynomial", 0)
@@ -526,20 +460,16 @@ def parse_poly(alphabet: Alphabet, text: str) -> NCPoly:
             raise PolyParseError("dangling sign", i)
         coeff = Fraction(1)
         have_coeff = False
-        if text[i].isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
+        if text[i] in _DIGITS:
+            j = skip_digits(i)
             num = int(text[i:j])
             den = 1
             j2 = skip_ws(j)
             if j2 < n and text[j2] == "/":
                 j2 = skip_ws(j2 + 1)
-                if j2 >= n or not text[j2].isdigit():
+                j3 = skip_digits(j2)
+                if j3 == j2:
                     raise PolyParseError("expected denominator digits", j2)
-                j3 = j2
-                while j3 < n and text[j3].isdigit():
-                    j3 += 1
                 den = int(text[j2:j3])
                 if den == 0:
                     raise PolyParseError("zero denominator", j2)

@@ -2,18 +2,14 @@
 
 Exit codes: 0 when the requested identity holds or output was produced,
 1 when a mathematical defect was found, 2 for usage or parse errors.
-Identical flags produce byte-identical output.  The KVLIE_THREADS
-environment variable is still validated but no longer used: a thread pool
-over the per-degree defect report saved no time under the GIL.
+Identical flags produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -29,7 +25,6 @@ from .algebra import (
 from .lyndon import lyndon_words, witt_dimension
 from .idempotents import psi
 from .kv import (
-    KvSolutionPair,
     bch_eulerian,
     bch_oracle,
     f0,
@@ -51,33 +46,12 @@ EXIT_DEFECT = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class CliConfig:
-    command: str
-    degree: int
-    variables: int
-    format: str
-    output: str | None
-
-
-def _check_threads_env() -> None:
-    raw = os.environ.get("KVLIE_THREADS", "1")
-    try:
-        int(raw)
-    except ValueError:
-        raise SystemExit(f"kvlie: invalid KVLIE_THREADS value {raw!r}")
-
-
 def _render_poly(p: NCPoly, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(to_json_terms(p), separators=(",", ":"))
     if fmt == "latex":
         return to_latex(p)
     return to_text(p)
-
-
-def _render_series(s: GradedSeries, fmt: str) -> str:
-    return _render_poly(s.to_poly(), fmt)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -130,29 +104,29 @@ def _parse_expr(text: str, alphabet=XY) -> NCPoly:
         raise SystemExit(f"kvlie: cannot parse polynomial: {exc}")
 
 
-def _cmd_bch(args, config: CliConfig) -> int:
-    _check_vars(config.variables)
+def _cmd_bch(args) -> int:
+    _check_vars(args.vars)
     if args.method in ("eulerian", "both"):
-        left = bch_eulerian(config.degree, config.variables)
+        left = bch_eulerian(args.degree, args.vars)
     if args.method in ("oracle", "both"):
-        right = bch_oracle(config.degree, config.variables)
+        right = bch_oracle(args.degree, args.vars)
     if args.method == "both":
         diff = left.series - right.series
         lines = _defect_lines(diff)
-        _emit("\n".join(lines), config.output)
+        _emit("\n".join(lines), args.output)
         return EXIT_OK if diff.is_zero() else EXIT_DEFECT
     series = left if args.method == "eulerian" else right
-    _emit(_render_poly(series.component(config.degree), config.format), config.output)
+    _emit(_render_poly(series.component(args.degree), args.format), args.output)
     return EXIT_OK
 
 
-def _cmd_f0(args, config: CliConfig) -> int:
-    _emit(_render_series(f0(config.degree), config.format), config.output)
+def _cmd_f0(args) -> int:
+    _emit(_render_poly(f0(args.degree).to_poly(), args.format), args.output)
     return EXIT_OK
 
 
-def _cmd_verify(args, config: CliConfig) -> int:
-    n = config.degree
+def _cmd_verify(args) -> int:
+    n = args.degree
     if args.equation == "kv1":
         if args.kernel_poly:
             p = _parse_expr(args.kernel_poly)
@@ -181,30 +155,30 @@ def _cmd_verify(args, config: CliConfig) -> int:
     if defect.is_zero():
         _emit(
             f"verified: {args.equation} defect vanishes through degree {n}",
-            config.output,
+            args.output,
         )
         return EXIT_OK
     lines = _defect_lines(defect)
-    _emit(lines[0], config.output)
+    _emit(lines[0], args.output)
     return EXIT_DEFECT
 
 
-def _cmd_solution(args, config: CliConfig) -> int:
+def _cmd_solution(args) -> int:
     p = _parse_expr(args.kernel_poly) if args.kernel_poly else NCPoly.zero(XY)
     lam1 = _parse_rational_flag("--lambda1", args.lambda1)
     lam2 = _parse_rational_flag("--lambda2", args.lambda2)
-    pair = general_solution(p, lam1, lam2, config.degree)
-    defect = verify_kv1(pair, config.degree)
-    if config.format == "json":
+    pair = general_solution(p, lam1, lam2, args.degree)
+    defect = verify_kv1(pair, args.degree)
+    if args.format == "json":
         payload = {
             "F": to_json_terms(pair.F.to_poly()),
             "G": to_json_terms(pair.G.to_poly()),
         }
         body = json.dumps(payload, separators=(",", ":"))
     else:
-        render = to_latex if config.format == "latex" else to_text
+        render = to_latex if args.format == "latex" else to_text
         body = f"F = {render(pair.F.to_poly())}\nG = {render(pair.G.to_poly())}"
-    _emit(body, config.output)
+    _emit(body, args.output)
     if not defect.is_zero():
         first = _defect_lines(defect)[0]
         print(f"kvlie: self-verification failed: {first}", file=sys.stderr)
@@ -212,14 +186,14 @@ def _cmd_solution(args, config: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_witt(args, config: CliConfig) -> int:
-    k = config.variables
+def _cmd_witt(args) -> int:
+    k = args.vars
     rows = []
-    for n in range(1, config.degree + 1):
+    for n in range(1, args.degree + 1):
         dim = witt_dimension(k, n)
         count = len(lyndon_words(k, n))
         rows.append((n, dim, count))
-    if config.format == "json":
+    if args.format == "json":
         body = json.dumps(
             [
                 {"degree": n, "dimension": dim, "lyndon_words": count}
@@ -231,15 +205,15 @@ def _cmd_witt(args, config: CliConfig) -> int:
         body = "\n".join(
             f"degree {n}: dimension {dim}, lyndon words {count}" for n, dim, count in rows
         )
-    _emit(body, config.output)
+    _emit(body, args.output)
     return EXIT_OK
 
 
-def _cmd_psi(args, config: CliConfig) -> int:
+def _cmd_psi(args) -> int:
     p = _parse_expr(args.poly)
     if args.var not in XY.letters:
         raise SystemExit(f"kvlie: --var must be one of {'/'.join(XY.letters)}")
-    _emit(_render_poly(psi(p, args.var), config.format), config.output)
+    _emit(_render_poly(psi(p, args.var), args.format), args.output)
     return EXIT_OK
 
 
@@ -304,21 +278,12 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = CliConfig(
-            command=args.command,
-            degree=args.degree,
-            variables=2 if getattr(args, "vars", None) is None else args.vars,
-            format=args.format,
-            output=args.output,
-        )
-        _check_threads_env()
-        _check_degree(config.degree, args.force)
-        if config.variables < 2:
+        _check_degree(args.degree, args.force)
+        if getattr(args, "vars", None) is not None and args.vars < 2:
             raise SystemExit("kvlie: --vars must be >= 2")
-        return _HANDLERS[args.command](args, config)
+        return _HANDLERS[args.command](args)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

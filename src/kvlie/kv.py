@@ -4,13 +4,18 @@ Everything specific to the equation
 
     x + y - log(e^y e^x) = (1 - e^(-ad x)) F(x,y) + (e^(ad y) - 1) G(x,y)
 
-lives here: the Baker-Campbell-Hausdorff series (built from the Eulerian
-idempotent on power words, with the S_n permutation sum and exp/log as
-oracles), its split into the Dynkin images of the x-leading and y-leading
-monomials, the operator calculus E(z) = exp(ad z) - 1 and its Bernoulli
-inverse, the explicit particular solution, the parameterisation of all
-solutions by the kernel of the Dynkin idempotent, and the multilinear
-generalisation.
+lives here: the Baker-Campbell-Hausdorff series, its split into the Dynkin
+images of the x-leading and y-leading monomials, the operator calculus
+E(z) = exp(ad z) - 1 and its Bernoulli inverse, the explicit particular
+solution, the parameterisation of all solutions by the kernel of the Dynkin
+idempotent, and the multilinear generalisation.
+
+The production BCH series is ``bch_eulerian``: the Eulerian idempotent on
+power words.  ``bch_oracle`` (log of a product of exponentials) stays here
+because ``kvlie bch --method oracle|both`` prints it.  The other oracles --
+BCH through the S_n permutation sum, the particular solution by exact linear
+solves, and the dimension counts of the solution space -- live in
+:mod:`kvlie.oracles`.
 
 Argument-order discipline: a BCH series carries the tuple of variables it
 was built in, and any reordered evaluation (such as the recurring (y, x)
@@ -25,14 +30,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _words_of
 from math import prod
 
 from .algebra import (
     XY,
     NCPoly,
-    Word,
-    bracket,
     concat,
     default_alphabet,
     integer_form,
@@ -40,9 +42,8 @@ from .algebra import (
     substitute,
     sum_integer_forms,
 )
-from .idempotents import dynkin, dynkin_kernel_basis, eulerian_power_word, psi
-from .linalg import nullspace_dimension, rank, solve_affine
-from .lyndon import lyndon_words, standard_bracketing, to_lie_coordinates
+from .idempotents import dynkin, eulerian_power_word, psi
+from .lyndon import to_lie_coordinates
 from .scalars import bernoulli, factorial
 from .series import GradedSeries, _ad_power_sum
 
@@ -152,29 +153,7 @@ def bch_eulerian(order: int, k: int = 2) -> BchSeries:
     never enumerates a symmetric group.
     """
     return _bch_from_power_words(
-        order,
-        k,
-        lambda alphabet, counts: eulerian_power_word(
-            alphabet=alphabet, segments=tuple(enumerate(counts))
-        ),
-    )
-
-
-def bch_permutation_oracle(order: int) -> BchSeries:
-    """Oracle BCH series in two variables: the same power-word sum, with e on
-    each power word evaluated through the full S_n permutation sum.
-
-    Factorial in the degree; tests play it against :func:`bch_eulerian` and
-    :func:`bch_oracle`, and no production path calls it.
-    """
-    from .idempotents import eulerian
-
-    return _bch_from_power_words(
-        order,
-        2,
-        lambda alphabet, counts: eulerian(
-            NCPoly.from_word(alphabet, (0,) * counts[0] + (1,) * counts[1])
-        ),
+        order, k, lambda alphabet, counts: eulerian_power_word(alphabet, tuple(enumerate(counts)))
     )
 
 
@@ -192,17 +171,6 @@ def bch_oracle(order: int, k: int = 2) -> BchSeries:
     series = series_log(product)
     _certify_lie(series)
     return BchSeries(series, alphabet.letters)
-
-
-def multilinear_bch(k: int, order: int, method: str = "eulerian") -> BchSeries:
-    """BCH series of k variables; "eulerian" or "oracle" construction."""
-    if k < 2:
-        raise ValueError("multilinear BCH needs at least two variables")
-    if method == "eulerian":
-        return bch_eulerian(order, k)
-    if method == "oracle":
-        return bch_oracle(order, k)
-    raise ValueError(f"unknown method {method!r}")
 
 
 # -- the split of the BCH series ----------------------------------------------
@@ -246,7 +214,8 @@ def a_series(order: int) -> GradedSeries:
     gamma((e_n(x^i y^j))_x) / (i! j!).  The degree bookkeeping is pinned by
     the split equation: E(-x) applied to the resulting F reproduces the
     y-leading Dynkin half of the BCH tail exactly (see verify_split), and
-    the linear-solve oracle recovers the same components degree by degree.
+    the linear-solve oracle :func:`kvlie.oracles.solve_split_chain` recovers
+    the same components degree by degree.
     """
     alphabet = XY
     parts = [NCPoly.zero(alphabet)]
@@ -255,7 +224,7 @@ def a_series(order: int) -> GradedSeries:
         items = []
         for i in range(1, n):
             j = n - i
-            e_val = eulerian_power_word(alphabet=alphabet, segments=((0, i), (1, j)))
+            e_val = eulerian_power_word(alphabet, ((0, i), (1, j)))
             weight = Fraction(n - 1, n * factorial(i) * factorial(j))
             items.append((weight, *integer_form(dynkin(letter_part(e_val, "x")).terms)))
         parts.append(sum_integer_forms(alphabet, items))
@@ -428,133 +397,6 @@ def antisymmetric_kernel_element(p: NCPoly) -> NCPoly:
     return concat(dynkin(p), p) - concat(dynkin(q), q)
 
 
-# -- linear-solve oracle for the split equation -------------------------------------
-
-
-def _ad_matrix_columns(base: NCPoly, degree: int) -> tuple[list[Word], list[NCPoly]]:
-    """Lyndon basis of the given degree and ad(base) of each bracketing."""
-    basis_words = [lw.word for lw in lyndon_words(XY, degree)]
-    images = [bracket(base, standard_bracketing(XY, w)) for w in basis_words]
-    return basis_words, images
-
-
-def solve_split_chain(max_degree: int, phi: BchSeries | None = None) -> GradedSeries:
-    """Solve E(-x) F = Phi^-(y, x) degree by degree as exact linear systems.
-
-    Independent oracle for the particular solution: at each degree the
-    unknown component is found in Lyndon coordinates, taking the pure-x
-    coordinate to be zero at degree 1 (the kernel of E(-x) there).
-    Inconsistency of any system would falsify the image description of the
-    operator and raises.
-    """
-    phi = bch_eulerian(max_degree + 1) if phi is None else phi
-    if phi.order < max_degree + 1:
-        raise ValueError("need the BCH series one degree beyond the solve target")
-    _, minus = phi_split(phi)
-    target = minus.substitute(SWAP)
-
-    parts = [NCPoly.zero(XY)]
-    for d in range(1, max_degree + 1):
-        m = d + 1  # output degree of the constraint fixing component d
-        rhs_poly = target.component(m)
-        for k in range(2, m):
-            lower = parts[m - k]
-            if lower:
-                term = lower
-                for _ in range(k):
-                    term = bracket(MINUS_X, term)
-                rhs_poly = rhs_poly - term.scaled(Fraction(1, factorial(k)))
-        basis_words, images = _ad_matrix_columns(MINUS_X, d)
-        row_words = sorted(
-            set().union(*[set(img.terms) for img in images], set(rhs_poly.terms))
-        )
-        matrix = [[img.coefficient(w) for img in images] for w in row_words]
-        rhs = [rhs_poly.coefficient(w) for w in row_words]
-        particular, null_basis = solve_affine(matrix, rhs)
-        if d == 1:
-            if len(null_basis) != 1:
-                raise AssertionError("degree-1 split system should have a line of solutions")
-            x_index = basis_words.index((0,))
-            direction = null_basis[0]
-            particular = [
-                v - particular[x_index] / direction[x_index] * direction[i]
-                for i, v in enumerate(particular)
-            ]
-        elif null_basis:
-            raise AssertionError(f"split system at degree {d} is not determined")
-        comp = NCPoly.zero(XY)
-        for coeff, w in zip(particular, basis_words):
-            if coeff:
-                comp = comp + standard_bracketing(XY, w).scaled(coeff)
-        parts.append(comp)
-    return GradedSeries(XY, max_degree, parts)
-
-
-def solve_split_linear(degree: int) -> NCPoly:
-    """The unique degree-``degree`` component of the split-equation solution
-    (zero pure-x coordinate at degree 1)."""
-    return solve_split_chain(degree).component(degree)
-
-
-# -- degree-wise dimension analyses ---------------------------------------------------
-
-
-def operator_nullity(letter: str, degree: int, blocks: int = 2) -> int:
-    """Nullity of E(letter) restricted to the degree-``degree`` Lie piece.
-
-    The map is assembled in Lyndon coordinates against the word basis of the
-    next ``blocks`` degrees; since the graded components of E must vanish
-    independently, two blocks already determine the kernel exactly.
-    """
-    base = NCPoly.letter(XY, letter)
-    basis_words = [lw.word for lw in lyndon_words(XY, degree)]
-    columns = []
-    for w in basis_words:
-        series = GradedSeries.from_poly(standard_bracketing(XY, w), degree + blocks)
-        image = op_exp_ad_minus_one(base, series)
-        vec: list[Fraction] = []
-        for m in range(degree + 1, degree + blocks + 1):
-            comp = image.component(m)
-            vec.extend(comp.coefficient(t) for t in _words_of(range(2), repeat=m))
-        columns.append(vec)
-    matrix = [[col[r] for col in columns] for r in range(len(columns[0]))]
-    return nullspace_dimension(matrix)
-
-
-def leading_pair_nullity(degree: int) -> int:
-    """Dimension of {(P, Q) in Lie_n^2 : [x, P] + [y, Q] = 0} at n = degree."""
-    basis_words = [lw.word for lw in lyndon_words(XY, degree)]
-    columns = [bracket(X, standard_bracketing(XY, w)) for w in basis_words]
-    columns += [bracket(Y, standard_bracketing(XY, w)) for w in basis_words]
-    matrix = [
-        [col.coefficient(t) for col in columns]
-        for t in _words_of(range(2), repeat=degree + 1)
-    ]
-    return nullspace_dimension(matrix)
-
-
-def kernel_parameterized_leading_dim(degree: int) -> int:
-    """Rank of the leading pairs (gamma(p_x), gamma(p_y)) over a basis of the
-    kernel of the Dynkin idempotent in degree ``degree`` + 1, plus the
-    (lambda1 x, lambda2 y) line at degree 1."""
-    basis_words = [lw.word for lw in lyndon_words(XY, degree)]
-    vectors = []
-
-    def coords(poly: NCPoly) -> list[Fraction]:
-        lc = to_lie_coordinates(poly)
-        return [lc.coords.get(w, Fraction(0)) for w in basis_words]
-
-    for p in dynkin_kernel_basis(XY, degree + 1):
-        P = dynkin(letter_part(p, "x"))
-        Q = dynkin(letter_part(p, "y"))
-        vectors.append(coords(P) + coords(Q))
-    if degree == 1:
-        zero = [Fraction(0)] * len(basis_words)
-        vectors.append(coords(X) + zero)
-        vectors.append(zero + coords(Y))
-    return rank(vectors)
-
-
 # -- multilinear version ---------------------------------------------------------------
 
 
@@ -569,9 +411,11 @@ def multilinear_f0(index: int, k: int, order: int, phi: BchSeries | None = None)
     which solves E((-1)^i x_i) F_i = gamma(x_i (Phi_m(x_k..x_1))_{x_i}) summed
     over m, the x_i-leading share of the reversed BCH tail.
     """
+    if k < 2:
+        raise ValueError("the multilinear equation needs at least two variables")
     if not 1 <= index <= k:
         raise ValueError(f"variable index {index} out of range for {k} variables")
-    phi = multilinear_bch(k, order + 1) if phi is None else phi
+    phi = bch_eulerian(order + 1, k) if phi is None else phi
     if phi.order < order + 1:
         raise ValueError("need the BCH series one degree beyond the target order")
     alphabet = phi.series.alphabet
@@ -589,13 +433,15 @@ def multilinear_f0(index: int, k: int, order: int, phi: BchSeries | None = None)
 
 
 def multilinear_particular_solution(k: int, order: int) -> list[GradedSeries]:
-    phi = multilinear_bch(k, order + 1)
+    if k < 2:
+        raise ValueError("the multilinear equation needs at least two variables")
+    phi = bch_eulerian(order + 1, k)
     return [multilinear_f0(i, k, order, phi=phi) for i in range(1, k + 1)]
 
 
 def clear_caches() -> None:
-    """Drop every memoised table (word-level idempotent values, permutation
-    tables, BCH series, the Bernoulli prefix, ...); mainly for cold-start
+    """Drop every memoised table (run-length Eulerian tables, BCH series,
+    oracle tables when loaded, the Bernoulli prefix, ...); mainly for cold-start
     timing and memory tests.  The lru caches are found in the loaded kvlie
     modules, so a new cache needs no registration here."""
     from . import scalars as _scalars
@@ -620,7 +466,7 @@ def verify_multilinear(
     if k < 2:
         raise ValueError("need at least two solution components")
     order = _checked_order(order, min(F.order for F in solutions), "solution tuple", phi)
-    phi = multilinear_bch(k, order) if phi is None else phi
+    phi = bch_eulerian(order, k) if phi is None else phi
     alphabet = phi.series.alphabet
     reversed_phi = phi.reversed_arguments()
     parts = [

@@ -1,7 +1,8 @@
 """Small exact linear algebra over the rationals.
 
 Dense matrices as lists of Fraction rows; just enough Gaussian elimination
-for the degree-wise solves and dimension counts the engine needs.  Row
+for the degree-wise solves and dimension counts of :mod:`kvlie.oracles`
+(oracle support: no production module imports this module).  Row
 order is processed deterministically, so results are reproducible.
 """
 

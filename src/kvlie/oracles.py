@@ -1,0 +1,396 @@
+"""Oracles: second, independent constructions that the tests play against production.
+
+Every object the engine builds has one production construction in
+``algebra``, ``idempotents``, ``series`` and ``kv``.  The constructions kept
+here share no kernel with it, so agreement term by term is evidence for both:
+
+* ``dynkin_via_descents`` -- gamma as the descent-class permutation sum,
+  against :func:`kvlie.idempotents.dynkin`;
+* ``eulerian`` -- the Eulerian idempotent e as the S_n permutation sum with
+  coefficients (-1)^d(sigma) / (n * C(n-1, d(sigma))), factorial in the
+  degree, and ``eulerian_via_convolution`` -- log of the identity under
+  convolution, evaluated through the co-shuffle; both act on arbitrary
+  words, against :func:`kvlie.idempotents.eulerian_power_word`;
+* ``kernel_generator_explicit`` and ``dynkin_kernel_basis`` -- the kernel of
+  gamma from descent classes and from a linear sweep over the word basis;
+* ``bch_permutation_oracle`` -- the BCH series with e on each power word
+  through the S_n sum, against :func:`kvlie.kv.bch_eulerian` (the exp/log
+  oracle :func:`kvlie.kv.bch_oracle` stays in ``kv`` because the CLI prints it);
+* ``solve_split_chain`` -- the particular solution by exact linear solves,
+  against :func:`kvlie.kv.f0`;
+* ``operator_nullity``, ``leading_pair_nullity`` and
+  ``kernel_parameterized_leading_dim`` -- dimension counts of the solution
+  space;
+* ``coshuffle`` on :class:`TensorSquare` -- the coproduct that makes every
+  letter primitive.
+
+The permutation sum for the Eulerian idempotent carries an explicit 1/n per
+degree; without it the convolution construction is not reproduced (already
+visible on xy, where the convolution forces (xy - yx)/2).
+
+No production module imports this module, nor ``permutations`` or
+``linalg``, which only the oracles use.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from math import comb
+
+from .algebra import XY, Alphabet, NCPoly, Word, bracket, letter_part
+from .idempotents import dynkin, kernel_generator
+from .kv import MINUS_X, SWAP, X, Y, BchSeries, _bch_from_power_words, bch_eulerian
+from .kv import op_exp_ad_minus_one, phi_split
+from .linalg import independent_subset, nullspace_dimension, rank, solve_affine
+from .lyndon import lyndon_words, standard_bracketing, to_lie_coordinates
+from .permutations import descent_class_images, sn_with_descents
+from .scalars import factorial
+from .series import GradedSeries
+
+_ZERO = Fraction(0)
+
+
+# -- word maps and the co-shuffle ----------------------------------------------
+
+
+def apply_word_map(p: NCPoly, word_map) -> NCPoly:
+    """Linear extension of a map word -> dict(word -> Fraction)."""
+    terms: dict[Word, Fraction] = {}
+    for word, coeff in p.terms.items():
+        for w2, c2 in word_map(word).items():
+            terms[w2] = terms.get(w2, _ZERO) + coeff * c2
+    return NCPoly._raw(p.alphabet, {w: c for w, c in terms.items() if c})
+
+
+class TensorSquare:
+    """An element of T(V) (x) T(V): finitely supported map (word, word) -> rational."""
+
+    __slots__ = ("alphabet", "terms")
+
+    def __init__(self, alphabet: Alphabet, terms: dict[tuple[Word, Word], Fraction]):
+        self.alphabet = alphabet
+        self.terms = {k: v for k, v in terms.items() if v}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TensorSquare):
+            return NotImplemented
+        return self.alphabet == other.alphabet and self.terms == other.terms
+
+    def __mul__(self, other: "TensorSquare") -> "TensorSquare":
+        """Componentwise product (a (x) b)(c (x) d) = ac (x) bd."""
+        if self.alphabet != other.alphabet:
+            raise ValueError("alphabet mismatch")
+        terms: dict[tuple[Word, Word], Fraction] = {}
+        for (l1, r1), c1 in self.terms.items():
+            for (l2, r2), c2 in other.terms.items():
+                key = (l1 + l2, r1 + r2)
+                terms[key] = terms.get(key, _ZERO) + c1 * c2
+        return TensorSquare(self.alphabet, terms)
+
+    def __repr__(self) -> str:
+        bits = []
+        for (l, r), c in sorted(self.terms.items()):
+            lt = self.alphabet.word_text(l) or "1"
+            rt = self.alphabet.word_text(r) or "1"
+            bits.append(f"{c}*{lt}(x){rt}")
+        return "TensorSquare(" + " + ".join(bits) + ")"
+
+
+def word_coshuffle(word: Word) -> dict[tuple[Word, Word], int]:
+    """Co-shuffle of a single word: sum over subsequence/complement splits."""
+    n = len(word)
+    out: dict[tuple[Word, Word], int] = {}
+    for mask in range(1 << n):
+        left = tuple(word[i] for i in range(n) if mask >> i & 1)
+        right = tuple(word[i] for i in range(n) if not mask >> i & 1)
+        key = (left, right)
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def coshuffle(p: NCPoly) -> TensorSquare:
+    """The coproduct determined by making every letter primitive.
+
+    Delta(v) = 1 (x) v + v (x) 1 on letters, extended as an algebra morphism;
+    on a word this is the sum over all subsequence/complement splittings.
+    """
+    terms: dict[tuple[Word, Word], Fraction] = {}
+    for word, coeff in p.terms.items():
+        for key, mult in word_coshuffle(word).items():
+            terms[key] = terms.get(key, _ZERO) + coeff * mult
+    return TensorSquare(p.alphabet, terms)
+
+
+# -- Dynkin idempotent by descent classes ---------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _dynkin_word_descents(word: Word) -> dict[Word, Fraction]:
+    """gamma on a word via descent classes:
+
+    gamma_n(w) = ((-1)^(n-1)/n) * sum_{k=0}^{n-1} (-1)^k
+                 sum_{sigma, Des(sigma)={1..k}} (reversed w)^sigma.
+    """
+    n = len(word)
+    if n == 0:
+        return {}
+    rev = word[::-1]
+    counts: dict[Word, int] = {}
+    for k in range(n):
+        sign = (-1) ** k
+        for images in descent_class_images(n, k):
+            permuted = tuple(rev[s - 1] for s in images)
+            counts[permuted] = counts.get(permuted, 0) + sign
+    outer = Fraction((-1) ** (n - 1), n)
+    return {w: outer * c for w, c in counts.items() if c}
+
+
+def dynkin_via_descents(p: NCPoly) -> NCPoly:
+    """Second, independent construction of gamma from the descent-class sum."""
+    return apply_word_map(p, _dynkin_word_descents)
+
+
+# -- Eulerian idempotent on arbitrary words ------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _eulerian_word(word: Word) -> dict[Word, Fraction]:
+    n = len(word)
+    if n == 0:
+        return {}
+    counts: dict[tuple[Word, int], int] = {}
+    for images, d in sn_with_descents(n):
+        permuted = tuple(word[s - 1] for s in images)
+        key = (permuted, d)
+        counts[key] = counts.get(key, 0) + 1
+    coeff = [Fraction((-1) ** d, n * comb(n - 1, d)) for d in range(n)]
+    out: dict[Word, Fraction] = {}
+    for (permuted, d), cnt in counts.items():
+        out[permuted] = out.get(permuted, _ZERO) + cnt * coeff[d]
+    return {w: c for w, c in out.items() if c}
+
+
+def eulerian(p: NCPoly) -> NCPoly:
+    """The Eulerian idempotent e = log of the identity under convolution, on
+    arbitrary polynomials, through the full S_n permutation sum with
+    descent-count coefficients; linear extension over the terms of p.
+    """
+    return apply_word_map(p, _eulerian_word)
+
+
+@lru_cache(maxsize=None)
+def _jstar_word(k: int, word: Word) -> dict[Word, int]:
+    """k-fold convolution power of J = Id - (unit o counit), on one word.
+
+    J*k = J star J*(k-1) through the co-shuffle: each split of the word into
+    a nonempty subsequence and its complement contributes the subsequence
+    followed by J*(k-1) of the complement.
+    """
+    if not word:
+        return {}
+    if k == 1:
+        return {word: 1}
+    out: dict[Word, int] = {}
+    for (left, rest), mult in word_coshuffle(word).items():
+        if left:
+            for w, c in _jstar_word(k - 1, rest).items():
+                out[left + w] = out.get(left + w, 0) + mult * c
+    return {w: c for w, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _eulerian_word_convolution(word: Word) -> dict[Word, Fraction]:
+    out: dict[Word, Fraction] = {}
+    for k in range(1, len(word) + 1):
+        sign = Fraction((-1) ** (k - 1), k)
+        for w, c in _jstar_word(k, word).items():
+            out[w] = out.get(w, _ZERO) + sign * c
+    return {w: c for w, c in out.items() if c}
+
+
+def eulerian_via_convolution(p: NCPoly) -> NCPoly:
+    """e as the finite alternating sum of J*k / k.
+
+    On a degree-n word the convolution powers vanish beyond k = n, so the
+    logarithm series is exactly J - J*2/2 + ... +- J*n/n there.
+    """
+    return apply_word_map(p, _eulerian_word_convolution)
+
+
+# -- kernel of the Dynkin idempotent --------------------------------------------
+
+
+def kernel_generator_explicit(alphabet, word: Word) -> NCPoly:
+    """The descent-class expansion of n * (w - gamma(w)) for a degree-n word:
+
+    (n-1) w + sum_{k=0}^{n-2} (-1)^(n+k) sum_{sigma, Des(sigma)={1..k}}
+    (reversed w)^sigma.
+
+    The k = 0 class (the identity permutation, contributing (-1)^n times the
+    reversed word) is required: dropping it leaves an element that gamma
+    does not kill, already for xyx in degree 3.
+    """
+    word = tuple(word)
+    n = len(word)
+    if n < 2:
+        raise ValueError("explicit kernel elements need degree >= 2")
+    rev = word[::-1]
+    counts: dict[Word, int] = {word: n - 1}
+    for k in range(n - 1):
+        sign = (-1) ** (n + k)
+        for images in descent_class_images(n, k):
+            permuted = tuple(rev[s - 1] for s in images)
+            counts[permuted] = counts.get(permuted, 0) + sign
+    return NCPoly(alphabet, {w: Fraction(c) for w, c in counts.items()})
+
+
+def dynkin_kernel_basis(alphabet, n: int) -> list[NCPoly]:
+    """A basis of the kernel of gamma on words of degree n.
+
+    The elements w - gamma(w) span the kernel; a triangular sweep over the
+    word basis keeps an independent subset.
+    """
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    words = list(product(range(alphabet.size), repeat=n))
+    vectors = []
+    polys = []
+    for w in words:
+        gen = kernel_generator(NCPoly.from_word(alphabet, w))
+        vectors.append([gen.coefficient(u) for u in words])
+        polys.append(gen)
+    return [polys[i] for i in independent_subset(vectors)]
+
+
+# -- BCH through the S_n permutation sum ----------------------------------------
+
+
+def bch_permutation_oracle(order: int) -> BchSeries:
+    """BCH series in two variables: the power-word sum of
+    :func:`kvlie.kv.bch_eulerian`, with e on each power word evaluated through
+    the full S_n permutation sum.  Factorial in the degree.
+    """
+    return _bch_from_power_words(
+        order,
+        2,
+        lambda alphabet, counts: eulerian(
+            NCPoly.from_word(alphabet, (0,) * counts[0] + (1,) * counts[1])
+        ),
+    )
+
+
+# -- linear-solve oracle for the split equation ---------------------------------
+
+
+def solve_split_chain(max_degree: int, phi: BchSeries | None = None) -> GradedSeries:
+    """Solve E(-x) F = Phi^-(y, x) degree by degree as exact linear systems.
+
+    Independent oracle for the particular solution: at each degree the
+    unknown component is found in Lyndon coordinates, taking the pure-x
+    coordinate to be zero at degree 1 (the kernel of E(-x) there).
+    Inconsistency of any system would falsify the image description of the
+    operator and raises.
+    """
+    phi = bch_eulerian(max_degree + 1) if phi is None else phi
+    if phi.order < max_degree + 1:
+        raise ValueError("need the BCH series one degree beyond the solve target")
+    _, minus = phi_split(phi)
+    target = minus.substitute(SWAP)
+
+    parts = [NCPoly.zero(XY)]
+    for d in range(1, max_degree + 1):
+        m = d + 1  # output degree of the constraint fixing component d
+        rhs_poly = target.component(m)
+        for k in range(2, m):
+            lower = parts[m - k]
+            if lower:
+                term = lower
+                for _ in range(k):
+                    term = bracket(MINUS_X, term)
+                rhs_poly = rhs_poly - term.scaled(Fraction(1, factorial(k)))
+        basis_words = [lw.word for lw in lyndon_words(XY, d)]
+        images = [bracket(MINUS_X, standard_bracketing(XY, w)) for w in basis_words]
+        row_words = sorted(
+            set().union(*[set(img.terms) for img in images], set(rhs_poly.terms))
+        )
+        matrix = [[img.coefficient(w) for img in images] for w in row_words]
+        rhs = [rhs_poly.coefficient(w) for w in row_words]
+        particular, null_basis = solve_affine(matrix, rhs)
+        if d == 1:
+            if len(null_basis) != 1:
+                raise AssertionError("degree-1 split system should have a line of solutions")
+            x_index = basis_words.index((0,))
+            direction = null_basis[0]
+            particular = [
+                v - particular[x_index] / direction[x_index] * direction[i]
+                for i, v in enumerate(particular)
+            ]
+        elif null_basis:
+            raise AssertionError(f"split system at degree {d} is not determined")
+        comp = NCPoly.zero(XY)
+        for coeff, w in zip(particular, basis_words):
+            if coeff:
+                comp = comp + standard_bracketing(XY, w).scaled(coeff)
+        parts.append(comp)
+    return GradedSeries(XY, max_degree, parts)
+
+
+# -- degree-wise dimension analyses ----------------------------------------------
+
+
+def operator_nullity(letter: str, degree: int, blocks: int = 2) -> int:
+    """Nullity of E(letter) restricted to the degree-``degree`` Lie piece.
+
+    The map is assembled in Lyndon coordinates against the word basis of the
+    next ``blocks`` degrees; since the graded components of E must vanish
+    independently, two blocks already determine the kernel exactly.
+    """
+    base = NCPoly.letter(XY, letter)
+    basis_words = [lw.word for lw in lyndon_words(XY, degree)]
+    columns = []
+    for w in basis_words:
+        series = GradedSeries.from_poly(standard_bracketing(XY, w), degree + blocks)
+        image = op_exp_ad_minus_one(base, series)
+        vec: list[Fraction] = []
+        for m in range(degree + 1, degree + blocks + 1):
+            comp = image.component(m)
+            vec.extend(comp.coefficient(t) for t in product(range(2), repeat=m))
+        columns.append(vec)
+    matrix = [[col[r] for col in columns] for r in range(len(columns[0]))]
+    return nullspace_dimension(matrix)
+
+
+def leading_pair_nullity(degree: int) -> int:
+    """Dimension of {(P, Q) in Lie_n^2 : [x, P] + [y, Q] = 0} at n = degree."""
+    basis_words = [lw.word for lw in lyndon_words(XY, degree)]
+    columns = [bracket(X, standard_bracketing(XY, w)) for w in basis_words]
+    columns += [bracket(Y, standard_bracketing(XY, w)) for w in basis_words]
+    matrix = [
+        [col.coefficient(t) for col in columns]
+        for t in product(range(2), repeat=degree + 1)
+    ]
+    return nullspace_dimension(matrix)
+
+
+def kernel_parameterized_leading_dim(degree: int) -> int:
+    """Rank of the leading pairs (gamma(p_x), gamma(p_y)) over a basis of the
+    kernel of the Dynkin idempotent in degree ``degree`` + 1, plus the
+    (lambda1 x, lambda2 y) line at degree 1."""
+    basis_words = [lw.word for lw in lyndon_words(XY, degree)]
+    vectors = []
+
+    def coords(poly: NCPoly) -> list[Fraction]:
+        lc = to_lie_coordinates(poly)
+        return [lc.coords.get(w, _ZERO) for w in basis_words]
+
+    for p in dynkin_kernel_basis(XY, degree + 1):
+        P = dynkin(letter_part(p, "x"))
+        Q = dynkin(letter_part(p, "y"))
+        vectors.append(coords(P) + coords(Q))
+    if degree == 1:
+        zero = [_ZERO] * len(basis_words)
+        vectors.append(coords(X) + zero)
+        vectors.append(zero + coords(Y))
+    return rank(vectors)

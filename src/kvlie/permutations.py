@@ -1,4 +1,7 @@
-"""Symmetric group elements and their descent statistics.
+"""Symmetric group elements and their descent statistics (oracle support).
+
+The permutation-sum constructions in :mod:`kvlie.oracles` run on this module;
+no production module imports it.
 
 Permutations of {1..n} are stored in one-line notation: ``images[i-1]`` is
 sigma(i).  The descent set {i : sigma(i) > sigma(i+1)} is precomputed because
@@ -53,6 +56,13 @@ class Permutation:
 
     def __repr__(self) -> str:
         return "(" + ",".join(str(v) for v in self.images) + ")"
+
+
+def permute_word(word: tuple[int, ...], perm: Permutation) -> tuple[int, ...]:
+    """Right action on a word: position i of the result carries word[perm(i)]."""
+    if perm.size != len(word):
+        raise ValueError("permutation size does not match word degree")
+    return tuple(word[s - 1] for s in perm.images)
 
 
 def identity(n: int) -> Permutation:
@@ -140,15 +150,3 @@ def sn_with_descents(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
         (images, sum(1 for i in range(n - 1) if images[i] > images[i + 1]))
         for images in itertools.permutations(range(1, n + 1))
     )
-
-
-def parse_permutation(text: str) -> Permutation:
-    """Parse the one-line diagnostic form "(2,1,3)"."""
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    try:
-        images = tuple(int(part) for part in body.split(","))
-    except ValueError as exc:
-        raise ValueError(f"invalid permutation text {text!r}") from exc
-    return Permutation(images)

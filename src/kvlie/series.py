@@ -84,6 +84,9 @@ class GradedSeries(Frozen):
             raise ValueError(f"degree {degree} above truncation order {self.order}")
         return self.parts[degree]
 
+    def __reduce__(self):
+        return GradedSeries, (self.alphabet, self.order, self.parts)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedSeries):
             return NotImplemented

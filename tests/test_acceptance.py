@@ -17,39 +17,38 @@ from kvlie.algebra import (
     bracket,
     concat,
     parse_poly,
-    permute_word,
     substitute,
 )
-from kvlie.idempotents import (
-    dynkin,
-    dynkin_via_descents,
-    eulerian,
-    eulerian_via_convolution,
-)
+from kvlie.idempotents import dynkin
 from kvlie.kv import (
     NEGATE_SWAP,
     KvSolutionPair,
     bch_eulerian,
     bch_oracle,
-    bch_permutation_oracle,
     clear_caches,
     f0,
     g0,
-    kernel_parameterized_leading_dim,
-    leading_pair_nullity,
     multilinear_particular_solution,
     op_ad,
     op_bernoulli,
     op_exp_ad_minus_one,
-    operator_nullity,
     particular_solution,
     phi_split,
-    solve_split_chain,
     verify_kv1,
     verify_multilinear,
 )
 from kvlie.lyndon import lyndon_words, standard_bracketing, witt_dimension
-from kvlie.permutations import reversal
+from kvlie.oracles import (
+    bch_permutation_oracle,
+    dynkin_via_descents,
+    eulerian,
+    eulerian_via_convolution,
+    kernel_parameterized_leading_dim,
+    leading_pair_nullity,
+    operator_nullity,
+    solve_split_chain,
+)
+from kvlie.permutations import permute_word, reversal
 from kvlie.series import GradedSeries
 
 X = NCPoly.letter(XY, "x")

@@ -12,18 +12,16 @@ from kvlie.algebra import (
     ad_pow,
     bracket,
     concat,
-    coshuffle,
     from_json_terms,
     letter_part,
     parse_poly,
-    permute_word,
     substitute,
     to_json_terms,
     to_latex,
     to_text,
-    word_coshuffle,
 )
-from kvlie.permutations import Permutation
+from kvlie.oracles import coshuffle, word_coshuffle
+from kvlie.permutations import Permutation, permute_word
 
 X = NCPoly.letter(XY, "x")
 Y = NCPoly.letter(XY, "y")
@@ -217,6 +215,9 @@ def test_parse_errors_carry_position():
         parse_poly(XY, "x + ")
     with pytest.raises(PolyParseError):
         parse_poly(XY, "1/0*x")
+    with pytest.raises(PolyParseError) as info:
+        parse_poly(XY, "\u0663*x")  # ARABIC-INDIC DIGIT THREE is not read as 3
+    assert info.value.position == 0
 
 
 def test_homogeneous_component():

@@ -1,7 +1,16 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import kvlie
 from kvlie.cli import main
 
 
@@ -192,16 +201,6 @@ def test_output_determinism(capsys, tmp_path):
     assert json.loads(target.read_text()) == json.loads(first[1])
 
 
-def test_threads_env_hint(capsys, monkeypatch):
-    monkeypatch.setenv("KVLIE_THREADS", "4")
-    code, out, _ = run(capsys, "verify", "--equation", "kv1", "--degree", "5")
-    assert code == 0
-    monkeypatch.setenv("KVLIE_THREADS", "zzz")
-    code, _, err = run(capsys, "verify", "--equation", "kv1", "--degree", "3")
-    assert code == 2
-    assert "KVLIE_THREADS" in err
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -209,6 +208,9 @@ def test_threads_env_hint(capsys, monkeypatch):
         (("solution", "--lambda1", "1/0", "--degree", "2"), "--lambda1"),
         (("bch", "--vars", "20"), "--vars 20"),
         (("f0", "--degree", "2", "--output", "/nonexistent/x"), "cannot write"),
+        (("verify", "--equation", "kv1", "--degree", "3", "--kernel-poly", "\u00b2x"),
+         "cannot parse polynomial"),
+        (("psi", "--var", "x", "--poly", "1/\u00b2"), "cannot parse polynomial"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):
@@ -237,3 +239,44 @@ def test_verify_multilinear_vars(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--equation", "multilinear", "--degree", "4")
     assert code == 0 and checked == [2, 3]
     assert out == "verified: multilinear defect vanishes through degree 4\n"
+
+
+# Short strings only: Dynkin on one word of degree n makes up to 2^(n-1) terms.
+@given(st.text(alphabet="xyz01279/*+- \u00b2\u0663\u00bd", max_size=10))
+def test_polynomial_grammar_never_crashes_the_cli(text):
+    for argv in (
+        ["psi", "--var", "x", f"--poly={text}"],
+        ["verify", "--equation", "homogeneous", "--degree", "3", f"--kernel-poly={text}"],
+    ):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)
+
+
+PRODUCTION_COMMANDS = [
+    ["verify", "--equation", "kv1", "--degree", "5"],
+    ["verify", "--equation", "split", "--degree", "5"],
+    ["verify", "--equation", "multilinear", "--degree", "4"],
+    ["verify", "--equation", "homogeneous", "--degree", "5", "--kernel-poly", "1/2*xy + 1/2*yx"],
+    ["f0", "--degree", "5"],
+    ["solution", "--degree", "5", "--kernel-poly", "xxy"],
+    ["bch", "--method", "both", "--vars", "3", "--degree", "4"],
+    ["psi", "--var", "x", "--poly", "xxy"],
+    ["witt", "--degree", "5"],
+]
+
+
+def test_cli_commands_load_no_oracle_module():
+    script = f"""
+import contextlib, io, sys
+from kvlie.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in {PRODUCTION_COMMANDS!r}]
+loaded = sorted(m for m in ("kvlie.oracles", "kvlie.permutations", "kvlie.linalg")
+                if m in sys.modules)
+print(codes, loaded)
+"""
+    src = str(Path(kvlie.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"{[0] * len(PRODUCTION_COMMANDS)} []"

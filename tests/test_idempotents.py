@@ -9,25 +9,26 @@ from kvlie.algebra import (
     NCPoly,
     bracket,
     concat,
-    coshuffle,
     letter_part,
     parse_poly,
-    permute_word,
 )
 from kvlie.idempotents import (
     dynkin,
-    dynkin_kernel_basis,
-    dynkin_via_descents,
-    eulerian,
     eulerian_power_word,
-    eulerian_via_convolution,
     kernel_generator,
-    kernel_generator_explicit,
     patras_reutenauer_generator,
     psi,
 )
 from kvlie.lyndon import is_lie_element, lyndon_words, standard_bracketing, witt_dimension
-from kvlie.permutations import reversal, sn_with_descents
+from kvlie.oracles import (
+    coshuffle,
+    dynkin_kernel_basis,
+    dynkin_via_descents,
+    eulerian,
+    eulerian_via_convolution,
+    kernel_generator_explicit,
+)
+from kvlie.permutations import permute_word, reversal, sn_with_descents
 from kvlie.scalars import binomial
 
 X = NCPoly.letter(XY, "x")
@@ -95,11 +96,11 @@ def test_eulerian_power_word_route():
         for j in range(0, 8 - i):
             if i + j == 0:
                 continue
-            fast = eulerian_power_word(alphabet=XY, segments=((0, i), (1, j)))
+            fast = eulerian_power_word(XY, ((0, i), (1, j)))
             slow = eulerian(NCPoly.from_word(XY, power_word(i, j)))
             assert fast == slow, (i, j)
     with pytest.raises(ValueError, match="outside the alphabet"):
-        eulerian_power_word(alphabet=XY, segments=((0, 2), (2, 1)))
+        eulerian_power_word(XY, ((0, 2), (2, 1)))
 
 
 def test_eulerian_idempotent_and_kills_pure_powers():

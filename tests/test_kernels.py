@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvlie.algebra import XY, Alphabet, NCPoly, default_alphabet, letter_part, parse_poly
-from kvlie.idempotents import dynkin, dynkin_via_descents, eulerian_power_word
+from kvlie.idempotents import dynkin, eulerian_power_word
 from kvlie.lyndon import (
     NotLieElementError,
     from_lie_coordinates,
@@ -20,6 +20,7 @@ from kvlie.lyndon import (
     standard_bracketing,
     to_lie_coordinates,
 )
+from kvlie.oracles import dynkin_via_descents
 
 COEFFS = st.builds(
     Fraction, st.integers(-30, 30).filter(bool), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12, 35])
@@ -62,7 +63,7 @@ def test_dynkin_equals_descent_oracle_on_a_series_inputs():
     # every polynomial a_series(10) hands to gamma: (e(x^i y^j))_x with i + j <= 11
     for n in range(2, 12):
         for i in range(1, n):
-            e_val = eulerian_power_word(alphabet=XY, segments=((0, i), (1, n - i)))
+            e_val = eulerian_power_word(XY, ((0, i), (1, n - i)))
             p = letter_part(e_val, "x")
             assert dynkin(p) == dynkin_via_descents(p), (i, n - i)
 

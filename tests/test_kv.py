@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -13,7 +15,7 @@ from kvlie.algebra import (
     parse_poly,
     substitute,
 )
-from kvlie.idempotents import dynkin, dynkin_kernel_basis, patras_reutenauer_generator, psi
+from kvlie.idempotents import dynkin, patras_reutenauer_generator, psi
 from kvlie.kv import (
     NEGATE_SWAP,
     SWAP,
@@ -23,25 +25,18 @@ from kvlie.kv import (
     antisymmetric_kernel_element,
     bch_eulerian,
     bch_oracle,
-    bch_permutation_oracle,
     clear_caches,
     f0,
     g0,
     general_solution,
     homogeneous_solution,
-    kernel_parameterized_leading_dim,
-    leading_pair_nullity,
-    multilinear_bch,
     multilinear_f0,
     multilinear_particular_solution,
     op_ad,
     op_bernoulli,
     op_exp_ad_minus_one,
-    operator_nullity,
     particular_solution,
     phi_split,
-    solve_split_chain,
-    solve_split_linear,
     symmetrize,
     verify_homogeneous,
     verify_kv1,
@@ -50,7 +45,15 @@ from kvlie.kv import (
 )
 from kvlie.linalg import nullspace_dimension, rank
 from kvlie.lyndon import is_lie_element, lyndon_words, standard_bracketing, to_lie_coordinates
-from kvlie import idempotents, permutations, scalars
+from kvlie.oracles import (
+    bch_permutation_oracle,
+    dynkin_kernel_basis,
+    kernel_parameterized_leading_dim,
+    leading_pair_nullity,
+    operator_nullity,
+    solve_split_chain,
+)
+from kvlie import oracles, permutations, scalars
 from kvlie.series import GradedSeries, series_exp, series_log
 
 X = NCPoly.letter(XY, "x")
@@ -101,8 +104,8 @@ def test_production_route_calls_no_permutation_sum(monkeypatch):
 
     clear_caches()
     monkeypatch.setattr(permutations, "sn_with_descents", forbidden)
-    monkeypatch.setattr(idempotents, "sn_with_descents", forbidden)
-    monkeypatch.setattr(idempotents, "_eulerian_word", forbidden)
+    monkeypatch.setattr(oracles, "sn_with_descents", forbidden)
+    monkeypatch.setattr(oracles, "_eulerian_word", forbidden)
     assert bch_eulerian(9).order == 9
     p = parse_poly(XY, "2/3*xxyxy - 1/5*yyx + xy")
     assert verify_kv1(general_solution(p, order=9), 9).is_zero()
@@ -299,7 +302,7 @@ def test_verifiers_refuse_a_bch_series_of_lower_order():
         verify_split(pair.F, 6, phi=low)
     sols = multilinear_particular_solution(3, 4)
     with pytest.raises(ValueError, match="order 3, below the requested order 4"):
-        verify_multilinear(sols, 4, phi=multilinear_bch(3, 3))
+        verify_multilinear(sols, 4, phi=bch_eulerian(3, 3))
 
 
 def test_clear_caches_resets_bernoulli_memo():
@@ -365,6 +368,29 @@ def test_cached_results_are_read_only():
     assert f0(4) == expected
 
 
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_values_copy_and_pickle_as_immutable_values(duplicate):
+    series = f0(4)
+    phi = bch_eulerian(4)
+    pair = particular_solution(4)
+    series_copy, phi_copy, pair_copy = duplicate(series), duplicate(phi), duplicate(pair)
+    assert (series_copy, phi_copy, pair_copy) == (series, phi, pair)
+    with pytest.raises(AttributeError):
+        series_copy.order = 1
+    with pytest.raises(AttributeError):
+        phi_copy.series.parts[2].terms = {}
+    with pytest.raises(AttributeError):
+        pair_copy.F = pair.G
+    with pytest.raises(AttributeError):
+        pair_copy.G.parts = ()
+    with pytest.raises(TypeError):
+        series_copy.parts[2].terms[(0, 0)] = Fraction(1)
+
+
 def test_verify_kv1():
     pair = particular_solution(6)
     assert verify_kv1(pair, 6).is_zero()
@@ -389,8 +415,8 @@ def test_kv1_against_conjugation_arithmetic():
 
 
 def test_solve_split_linear():
-    assert solve_split_linear(1) == parse_poly(XY, "1/4*y")
-    assert solve_split_linear(2) == parse_poly(XY, "1/24*xy - 1/24*yx")
+    assert solve_split_chain(1).component(1) == parse_poly(XY, "1/4*y")
+    assert solve_split_chain(2).component(2) == parse_poly(XY, "1/24*xy - 1/24*yx")
     chain = solve_split_chain(5)
     F = f0(5)
     for d in range(1, 6):
@@ -614,14 +640,16 @@ def test_leading_pair_dimensions():
 
 
 def test_multilinear_bch_reduces_to_two_variables():
-    assert multilinear_bch(2, 5).series == bch_eulerian(5).series
-    with pytest.raises(ValueError):
-        multilinear_bch(1, 3)
+    assert bch_eulerian(5, 2).series == bch_oracle(5).series
+    with pytest.raises(ValueError, match="at least two variables"):
+        multilinear_particular_solution(1, 3)
+    with pytest.raises(ValueError, match="at least two variables"):
+        multilinear_f0(1, 1, 3)
 
 
 def test_multilinear_bch_three_variables():
     A3 = default_alphabet(3)
-    phi = multilinear_bch(3, 3)
+    phi = bch_eulerian(3, 3)
     x1 = NCPoly.letter(A3, "x")
     x2 = NCPoly.letter(A3, "y")
     x3 = NCPoly.letter(A3, "z")
@@ -630,7 +658,7 @@ def test_multilinear_bch_three_variables():
         bracket(x1, x2) + bracket(x1, x3) + bracket(x2, x3)
     ).scaled(Fraction(1, 2))
     assert phi.component(2) == expected2
-    assert phi.series == multilinear_bch(3, 3, "oracle").series
+    assert phi.series == bch_oracle(3, 3).series
 
 
 def test_multilinear_defect_vanishes():
@@ -646,7 +674,7 @@ def test_multilinear_zero_tuple_defect():
     zeros = [GradedSeries.zero(A3, 4) for _ in range(3)]
     defect = verify_multilinear(zeros, 4)
     assert not defect.is_zero()
-    reversed_phi = multilinear_bch(3, 4).reversed_arguments()
+    reversed_phi = bch_eulerian(4, 3).reversed_arguments()
     for m in range(2, 5):
         assert defect.component(m) == reversed_phi.component(m)
 

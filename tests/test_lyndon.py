@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from kvlie.algebra import XY, NCPoly, parse_poly
-from kvlie.idempotents import dynkin, eulerian
+from kvlie.idempotents import dynkin
 from kvlie.lyndon import (
     NotLieElementError,
     from_lie_coordinates,
@@ -15,6 +15,7 @@ from kvlie.lyndon import (
     to_lie_coordinates,
     witt_dimension,
 )
+from kvlie.oracles import eulerian
 
 
 def brute_force_lyndon(k, n):

@@ -9,7 +9,6 @@ from kvlie.permutations import (
     enumerate_sn,
     identity,
     inverse,
-    parse_permutation,
     reversal,
 )
 
@@ -98,10 +97,6 @@ def test_eulerian_distribution():
         assert counts == eulerian_numbers(n)
 
 
-def test_parse_and_repr():
+def test_repr():
     sigma = Permutation((2, 1, 3))
     assert repr(sigma) == "(2,1,3)"
-    assert parse_permutation("(2,1,3)") == sigma
-    assert parse_permutation("2,1,3") == sigma
-    with pytest.raises(ValueError):
-        parse_permutation("(2,zzz)")
