@@ -33,8 +33,8 @@ from .algebra import (
     to_text,
 )
 from .idempotents import (
+    bch_component,
     dynkin,
-    eulerian_power_word,
     kernel_generator,
     patras_reutenauer_generator,
     psi,

@@ -22,7 +22,7 @@ from .algebra import (
     to_latex,
     to_text,
 )
-from .lyndon import lyndon_words, witt_dimension
+from .lyndon import witt_dimension
 from .idempotents import psi
 from .kv import (
     bch_eulerian,
@@ -65,12 +65,10 @@ def _emit(text: str, output: str | None) -> None:
         print(text)
 
 
-def _check_degree(n: int, force: bool) -> None:
-    if n < 1:
-        raise SystemExit("kvlie: --degree must be >= 1")
+def _check_degree(n: int, force: bool, what: str = "degree") -> None:
     if n > MAX_UNFORCED_DEGREE and not force:
         raise SystemExit(
-            f"kvlie: degree {n} exceeds {MAX_UNFORCED_DEGREE}; the cost grows about 2x "
+            f"kvlie: {what} {n} exceeds {MAX_UNFORCED_DEGREE}; the cost grows about 2x "
             "per degree (verify kv1 takes about 1.8 s at degree 12), pass --force to proceed"
         )
 
@@ -97,11 +95,15 @@ def _parse_rational_flag(flag: str, text: str) -> Fraction:
         raise SystemExit(f"kvlie: {flag}: {exc}")
 
 
-def _parse_expr(text: str, alphabet=XY) -> NCPoly:
+def _parse_expr(text: str, force: bool) -> NCPoly:
+    """The polynomial in ``text``; its word degree is guarded like --degree,
+    since the Dynkin map on a degree-n word makes up to 2^(n-1) terms."""
     try:
-        return parse_poly(alphabet, text)
+        p = parse_poly(XY, text)
     except PolyParseError as exc:
         raise SystemExit(f"kvlie: cannot parse polynomial: {exc}")
+    _check_degree(p.max_degree(), force, "polynomial degree")
+    return p
 
 
 def _cmd_bch(args) -> int:
@@ -129,7 +131,7 @@ def _cmd_verify(args) -> int:
     n = args.degree
     if args.equation == "kv1":
         if args.kernel_poly:
-            p = _parse_expr(args.kernel_poly)
+            p = _parse_expr(args.kernel_poly, args.force)
             pair = general_solution(p, order=n)
         else:
             pair = particular_solution(n)
@@ -139,7 +141,7 @@ def _cmd_verify(args) -> int:
     elif args.equation == "homogeneous":
         if not args.kernel_poly:
             raise SystemExit("kvlie: --equation homogeneous requires --kernel-poly")
-        p = _parse_expr(args.kernel_poly)
+        p = _parse_expr(args.kernel_poly, args.force)
         try:
             pair = homogeneous_solution(p, order=n)
         except ValueError as exc:
@@ -164,7 +166,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solution(args) -> int:
-    p = _parse_expr(args.kernel_poly) if args.kernel_poly else NCPoly.zero(XY)
+    p = _parse_expr(args.kernel_poly, args.force) if args.kernel_poly else NCPoly.zero(XY)
     lam1 = _parse_rational_flag("--lambda1", args.lambda1)
     lam2 = _parse_rational_flag("--lambda2", args.lambda2)
     pair = general_solution(p, lam1, lam2, args.degree)
@@ -187,30 +189,24 @@ def _cmd_solution(args) -> int:
 
 
 def _cmd_witt(args) -> int:
-    k = args.vars
-    rows = []
-    for n in range(1, args.degree + 1):
-        dim = witt_dimension(k, n)
-        count = len(lyndon_words(k, n))
-        rows.append((n, dim, count))
+    # The Lyndon words of degree n are a basis of the degree-n piece, so
+    # Witt's formula counts both columns without enumerating the words.
+    rows = [(n, witt_dimension(args.vars, n)) for n in range(1, args.degree + 1)]
     if args.format == "json":
         body = json.dumps(
-            [
-                {"degree": n, "dimension": dim, "lyndon_words": count}
-                for n, dim, count in rows
-            ],
+            [{"degree": n, "dimension": dim, "lyndon_words": dim} for n, dim in rows],
             separators=(",", ":"),
         )
     else:
         body = "\n".join(
-            f"degree {n}: dimension {dim}, lyndon words {count}" for n, dim, count in rows
+            f"degree {n}: dimension {dim}, lyndon words {dim}" for n, dim in rows
         )
     _emit(body, args.output)
     return EXIT_OK
 
 
 def _cmd_psi(args) -> int:
-    p = _parse_expr(args.poly)
+    p = _parse_expr(args.poly, args.force)
     if args.var not in XY.letters:
         raise SystemExit(f"kvlie: --var must be one of {'/'.join(XY.letters)}")
     _emit(_render_poly(psi(p, args.var), args.format), args.output)
@@ -280,6 +276,8 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.degree < 1:
+            raise SystemExit("kvlie: --degree must be >= 1")
         _check_degree(args.degree, args.force)
         if getattr(args, "vars", None) is not None and args.vars < 2:
             raise SystemExit("kvlie: --vars must be >= 2")

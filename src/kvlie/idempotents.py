@@ -5,9 +5,11 @@ Each projector onto the free Lie algebra has one production construction here:
 * ``dynkin`` -- right-nested bracketing with a 1/n prefactor, applied to a
   whole homogeneous component at once through its letter parts,
   r(sum_a a p_a) = sum_a [a, r(p_a)], in integer arithmetic;
-* ``eulerian_power_word`` -- e on a power word x_1^i_1 ... x_k^i_k through
-  the run-length convolution recursion: the BCH series and the particular
-  solution only ever need e on power words.
+* ``bch_component`` -- the Eulerian idempotent e on power words, summed into
+  the degree-n BCH component Z_n = sum e(x_1^i_1 ... x_k^i_k) / (i_1! ... i_k!)
+  and given in Goldberg's closed form: the BCH series and the particular
+  solution only ever need e on power words, and e(x^i y^j) is i! j! times
+  the bidegree-(i, j) part of Z_{i+j}.
 
 ``kernel_generator``, ``psi`` and the Patras-Reutenauer elements gamma(a) a
 build the kernel of gamma from ``dynkin``.  The independent constructions
@@ -15,18 +17,17 @@ that the tests play against these (the descent-class Dynkin sum, the S_n and
 convolution Eulerian sums on arbitrary words, the explicit kernel elements
 and a kernel basis) live in :mod:`kvlie.oracles`.
 
-The run-length tables are memoised: words are plain tuples of letter indices,
-so the caches are alphabet-agnostic.  The kernels sum in integers and divide
-by one common denominator per component or word.
+``bch_component`` is memoised per (degree, k).  The kernels sum in integers
+and divide by one common denominator per component or word.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, factorial, lcm
 
-from .algebra import NCPoly, Word, concat, integer_form, letter_part
+from .algebra import NCPoly, Word, concat, default_alphabet, integer_form, letter_part
 
 
 # -- Dynkin idempotent --------------------------------------------------------
@@ -68,98 +69,80 @@ def dynkin(p: NCPoly) -> NCPoly:
     return NCPoly._raw(p.alphabet, terms)
 
 
-# -- Eulerian idempotent on power words ----------------------------------------
-
-Segments = tuple[tuple[int, int], ...]
+# -- Eulerian idempotent on power words: Goldberg's closed form ---------------
 
 
-def _normalize_segments(segments: Segments) -> Segments:
-    merged: list[list[int]] = []
-    for letter, count in segments:
-        if count < 0:
-            raise ValueError("negative letter count")
-        if count == 0:
-            continue
-        if merged and merged[-1][0] == letter:
-            merged[-1][1] += count
-        else:
-            merged.append([letter, count])
-    return tuple((l, c) for l, c in merged)
-
-
-def _segments_word(segments: Segments) -> Word:
-    out: list[int] = []
-    for letter, count in segments:
-        out.extend([letter] * count)
-    return tuple(out)
+def _run_sequences(m: int, k: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """(letters, ups, downs) for every run of m letters out of k with no two
+    neighbours equal; ups and downs count the boundaries where the letter
+    index rises and falls."""
+    out = [((a,), 0, 0) for a in range(k)]
+    for _ in range(m - 1):
+        out = [
+            (letters + (b,), ups + (b > letters[-1]), downs + (b < letters[-1]))
+            for letters, ups, downs in out
+            for b in range(k)
+            if b != letters[-1]
+        ]
+    return out
 
 
 @lru_cache(maxsize=None)
-def _jstar_segments(k: int, segments: Segments) -> dict[Word, int]:
-    """J*k on the power word described by ``segments`` ((letter, count) runs).
+def bch_component(degree: int, k: int = 2) -> NCPoly:
+    """The degree-n component Z_n of log(e^x_1 ... e^x_k), in Goldberg's closed
+    form (Goldberg, "The formal power series for log e^x e^y", 1956).
 
-    A subsequence of a power word is determined by how many letters it takes
-    from each run, with a binomial multiplicity per run; this keeps the
-    convolution recursion polynomial-sized where the generic subset sum
-    would be exponential in the degree.
+    Z_n = sum over compositions (i_1, ..., i_k) of n of
+    e(x_1^i_1 ... x_k^i_k) / (i_1! ... i_k!), so this is the Eulerian
+    idempotent on power words, summed.  A word whose maximal runs have lengths
+    r_1, ..., r_m, with a ascending and d descending run boundaries, has the
+    coefficient  int_0^1 t^a (t-1)^d prod_i G_{r_i}(t) dt,  where G_1 = 1 and
+    G_s = (1/s) d/dt [t(t-1) G_{s-1}].
+
+    The kernel holds H_s = s! G_s as integer coefficient lists, walks the run
+    compositions depth first with the product of each prefix shared, and
+    integrates over L = lcm(1..n): L * int_0^1 t^u (t-1)^d dt is the integer
+    (-1)^d L / ((u+d+1) C(u+d, d)) for u + d < n.  Each word gets one
+    Fraction.  The pure powers x_a^n, n >= 2, are asserted to vanish.
     """
-    total = sum(c for _, c in segments)
-    if total == 0:
-        return {}
-    if k == 1:
-        return {_segments_word(segments): 1}
-    out: dict[Word, int] = {}
-    choices = [range(c + 1) for _, c in segments]
-
-    def rec(idx: int, taken: list[int], mult: int) -> None:
-        if idx == len(segments):
-            if not any(taken):
-                return
-            left: list[int] = []
-            remainder: list[tuple[int, int]] = []
-            for (letter, count), a in zip(segments, taken):
-                left.extend([letter] * a)
-                if count - a:
-                    remainder.append((letter, count - a))
-            left_word = tuple(left)
-            for w, c in _jstar_segments(k - 1, _normalize_segments(tuple(remainder))).items():
-                key = left_word + w
-                out[key] = out.get(key, 0) + mult * c
-            return
-        letter, count = segments[idx]
-        for a in choices[idx]:
-            rec(idx + 1, taken + [a], mult * comb(count, a))
-
-    rec(0, [], 1)
-    return {w: c for w, c in out.items() if c}
-
-
-@lru_cache(maxsize=None)
-def _eulerian_segments(segments: Segments) -> dict[Word, Fraction]:
-    """sum_k (-1)^(k-1) J*k / k, summed in integers over L = lcm(1..n) and
-    divided by L once per word."""
-    segments = _normalize_segments(segments)
-    n = sum(c for _, c in segments)
+    n = degree
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    alphabet = default_alphabet(k)
+    H = [[], [1]]
+    for s in range(2, n + 1):
+        g = [a - b for a, b in zip([0, 0] + H[-1], [0] + H[-1] + [0])]  # t(t-1) H_{s-1}
+        H.append([i * g[i] for i in range(1, len(g))])
     common = lcm(*range(1, n + 1))
-    out: dict[Word, int] = {}
-    for k in range(1, n + 1):
-        weight = (-1) ** (k - 1) * (common // k)
-        for w, c in _jstar_segments(k, segments).items():
-            out[w] = out.get(w, 0) + weight * c
-    return {w: Fraction(c, common) for w, c in out.items() if c}
+    moment = [
+        [(-1) ** d * (common // ((u + d + 1) * comb(u + d, d))) for d in range(n - u)]
+        for u in range(n)
+    ]
+    sequences = [None] + [_run_sequences(m, k) for m in range(1, n + 1)]
+    terms: dict[Word, Fraction] = {}
 
+    def walk(runs: tuple[int, ...], left: int, poly: list[int], denominator: int) -> None:
+        if not left:
+            m = len(runs)
+            for letters, ups, downs in sequences[m]:
+                numerator = sum(c * moment[ups + j][downs] for j, c in enumerate(poly) if c)
+                if m == 1 and n >= 2 and numerator:
+                    raise AssertionError(f"the pure power of letter {letters[0]} did not vanish")
+                if numerator:
+                    word = tuple(a for a, r in zip(letters, runs) for _ in range(r))
+                    terms[word] = Fraction(numerator, denominator)
+            return
+        for r in range(1, left + 1):
+            h = H[r]
+            product = [0] * (len(poly) + len(h) - 1)
+            for i, a in enumerate(poly):
+                if a:
+                    for j, b in enumerate(h):
+                        product[i + j] += a * b
+            walk(runs + (r,), left - r, product, denominator * factorial(r))
 
-def eulerian_power_word(alphabet, segments: Segments) -> NCPoly:
-    """e applied to a power word letter0^c0 letter1^c1 ... given as runs.
-
-    The production route for e: a subsequence of a power word is fixed by how
-    many letters it takes from each run, so the cost stays polynomial in the
-    degree where a sum over S_n (:func:`kvlie.oracles.eulerian`) is factorial.
-    """
-    segments = _normalize_segments(tuple(segments))
-    if any(not 0 <= letter < alphabet.size for letter, _ in segments):
-        raise ValueError(f"segments {segments} have letters outside the alphabet")
-    return NCPoly._raw(alphabet, _eulerian_segments(segments))
+    walk((), n, [1], common)
+    return NCPoly._raw(alphabet, terms)
 
 
 # -- kernel of the Dynkin idempotent -------------------------------------------

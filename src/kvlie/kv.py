@@ -11,11 +11,12 @@ solution, the parameterisation of all solutions by the kernel of the Dynkin
 idempotent, and the multilinear generalisation.
 
 The production BCH series is ``bch_eulerian``: the Eulerian idempotent on
-power words.  ``bch_oracle`` (log of a product of exponentials) stays here
-because ``kvlie bch --method oracle|both`` prints it.  The other oracles --
-BCH through the S_n permutation sum, the particular solution by exact linear
-solves, and the dimension counts of the solution space -- live in
-:mod:`kvlie.oracles`.
+power words in Goldberg's closed form (:func:`kvlie.idempotents.bch_component`),
+which ``a_series`` reads as well.  ``bch_oracle`` (log of a product of
+exponentials) stays here because ``kvlie bch --method oracle|both`` prints
+it.  The other oracles -- BCH through the S_n permutation sum, the particular
+solution by exact linear solves, and the dimension counts of the solution
+space -- live in :mod:`kvlie.oracles`.
 
 Argument-order discipline: a BCH series carries the tuple of variables it
 was built in, and any reordered evaluation (such as the recurring (y, x)
@@ -29,20 +30,19 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import prod
+from functools import cached_property, lru_cache
 
 from .algebra import (
     XY,
     NCPoly,
     concat,
     default_alphabet,
+    from_integer_form,
     integer_form,
     letter_part,
     substitute,
-    sum_integer_forms,
 )
-from .idempotents import dynkin, eulerian_power_word, psi
+from .idempotents import _right_nested, bch_component, dynkin, psi
 from .lyndon import to_lie_coordinates
 from .scalars import bernoulli, factorial
 from .series import GradedSeries, _ad_power_sum
@@ -91,10 +91,13 @@ class BchSeries:
         return self.series.component(degree)
 
     def reversed_arguments(self) -> GradedSeries:
-        """The series evaluated at the reversed variable tuple, by substitution."""
-        k = len(self.variables)
-        images = {self.variables[i]: self.variables[k - 1 - i] for i in range(k)}
-        return self.series.substitute(images)
+        """The series evaluated at the reversed variable tuple, by substitution;
+        computed once per BchSeries and shared, as every GradedSeries is immutable."""
+        return self._reversed
+
+    @cached_property
+    def _reversed(self) -> GradedSeries:
+        return self.series.substitute(dict(zip(self.variables, reversed(self.variables))))
 
     def tail(self, start: int = 2) -> GradedSeries:
         parts = [
@@ -109,52 +112,22 @@ def _certify_lie(series: GradedSeries) -> None:
         to_lie_coordinates(series.parts[d])
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def _bch_from_power_words(order: int, k: int, power_word_value) -> BchSeries:
-    """Component m = sum over (i_1, ..., i_k) summing to m of
-    e(x_1^i_1 ... x_k^i_k) / (i_1! ... i_k!), with e on each power word given
-    by ``power_word_value(alphabet, counts)``.
-
-    Pure powers beyond degree 1 are asserted to vanish under e, and every
-    component is certified to be a Lie element.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    alphabet = default_alphabet(k)
-    parts = [NCPoly.zero(alphabet)]
-    for m in range(1, order + 1):
-        items = []
-        for counts in _compositions(m, k):
-            value = power_word_value(alphabet, counts)
-            if m >= 2 and sum(1 for c in counts if c) == 1 and value:
-                raise AssertionError(f"e on the pure power word {counts} did not vanish")
-            weight = Fraction(1, prod(factorial(c) for c in counts))
-            items.append((weight, *integer_form(value.terms)))
-        parts.append(sum_integer_forms(alphabet, items))
-    series = GradedSeries._raw(alphabet, order, parts)
-    _certify_lie(series)
-    return BchSeries(series, alphabet.letters)
-
-
 @lru_cache(maxsize=None)
 def bch_eulerian(order: int, k: int = 2) -> BchSeries:
     """BCH series from the Eulerian idempotent on power words, for any k.
 
-    This is the production construction: e on each power word goes through
-    the run-length convolution route (:func:`eulerian_power_word`), which
-    never enumerates a symmetric group.
+    This is the production construction: component m is
+    :func:`kvlie.idempotents.bch_component`, Goldberg's closed form of
+    sum e(x_1^i_1 ... x_k^i_k) / (i_1! ... i_k!) over the power words of
+    degree m, and every component is certified to be a Lie element.
     """
-    return _bch_from_power_words(
-        order, k, lambda alphabet, counts: eulerian_power_word(alphabet, tuple(enumerate(counts)))
-    )
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    alphabet = default_alphabet(k)
+    parts = [NCPoly.zero(alphabet)] + [bch_component(m, k) for m in range(1, order + 1)]
+    series = GradedSeries._raw(alphabet, order, parts)
+    _certify_lie(series)
+    return BchSeries(series, alphabet.letters)
 
 
 @lru_cache(maxsize=None)
@@ -210,25 +183,21 @@ def phi_split(phi: BchSeries) -> tuple[GradedSeries, GradedSeries]:
 def a_series(order: int) -> GradedSeries:
     """The Lie series a(x, y) feeding the particular solution.
 
-    Degree n - 1 component: ((n-1)/n) * sum_{i+j=n, i,j>=1}
-    gamma((e_n(x^i y^j))_x) / (i! j!).  The degree bookkeeping is pinned by
-    the split equation: E(-x) applied to the resulting F reproduces the
-    y-leading Dynkin half of the BCH tail exactly (see verify_split), and
-    the linear-solve oracle :func:`kvlie.oracles.solve_split_chain` recovers
-    the same components degree by degree.
+    Degree d component: (d/(d+1)) * gamma((Z_{d+1})_x), with Z_n the degree-n
+    BCH component, whose bidegree-(i, j) part is e(x^i y^j) / (i! j!).  On
+    degree d, gamma is r/d with r the right-nested bracketing, so the
+    component is r((Z_{d+1})_x) / (d+1), summed in integers.  The degree
+    bookkeeping is pinned by the split equation: E(-x) applied to the
+    resulting F reproduces the y-leading Dynkin half of the BCH tail exactly
+    (see verify_split), and the linear-solve oracle
+    :func:`kvlie.oracles.solve_split_chain` recovers the same components degree
+    by degree.  Only the result is certified; Z_{order+1} is read uncertified.
     """
-    alphabet = XY
-    parts = [NCPoly.zero(alphabet)]
+    parts = [NCPoly.zero(XY)]
     for d in range(1, order + 1):
-        n = d + 1
-        items = []
-        for i in range(1, n):
-            j = n - i
-            e_val = eulerian_power_word(alphabet, ((0, i), (1, j)))
-            weight = Fraction(n - 1, n * factorial(i) * factorial(j))
-            items.append((weight, *integer_form(dynkin(letter_part(e_val, "x")).terms)))
-        parts.append(sum_integer_forms(alphabet, items))
-    series = GradedSeries._raw(alphabet, order, parts)
+        ints, scale = integer_form(letter_part(bch_component(d + 1), "x").terms)
+        parts.append(from_integer_form(XY, _right_nested(ints), (d + 1) * scale))
+    series = GradedSeries._raw(XY, order, parts)
     _certify_lie(series)
     return series
 
@@ -440,10 +409,10 @@ def multilinear_particular_solution(k: int, order: int) -> list[GradedSeries]:
 
 
 def clear_caches() -> None:
-    """Drop every memoised table (run-length Eulerian tables, BCH series,
-    oracle tables when loaded, the Bernoulli prefix, ...); mainly for cold-start
-    timing and memory tests.  The lru caches are found in the loaded kvlie
-    modules, so a new cache needs no registration here."""
+    """Drop every memoised table (BCH components and series, oracle tables
+    when loaded, the Bernoulli prefix, ...); mainly for cold-start timing and
+    memory tests.  The lru caches are found in the loaded kvlie modules, so a
+    new cache needs no registration here."""
     from . import scalars as _scalars
 
     with _scalars._bernoulli_lock:

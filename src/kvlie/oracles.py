@@ -10,7 +10,8 @@ here share no kernel with it, so agreement term by term is evidence for both:
   coefficients (-1)^d(sigma) / (n * C(n-1, d(sigma))), factorial in the
   degree, and ``eulerian_via_convolution`` -- log of the identity under
   convolution, evaluated through the co-shuffle; both act on arbitrary
-  words, against :func:`kvlie.idempotents.eulerian_power_word`;
+  words, against e(x^i y^j) = i! j! times the bidegree-(i, j) part of
+  :func:`kvlie.idempotents.bch_component`;
 * ``kernel_generator_explicit`` and ``dynkin_kernel_basis`` -- the kernel of
   gamma from descent classes and from a linear sweep over the word basis;
 * ``bch_permutation_oracle`` -- the BCH series with e on each power word
@@ -39,9 +40,10 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .algebra import XY, Alphabet, NCPoly, Word, bracket, letter_part
+from .algebra import XY, Alphabet, NCPoly, Word, bracket, integer_form, letter_part
+from .algebra import sum_integer_forms
 from .idempotents import dynkin, kernel_generator
-from .kv import MINUS_X, SWAP, X, Y, BchSeries, _bch_from_power_words, bch_eulerian
+from .kv import MINUS_X, SWAP, X, Y, BchSeries, _certify_lie, bch_eulerian
 from .kv import op_exp_ad_minus_one, phi_split
 from .linalg import independent_subset, nullspace_dimension, rank, solve_affine
 from .lyndon import lyndon_words, standard_bracketing, to_lie_coordinates
@@ -268,17 +270,28 @@ def dynkin_kernel_basis(alphabet, n: int) -> list[NCPoly]:
 
 
 def bch_permutation_oracle(order: int) -> BchSeries:
-    """BCH series in two variables: the power-word sum of
-    :func:`kvlie.kv.bch_eulerian`, with e on each power word evaluated through
-    the full S_n permutation sum.  Factorial in the degree.
+    """BCH series in two variables: component m = sum_{i+j=m} e(x^i y^j) / (i! j!),
+    with e on each power word evaluated through the full S_n permutation sum.
+    Factorial in the degree.
+
+    Pure powers beyond degree 1 are asserted to vanish under e, and every
+    component is certified to be a Lie element.
     """
-    return _bch_from_power_words(
-        order,
-        2,
-        lambda alphabet, counts: eulerian(
-            NCPoly.from_word(alphabet, (0,) * counts[0] + (1,) * counts[1])
-        ),
-    )
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    parts = [NCPoly.zero(XY)]
+    for m in range(1, order + 1):
+        items = []
+        for i in range(m + 1):
+            value = eulerian(NCPoly.from_word(XY, (0,) * i + (1,) * (m - i)))
+            if m >= 2 and i in (0, m) and value:
+                raise AssertionError(f"e on the pure power word of degree {m} did not vanish")
+            weight = Fraction(1, factorial(i) * factorial(m - i))
+            items.append((weight, *integer_form(value.terms)))
+        parts.append(sum_integer_forms(XY, items))
+    series = GradedSeries._raw(XY, order, parts)
+    _certify_lie(series)
+    return BchSeries(series, XY.letters)
 
 
 # -- linear-solve oracle for the split equation ---------------------------------

@@ -182,6 +182,10 @@ def test_degree_guard(capsys):
     code, _, err = run(capsys, "f0", "--degree", "12")
     assert code == 2
     assert "--force" in err
+    # the guard on polynomial input is lifted the same way
+    code, out, err = run(capsys, "psi", "--var", "x", "--poly", "xyxyxyxyxyxy", "--force")
+    assert code == 0 and err == ""
+    assert out.startswith("-1/66*xxxxxyyyyyy + ")
 
 
 def test_usage_error_exit_code(capsys):
@@ -211,6 +215,9 @@ def test_output_determinism(capsys, tmp_path):
         (("verify", "--equation", "kv1", "--degree", "3", "--kernel-poly", "\u00b2x"),
          "cannot parse polynomial"),
         (("psi", "--var", "x", "--poly", "1/\u00b2"), "cannot parse polynomial"),
+        (("psi", "--var", "x", "--poly", "xyxyxyxyxyxy"), "polynomial degree 12 exceeds 11"),
+        (("verify", "--equation", "kv1", "--degree", "3", "--kernel-poly", "x + xyxyxyxyxyxy"),
+         "polynomial degree 12 exceeds 11"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):
@@ -219,6 +226,17 @@ def test_bad_input_exits_2_with_one_line(capsys, argv, message):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert message in err
+
+
+def test_witt_counts_without_enumerating_lyndon_words(capsys):
+    from kvlie import lyndon
+    from kvlie.kv import clear_caches
+
+    clear_caches()
+    code, out, _ = run(capsys, "witt", "--vars", "6", "--degree", "8")
+    assert code == 0
+    assert out.splitlines()[-1] == "degree 8: dimension 209790, lyndon words 209790"
+    assert lyndon._lyndon_words.cache_info().currsize == 0
 
 
 def test_verify_multilinear_vars(capsys, monkeypatch):

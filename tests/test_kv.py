@@ -15,7 +15,7 @@ from kvlie.algebra import (
     parse_poly,
     substitute,
 )
-from kvlie.idempotents import dynkin, patras_reutenauer_generator, psi
+from kvlie.idempotents import bch_component, dynkin, patras_reutenauer_generator, psi
 from kvlie.kv import (
     NEGATE_SWAP,
     SWAP,
@@ -94,8 +94,12 @@ def test_bch_power_word_route_equals_permutation_oracle():
         assert bch_eulerian(n).series == bch_permutation_oracle(n).series, n
 
 
-def test_bch_power_word_route_equals_exp_log_at_degree_10():
-    assert bch_eulerian(10).series == bch_oracle(10).series
+@pytest.mark.parametrize("k, top", [(2, 12), (3, 7), (4, 5)])
+def test_goldberg_kernel_equals_exp_log_on_every_word(k, top):
+    oracle = bch_oracle(top, k)
+    for n in range(1, top + 1):
+        assert bch_component(n, k) == oracle.component(n), (k, n)
+    assert bch_eulerian(top, k).series == oracle.series
 
 
 def test_production_route_calls_no_permutation_sum(monkeypatch):
@@ -332,7 +336,7 @@ def _kvlie_lru_caches():
 def test_clear_caches_empties_every_lru_cache():
     caches = _kvlie_lru_caches()
     assert {"kv.f0", "kv.bch_oracle", "lyndon._standard_bracketing_word",
-            "idempotents._jstar_segments", "permutations._sn_descents_cached"} <= set(caches)
+            "idempotents.bch_component", "permutations._sn_descents_cached"} <= set(caches)
     f0(6)
     bch_oracle(5)
     bch_permutation_oracle(5)
@@ -364,6 +368,21 @@ def test_cached_results_are_read_only():
     assert f0(4) is expected
     assert [dict(p.terms) for p in f0(4).parts] == snapshot
     assert bch_oracle(3).series.order == 3
+    # the reversed BCH series is memoised on the cached BchSeries it came from
+    phi = bch_eulerian(4, 3)
+    reversed_phi = phi.reversed_arguments()
+    reversed_snapshot = [dict(p.terms) for p in reversed_phi.parts]
+    with pytest.raises(AttributeError):
+        reversed_phi.parts = ()
+    with pytest.raises(TypeError):
+        reversed_phi.parts[3].terms[(0, 0, 0)] = Fraction(1)
+    with pytest.raises(AttributeError):
+        phi._reversed = reversed_phi.truncate(2)
+    with pytest.raises(AttributeError):
+        del phi._reversed
+    multilinear_particular_solution(3, 3)
+    assert bch_eulerian(4, 3).reversed_arguments() is reversed_phi
+    assert [dict(p.terms) for p in reversed_phi.parts] == reversed_snapshot
     clear_caches()
     assert f0(4) == expected
 
