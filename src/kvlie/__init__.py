@@ -9,11 +9,15 @@ checkable degree by degree in exact arithmetic.
 
 Each object has one production construction: the BCH series is the Eulerian
 idempotent on power words (``bch_eulerian``), the Dynkin idempotent is the
-right-nested bracketing on whole components (``dynkin``).  ``bch_oracle``
-(log of a product of exponentials) is exported because ``kvlie bch`` prints
-it.  The other independent constructions that the tests play against
-production -- permutation sums, descent classes, convolution, linear solves
--- live in :mod:`kvlie.oracles`, which this package does not import.
+right-nested bracketing r on whole components (``dynkin``), and Lie
+membership is its fixed point r(p) = n p in degree n, which raises
+``NotLieElementError`` when it fails.  ``bch_oracle`` (log of a product of
+exponentials) is exported because ``kvlie bch`` prints it.  The other
+independent constructions that the tests play against production --
+permutation sums, descent classes, convolution, linear solves, the Lyndon
+elimination -- live in :mod:`kvlie.oracles` and its support modules
+(``permutations``, ``linalg``, ``lyndon``), which this package does not
+import.
 """
 
 from .algebra import (
@@ -33,6 +37,7 @@ from .algebra import (
     to_text,
 )
 from .idempotents import (
+    NotLieElementError,
     bch_component,
     dynkin,
     kernel_generator,
@@ -60,19 +65,7 @@ from .kv import (
     verify_multilinear,
     verify_split,
 )
-from .lyndon import (
-    LieCoordinates,
-    LyndonWord,
-    NotLieElementError,
-    from_lie_coordinates,
-    is_lie_element,
-    is_lyndon,
-    lyndon_words,
-    standard_bracketing,
-    to_lie_coordinates,
-    witt_dimension,
-)
-from .scalars import Rational, bernoulli, binomial, factorial, moebius
+from .scalars import Rational, bernoulli, binomial, factorial, moebius, witt_dimension
 from .series import GradedSeries, series_exp, series_log
 
 __version__ = "0.1.0"

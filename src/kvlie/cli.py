@@ -22,7 +22,6 @@ from .algebra import (
     to_latex,
     to_text,
 )
-from .lyndon import witt_dimension
 from .idempotents import psi
 from .kv import (
     bch_eulerian,
@@ -37,7 +36,7 @@ from .kv import (
     verify_multilinear,
     verify_split,
 )
-from .scalars import parse_rational
+from .scalars import parse_rational, witt_dimension
 from .series import GradedSeries
 
 MAX_UNFORCED_DEGREE = 11
@@ -151,7 +150,7 @@ def _cmd_verify(args) -> int:
         k = 3 if args.vars is None else args.vars
         _check_vars(k)
         solutions = multilinear_particular_solution(k, n)
-        defect = verify_multilinear(solutions, n)
+        defect = verify_multilinear(solutions, n, phi=bch_eulerian(n + 1, k))
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(f"kvlie: unknown equation {args.equation!r}")
     if defect.is_zero():

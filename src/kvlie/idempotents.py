@@ -12,10 +12,13 @@ Each projector onto the free Lie algebra has one production construction here:
   the bidegree-(i, j) part of Z_{i+j}.
 
 ``kernel_generator``, ``psi`` and the Patras-Reutenauer elements gamma(a) a
-build the kernel of gamma from ``dynkin``.  The independent constructions
-that the tests play against these (the descent-class Dynkin sum, the S_n and
-convolution Eulerian sums on arbitrary words, the explicit kernel elements
-and a kernel basis) live in :mod:`kvlie.oracles`.
+build the kernel of gamma from ``dynkin``.  The fixed point r(p) = n p of the
+right-nested bracketing is also the production Lie-membership test
+(:func:`kvlie.kv._certify_lie`), which raises ``NotLieElementError``.  The
+independent constructions that the tests play against these (the
+descent-class Dynkin sum, the S_n and convolution Eulerian sums on arbitrary
+words, the explicit kernel elements and a kernel basis, the Lyndon
+elimination) live in :mod:`kvlie.oracles` and its support modules.
 
 ``bch_component`` is memoised per (degree, k).  The kernels sum in integers
 and divide by one common denominator per component or word.
@@ -57,7 +60,8 @@ def dynkin(p: NCPoly) -> NCPoly:
     """The Dynkin idempotent gamma; projects T(V) onto the free Lie algebra.
 
     gamma kills constants, fixes letters, and fixes exactly the Lie elements
-    (Friedrichs criterion), so applying it twice equals applying it once.
+    (Dynkin-Specht-Wever: p of degree n is Lie iff r(p) = n p), so applying it
+    twice equals applying it once.
     On the degree-n component, scaled to integers by the lcm D of its
     denominators, gamma is r / (n * D) with r the right-nested bracketing.
     """
@@ -67,6 +71,15 @@ def dynkin(p: NCPoly) -> NCPoly:
             ints, scale = integer_form(p.homogeneous_component(n).terms)
             terms.update((w, Fraction(c, n * scale)) for w, c in _right_nested(ints).items())
     return NCPoly._raw(p.alphabet, terms)
+
+
+class NotLieElementError(ValueError):
+    """Not a Lie element.  ``residual`` shows it: p - gamma(p) from production
+    certification, the remainder of the Lyndon elimination from the oracle."""
+
+    def __init__(self, residual: NCPoly):
+        super().__init__(f"not a Lie element; residual {residual!r}")
+        self.residual = residual
 
 
 # -- Eulerian idempotent on power words: Goldberg's closed form ---------------

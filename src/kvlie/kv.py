@@ -42,8 +42,8 @@ from .algebra import (
     letter_part,
     substitute,
 )
-from .idempotents import _right_nested, bch_component, dynkin, psi
-from .lyndon import to_lie_coordinates
+from .idempotents import NotLieElementError, _right_nested, bch_component, dynkin
+from .idempotents import kernel_generator, psi
 from .scalars import bernoulli, factorial
 from .series import GradedSeries, _ad_power_sum
 
@@ -108,8 +108,13 @@ class BchSeries:
 
 
 def _certify_lie(series: GradedSeries) -> None:
-    for d in range(1, series.order + 1):
-        to_lie_coordinates(series.parts[d])
+    """Raise NotLieElementError(p - gamma(p)) unless each component p of degree
+    n >= 1 passes the Dynkin-Specht-Wever test r(p) = n p, in integers."""
+    for n in range(1, series.order + 1):
+        p = series.parts[n]
+        ints, _ = integer_form(p.terms)
+        if _right_nested(ints) != {w: n * c for w, c in ints.items()}:
+            raise NotLieElementError(kernel_generator(p))
 
 
 @lru_cache(maxsize=None)
@@ -158,6 +163,7 @@ def phi_split(phi: BchSeries) -> tuple[GradedSeries, GradedSeries]:
     alphabet = phi.series.alphabet
     if alphabet.size != 2:
         raise ValueError("the split is defined for two variables")
+    _certify_lie(phi.series)
     x_sym, y_sym = alphabet.letters
     x = NCPoly.letter(alphabet, x_sym)
     y = NCPoly.letter(alphabet, y_sym)
@@ -165,8 +171,6 @@ def phi_split(phi: BchSeries) -> tuple[GradedSeries, GradedSeries]:
     minus_parts = [NCPoly.zero(alphabet), NCPoly.zero(alphabet)]
     for n in range(2, phi.order + 1):
         comp = phi.component(n)
-        if dynkin(comp) != comp:
-            raise ValueError(f"BCH component {n} is not a Lie element")
         plus_parts.append(dynkin(concat(x, letter_part(comp, x_sym))))
         minus_parts.append(dynkin(concat(y, letter_part(comp, y_sym))))
     order = phi.order

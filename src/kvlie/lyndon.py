@@ -1,10 +1,15 @@
-"""Lyndon words, standard bracketings, and the Lie-membership test.
+"""Oracle support: Lyndon words, standard bracketings, and Lie membership by
+Lyndon elimination.
 
 The standard bracketings of Lyndon words form a basis of each homogeneous
 piece of the free Lie algebra, and the expansion of such a bracketing is
 unitriangular against the word basis: the Lyndon word itself appears with
 coefficient 1 and every other word is lexicographically larger.  That makes
 Lie membership a linear elimination with no generic linear algebra.
+
+``to_lie_coordinates`` is the Lie-membership oracle for
+:func:`kvlie.kv._certify_lie`; only :mod:`kvlie.oracles` and the tests import
+this module.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 
 from .algebra import Alphabet, NCPoly, Word, from_integer_form, integer_form
-from .scalars import moebius
+from .idempotents import NotLieElementError
 
 
 def is_lyndon(word: Word) -> bool:
@@ -45,13 +50,9 @@ def _lyndon_words(k: int, n: int) -> tuple[Word, ...]:
 
 @dataclass(frozen=True)
 class LyndonWord:
-    """A Lyndon word with its standard factorisation split point."""
+    """A Lyndon word."""
 
     word: Word
-    split: int  # length of the left factor; 0 for single letters
-
-    def __len__(self) -> int:
-        return len(self.word)
 
 
 def standard_factorization(word: Word) -> int:
@@ -62,8 +63,7 @@ def standard_factorization(word: Word) -> int:
     n = len(word)
     if n < 2:
         return 0
-    best = min(range(1, n), key=lambda i: word[i:])
-    return best
+    return min(range(1, n), key=lambda i: word[i:])
 
 
 def lyndon_words(alphabet: Alphabet | int, n: int) -> list[LyndonWord]:
@@ -71,7 +71,7 @@ def lyndon_words(alphabet: Alphabet | int, n: int) -> list[LyndonWord]:
     if n < 1:
         raise ValueError("degree must be >= 1")
     k = alphabet if isinstance(alphabet, int) else alphabet.size
-    return [LyndonWord(w, standard_factorization(w)) for w in _lyndon_words(k, n)]
+    return [LyndonWord(w) for w in _lyndon_words(k, n)]
 
 
 @lru_cache(maxsize=None)
@@ -100,34 +100,12 @@ def standard_bracketing(alphabet: Alphabet, lw: LyndonWord | Word) -> NCPoly:
     return NCPoly(alphabet, {w: Fraction(c) for w, c in _standard_bracketing_word(word).items()})
 
 
-def witt_dimension(k: int, n: int) -> int:
-    """dim of the degree-n piece of the free Lie algebra on k letters:
-    (1/n) sum_{d | n} mu(d) k^(n/d)."""
-    if k < 1 or n < 1:
-        raise ValueError("witt_dimension requires k >= 1 and n >= 1")
-    total = sum(moebius(d) * k ** (n // d) for d in range(1, n + 1) if n % d == 0)
-    assert total % n == 0
-    return total // n
-
-
 @dataclass(frozen=True)
 class LieCoordinates:
     """Coordinates of a homogeneous Lie element in the Lyndon basis."""
 
     degree: int
     coords: dict[Word, Fraction]
-
-
-class NotLieElementError(ValueError):
-    """The polynomial is not in the span of standard bracketings.
-
-    ``residual`` holds the nonzero remainder left by the elimination,
-    for diagnostics.
-    """
-
-    def __init__(self, residual: NCPoly):
-        super().__init__(f"not a Lie element; residual {residual!r}")
-        self.residual = residual
 
 
 def to_lie_coordinates(p: NCPoly) -> LieCoordinates:

@@ -23,14 +23,16 @@ here share no kernel with it, so agreement term by term is evidence for both:
   ``kernel_parameterized_leading_dim`` -- dimension counts of the solution
   space;
 * ``coshuffle`` on :class:`TensorSquare` -- the coproduct that makes every
-  letter primitive.
+  letter primitive;
+* ``to_lie_coordinates`` from :mod:`kvlie.lyndon` -- Lie membership by Lyndon
+  elimination, against the test r(p) = n p of :func:`kvlie.kv._certify_lie`.
 
 The permutation sum for the Eulerian idempotent carries an explicit 1/n per
 degree; without it the convolution construction is not reproduced (already
 visible on xy, where the convolution forces (xy - yx)/2).
 
-No production module imports this module, nor ``permutations`` or
-``linalg``, which only the oracles use.
+No production module imports this module, nor ``permutations``, ``linalg``
+or ``lyndon``, which only the oracles and the tests use.
 """
 
 from __future__ import annotations

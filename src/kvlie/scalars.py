@@ -1,4 +1,5 @@
-"""Exact scalar arithmetic: rationals, Bernoulli numbers, and small number theory.
+"""Exact scalar arithmetic: rationals, Bernoulli numbers, and small number theory
+(binomials, the Moebius function, Witt's dimension formula).
 
 All coefficients in this package are exact rationals.  ``Rational`` is an
 alias for :class:`fractions.Fraction`, which already guarantees the canonical
@@ -71,6 +72,16 @@ def moebius(n: int) -> int:
     if n > 1:
         result = -result
     return result
+
+
+def witt_dimension(k: int, n: int) -> int:
+    """dim of the degree-n piece of the free Lie algebra on k letters:
+    (1/n) sum_{d | n} mu(d) k^(n/d)."""
+    if k < 1 or n < 1:
+        raise ValueError("witt_dimension requires k >= 1 and n >= 1")
+    total = sum(moebius(d) * k ** (n // d) for d in range(1, n + 1) if n % d == 0)
+    assert total % n == 0
+    return total // n
 
 
 def parse_rational(text: str) -> Fraction:

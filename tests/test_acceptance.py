@@ -37,7 +37,7 @@ from kvlie.kv import (
     verify_kv1,
     verify_multilinear,
 )
-from kvlie.lyndon import lyndon_words, standard_bracketing, witt_dimension
+from kvlie.lyndon import lyndon_words, standard_bracketing
 from kvlie.oracles import (
     bch_permutation_oracle,
     dynkin_via_descents,
@@ -49,6 +49,7 @@ from kvlie.oracles import (
     solve_split_chain,
 )
 from kvlie.permutations import permute_word, reversal
+from kvlie.scalars import witt_dimension
 from kvlie.series import GradedSeries
 
 X = NCPoly.letter(XY, "x")

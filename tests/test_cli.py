@@ -228,6 +228,16 @@ def test_bad_input_exits_2_with_one_line(capsys, argv, message):
     assert message in err
 
 
+def test_verify_multilinear_builds_the_bch_series_once(capsys):
+    # the order-(n+1) series of the particular solution also serves the check
+    from kvlie.kv import bch_eulerian, clear_caches
+
+    clear_caches()
+    code, out, _ = run(capsys, "verify", "--equation", "multilinear", "--vars", "3", "--degree", "5")
+    assert code == 0 and out.startswith("verified:")
+    assert bch_eulerian.cache_info().currsize == 1
+
+
 def test_witt_counts_without_enumerating_lyndon_words(capsys):
     from kvlie import lyndon
     from kvlie.kv import clear_caches
@@ -289,8 +299,8 @@ import contextlib, io, sys
 from kvlie.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in {PRODUCTION_COMMANDS!r}]
-loaded = sorted(m for m in ("kvlie.oracles", "kvlie.permutations", "kvlie.linalg")
-                if m in sys.modules)
+loaded = sorted(m for m in ("kvlie.oracles", "kvlie.permutations", "kvlie.linalg",
+                           "kvlie.lyndon") if m in sys.modules)
 print(codes, loaded)
 """
     src = str(Path(kvlie.__file__).parents[1])

@@ -19,7 +19,7 @@ from kvlie.idempotents import (
     patras_reutenauer_generator,
     psi,
 )
-from kvlie.lyndon import is_lie_element, lyndon_words, standard_bracketing, witt_dimension
+from kvlie.lyndon import is_lie_element, lyndon_words, standard_bracketing
 from kvlie.oracles import (
     coshuffle,
     dynkin_kernel_basis,
@@ -29,7 +29,7 @@ from kvlie.oracles import (
     kernel_generator_explicit,
 )
 from kvlie.permutations import permute_word, reversal, sn_with_descents
-from kvlie.scalars import binomial, factorial
+from kvlie.scalars import binomial, factorial, witt_dimension
 
 X = NCPoly.letter(XY, "x")
 Y = NCPoly.letter(XY, "y")

@@ -12,15 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvlie.algebra import Alphabet, NCPoly, default_alphabet, letter_part, parse_poly
-from kvlie.idempotents import bch_component, dynkin
+from kvlie.idempotents import NotLieElementError, bch_component, dynkin, kernel_generator, psi
+from kvlie.kv import _certify_lie
 from kvlie.lyndon import (
-    NotLieElementError,
     from_lie_coordinates,
+    is_lie_element,
     is_lyndon,
     standard_bracketing,
     to_lie_coordinates,
 )
 from kvlie.oracles import dynkin_via_descents
+from kvlie.series import GradedSeries
 
 COEFFS = st.builds(
     Fraction, st.integers(-30, 30).filter(bool), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12, 35])
@@ -51,6 +53,17 @@ def eliminate_by_polynomials(p: NCPoly) -> NCPoly:
             return residual
         residual = residual - standard_bracketing(p.alphabet, word).scaled(residual.terms[word])
     return residual
+
+
+def passes_fixed_point_test(p: NCPoly) -> bool:
+    """Production certification r(p_n) = n p_n on every component of p; a
+    failure must carry the residual p_n - gamma(p_n)."""
+    try:
+        _certify_lie(GradedSeries.from_poly(p, max(p.degrees(), default=0)))
+    except NotLieElementError as err:
+        assert err.residual in [kernel_generator(p.homogeneous_component(d)) for d in p.degrees()]
+        return False
+    return True
 
 
 @settings(deadline=None, max_examples=150)
@@ -108,3 +121,33 @@ def test_non_lie_residual_equals_reference(letters, text):
         with pytest.raises(NotLieElementError) as err:
             to_lie_coordinates(component)
         assert err.value.residual == expected
+
+
+@settings(deadline=None, max_examples=100)
+@given(polynomials(max_degree=7))
+def test_dynkin_is_idempotent(p):
+    q = dynkin(p)
+    assert dynkin(q) == q
+
+
+@settings(deadline=None, max_examples=100)
+@given(homogeneous(6))
+def test_fixed_point_test_agrees_with_elimination_oracle(p):
+    # a gamma image is a Lie element; a random polynomial almost never is
+    lie = dynkin(p)
+    assert passes_fixed_point_test(lie) and is_lie_element(lie)
+    assert passes_fixed_point_test(p) == is_lie_element(p)
+
+
+@settings(deadline=None, max_examples=100)
+@given(polynomials(max_degree=7))
+def test_psi_images_pass_the_fixed_point_test(p):
+    for letter in p.alphabet.letters:
+        assert passes_fixed_point_test(psi(p, letter))
+
+
+@pytest.mark.parametrize("k, top", [(2, 12), (3, 7)])
+def test_elimination_oracle_accepts_the_certified_bch_components(k, top):
+    # the degrees that production certifies in the benchmark workloads
+    for n in range(1, top + 1):
+        to_lie_coordinates(bch_component(n, k))

@@ -15,12 +15,20 @@ from kvlie.algebra import (
     parse_poly,
     substitute,
 )
-from kvlie.idempotents import bch_component, dynkin, patras_reutenauer_generator, psi
+from kvlie.idempotents import (
+    NotLieElementError,
+    bch_component,
+    dynkin,
+    kernel_generator,
+    patras_reutenauer_generator,
+    psi,
+)
 from kvlie.kv import (
     NEGATE_SWAP,
     SWAP,
     BchSeries,
     KvSolutionPair,
+    _certify_lie,
     a_series,
     antisymmetric_kernel_element,
     bch_eulerian,
@@ -137,6 +145,15 @@ def test_bch_components_are_lie():
     phi = bch_eulerian(6)
     for n in range(1, 7):
         to_lie_coordinates(phi.component(n))
+
+
+def test_certify_lie_reports_the_kernel_projection_as_residual():
+    bad = parse_poly(XY, "2/3*xxy - 1/5*yxy + 1/7*yyx")
+    parts = [NCPoly.zero(XY), X, parse_poly(XY, "xy - yx"), bad]
+    _certify_lie(GradedSeries(XY, 2, parts[:3]))
+    with pytest.raises(NotLieElementError) as err:
+        _certify_lie(GradedSeries(XY, 3, parts))
+    assert err.value.residual and err.value.residual == kernel_generator(bad)
 
 
 # -- split ------------------------------------------------------------------------

@@ -4,18 +4,17 @@ from itertools import product
 import pytest
 
 from kvlie.algebra import XY, NCPoly, parse_poly
-from kvlie.idempotents import dynkin
+from kvlie.idempotents import NotLieElementError, dynkin
 from kvlie.lyndon import (
-    NotLieElementError,
     from_lie_coordinates,
     is_lie_element,
     is_lyndon,
     lyndon_words,
     standard_bracketing,
     to_lie_coordinates,
-    witt_dimension,
 )
 from kvlie.oracles import eulerian
+from kvlie.scalars import witt_dimension
 
 
 def brute_force_lyndon(k, n):
