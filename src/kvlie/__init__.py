@@ -47,7 +47,6 @@ from .idempotents import (
 from .kv import (
     BchSeries,
     KvSolutionPair,
-    a_series,
     antisymmetric_kernel_element,
     bch_eulerian,
     bch_oracle,

@@ -2,26 +2,24 @@
 
 Each projector onto the free Lie algebra has one production construction here:
 
-* ``dynkin`` -- right-nested bracketing with a 1/n prefactor, applied to a
-  whole homogeneous component at once through its letter parts,
-  r(sum_a a p_a) = sum_a [a, r(p_a)], in integer arithmetic;
+* ``dynkin`` -- right-nested bracketing r with a 1/n prefactor on whole
+  homogeneous components, r(sum_a a p_a) = sum_a [a, r(p_a)], in integers on
+  words packed into one int each, so that a bracket is a few shifts and masks;
 * ``bch_component`` -- the Eulerian idempotent e on power words, summed into
   the degree-n BCH component Z_n = sum e(x_1^i_1 ... x_k^i_k) / (i_1! ... i_k!)
   and given in Goldberg's closed form: the BCH series and the particular
-  solution only ever need e on power words, and e(x^i y^j) is i! j! times
+  solutions only ever need e on power words, and e(x^i y^j) is i! j! times
   the bidegree-(i, j) part of Z_{i+j}.
 
 ``kernel_generator``, ``psi`` and the Patras-Reutenauer elements gamma(a) a
-build the kernel of gamma from ``dynkin``.  The fixed point r(p) = n p of the
-right-nested bracketing is also the production Lie-membership test
-(:func:`kvlie.kv._certify_lie`), which raises ``NotLieElementError``.  The
-independent constructions that the tests play against these (the
-descent-class Dynkin sum, the S_n and convolution Eulerian sums on arbitrary
-words, the explicit kernel elements and a kernel basis, the Lyndon
+build the kernel of gamma from ``dynkin``.  The fixed point r(p) = n p is the
+production Lie-membership test: ``bch_component`` certifies each component
+with it once, and :func:`kvlie.kv._certify_lie` any other BCH series; both
+raise ``NotLieElementError``.  The independent constructions that the tests
+play against these (the descent-class Dynkin sum, the S_n and convolution
+Eulerian sums, the explicit kernel elements and a kernel basis, the Lyndon
 elimination) live in :mod:`kvlie.oracles` and its support modules.
-
-``bch_component`` is memoised per (degree, k).  The kernels sum in integers
-and divide by one common denominator per component or word.
+``bch_component`` is memoised per (degree, k).
 """
 
 from __future__ import annotations
@@ -30,30 +28,58 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 
-from .algebra import NCPoly, Word, concat, default_alphabet, integer_form, letter_part
+from .algebra import NCPoly, Word, concat, default_alphabet, from_integer_form, integer_form
+from .algebra import letter_part
 
 
 # -- Dynkin idempotent --------------------------------------------------------
 
 
+def _nest_packed(terms: dict[Word, int]) -> tuple[dict[int, int], dict[int, int], int]:
+    """(p, r(p), width) for p homogeneous of degree n >= 1 in integers, each word
+    one int of n ``width``-bit fields (first letter highest; width from the
+    largest letter).  Bottom-up over the prefix trie, level j holds sum_u u r(p_u)
+    over prefixes u of length n - j: each term u a v of level j - 1 stays, and
+    u v a, its last j letters rotated left by one, is subtracted: u [a, v]."""
+    width = max(max(w) for w in terms).bit_length() or 1
+    mask = (1 << width) - 1
+    p: dict[int, int] = {}
+    for w, c in terms.items():
+        v = 0
+        for a in w:
+            v = v << width | a
+        p[v] = c
+    nested = p
+    for j in range(2, len(w) + 1):
+        shift = width * (j - 1)
+        low, high = (1 << shift) - 1, -1 << (shift + width)
+        out = dict(nested)
+        get = out.get
+        for v, c in nested.items():
+            rotated = v & high | (v & low) << width | v >> shift & mask
+            out[rotated] = get(rotated, 0) - c
+        nested = {v: c for v, c in out.items() if c}
+    return p, nested, width
+
+
 def _right_nested(terms: dict[Word, int]) -> dict[Word, int]:
     """r(p) = sum_a [a, r(p_a)] for p = sum_a a * p_a homogeneous of degree >= 1,
-    with r the identity on letters: right-nested bracketing, each prefix shared
-    by every word that starts with it."""
-    groups: dict[int, dict[Word, int]] = {}
-    for w, c in terms.items():
-        groups.setdefault(w[0], {})[w[1:]] = c
-    out: dict[Word, int] = {}
-    for letter, rest in groups.items():
-        head = (letter,)
-        if () in rest:
-            out[head] = rest[()]
-            continue
-        for w, c in _right_nested(rest).items():
-            left, right = head + w, w + head
-            out[left] = out.get(left, 0) + c
-            out[right] = out.get(right, 0) - c
-    return {w: c for w, c in out.items() if c}
+    with r the identity on letters; words are tuples again only on output."""
+    if not terms:
+        return {}
+    _, nested, width = _nest_packed(terms)
+    mask = (1 << width) - 1
+    shifts = range(width * (len(next(iter(terms))) - 1), -1, -width)
+    return {tuple([v >> s & mask for s in shifts]): c for v, c in nested.items()}
+
+
+def _is_lie(terms: dict[Word, int]) -> bool:
+    """r(p) = n p (Dynkin-Specht-Wever) for p homogeneous of degree n >= 1."""
+    if not terms:
+        return True
+    p, nested, _ = _nest_packed(terms)
+    n = len(next(iter(terms)))
+    return nested == {v: n * c for v, c in p.items()}
 
 
 def dynkin(p: NCPoly) -> NCPoly:
@@ -115,8 +141,9 @@ def bch_component(degree: int, k: int = 2) -> NCPoly:
     The kernel holds H_s = s! G_s as integer coefficient lists, walks the run
     compositions depth first with the product of each prefix shared, and
     integrates over L = lcm(1..n): L * int_0^1 t^u (t-1)^d dt is the integer
-    (-1)^d L / ((u+d+1) C(u+d, d)) for u + d < n.  Each word gets one
-    Fraction.  The pure powers x_a^n, n >= 2, are asserted to vanish.
+    (-1)^d L / ((u+d+1) C(u+d, d)) for u + d < n.  On the integers n! L c_w the
+    component is certified Lie (r(p) = n p, which rules out the pure powers
+    x_a^n, n >= 2) once per (n, k); then each word gets one Fraction.
     """
     n = degree
     if n < 1:
@@ -132,18 +159,18 @@ def bch_component(degree: int, k: int = 2) -> NCPoly:
         for u in range(n)
     ]
     sequences = [None] + [_run_sequences(m, k) for m in range(1, n + 1)]
-    terms: dict[Word, Fraction] = {}
+    top = factorial(n)
+    terms: dict[Word, int] = {}  # numerators over common * n!
 
-    def walk(runs: tuple[int, ...], left: int, poly: list[int], denominator: int) -> None:
+    def walk(runs: tuple[int, ...], left: int, poly: list[int], runs_factorial: int) -> None:
         if not left:
             m = len(runs)
+            multinomial = top // runs_factorial
             for letters, ups, downs in sequences[m]:
                 numerator = sum(c * moment[ups + j][downs] for j, c in enumerate(poly) if c)
-                if m == 1 and n >= 2 and numerator:
-                    raise AssertionError(f"the pure power of letter {letters[0]} did not vanish")
                 if numerator:
                     word = tuple(a for a, r in zip(letters, runs) for _ in range(r))
-                    terms[word] = Fraction(numerator, denominator)
+                    terms[word] = numerator * multinomial
             return
         for r in range(1, left + 1):
             h = H[r]
@@ -152,10 +179,12 @@ def bch_component(degree: int, k: int = 2) -> NCPoly:
                 if a:
                     for j, b in enumerate(h):
                         product[i + j] += a * b
-            walk(runs + (r,), left - r, product, denominator * factorial(r))
+            walk(runs + (r,), left - r, product, runs_factorial * factorial(r))
 
-    walk((), n, [1], common)
-    return NCPoly._raw(alphabet, terms)
+    walk((), n, [1], 1)
+    if not _is_lie(terms):
+        raise NotLieElementError(kernel_generator(from_integer_form(alphabet, terms, common * top)))
+    return from_integer_form(alphabet, terms, common * top)
 
 
 # -- kernel of the Dynkin idempotent -------------------------------------------

@@ -12,17 +12,19 @@ idempotent, and the multilinear generalisation.
 
 The production BCH series is ``bch_eulerian``: the Eulerian idempotent on
 power words in Goldberg's closed form (:func:`kvlie.idempotents.bch_component`),
-which ``a_series`` reads as well.  ``bch_oracle`` (log of a product of
+whose components are certified Lie once each.  F0 and the multilinear F_i
+come from one integer route over those components (``multilinear_f0``; ``f0``
+is its case i = 1, k = 2).  ``bch_oracle`` (log of a product of
 exponentials) stays here because ``kvlie bch --method oracle|both`` prints
 it.  The other oracles -- BCH through the S_n permutation sum, the particular
 solution by exact linear solves, and the dimension counts of the solution
 space -- live in :mod:`kvlie.oracles`.
 
-Argument-order discipline: a BCH series carries the tuple of variables it
-was built in, and any reordered evaluation (such as the recurring (y, x)
-order) is produced by letter substitution from the stored series, never by
-re-derivation.  Identity checks return full graded defect series so that a
-failure is diagnosable term by term.
+Argument-order discipline: a ``BchSeries`` is certified Lie and carries the
+tuple of variables it was built in.  Reversed orders, such as the recurring
+(y, x), are never re-derived: log(e^x_k ... e^x_1) = -Z(-x_1, ..., -x_k), so
+component n of the reversed series is (-1)^(n+1) Z_n.  Identity checks return
+full graded defect series so that a failure is diagnosable term by term.
 """
 
 from __future__ import annotations
@@ -32,24 +34,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .algebra import (
-    XY,
-    NCPoly,
-    concat,
-    default_alphabet,
-    from_integer_form,
-    integer_form,
-    letter_part,
-    substitute,
-)
-from .idempotents import NotLieElementError, _right_nested, bch_component, dynkin
+from .algebra import XY, NCPoly, concat, default_alphabet, integer_form, letter_part, substitute
+from .idempotents import NotLieElementError, _is_lie, _right_nested, bch_component, dynkin
 from .idempotents import kernel_generator, psi
 from .scalars import bernoulli, factorial
-from .series import GradedSeries, _ad_power_sum
+from .series import GradedSeries, IntegerParts, _ad_power_sum
 
 SWAP = {"x": "y", "y": "x"}
 NEGATE_SWAP = {"x": "-y", "y": "-x"}
-NEGATE = {"x": "-x", "y": "-y"}
 X = NCPoly.letter(XY, "x")
 Y = NCPoly.letter(XY, "y")
 MINUS_X = X.scaled(-1)
@@ -78,10 +70,23 @@ def op_bernoulli(base: NCPoly, s: GradedSeries) -> GradedSeries:
 
 @dataclass(frozen=True)
 class BchSeries:
-    """A BCH series together with the variable order it was built in."""
+    """A BCH series, certified Lie on construction, with the variable order it
+    was built in.  ``_raw`` skips the check for ``bch_eulerian``, whose
+    components ``bch_component`` has certified."""
 
     series: GradedSeries
     variables: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        _certify_lie(self.series)
+
+    @classmethod
+    def _raw(cls, series: GradedSeries, variables: tuple[str, ...]) -> "BchSeries":
+        """Trusted constructor for a series whose components are certified."""
+        phi = cls.__new__(cls)
+        object.__setattr__(phi, "series", series)
+        object.__setattr__(phi, "variables", variables)
+        return phi
 
     @property
     def order(self) -> int:
@@ -91,29 +96,30 @@ class BchSeries:
         return self.series.component(degree)
 
     def reversed_arguments(self) -> GradedSeries:
-        """The series evaluated at the reversed variable tuple, by substitution;
-        computed once per BchSeries and shared, as every GradedSeries is immutable."""
+        """The series at the reversed variable tuple: log(e^x_k ... e^x_1) is
+        -Z(-x_1, ..., -x_k), so component n is (-1)^(n+1) Z_n.  Computed once
+        per BchSeries and shared, as every GradedSeries is immutable."""
         return self._reversed
 
     @cached_property
     def _reversed(self) -> GradedSeries:
-        return self.series.substitute(dict(zip(self.variables, reversed(self.variables))))
+        s = self.series
+        return GradedSeries._raw(s.alphabet, s.order, [p if n % 2 else -p for n, p in enumerate(s.parts)])
 
-    def tail(self, start: int = 2) -> GradedSeries:
-        parts = [
-            p if d >= start else NCPoly.zero(self.series.alphabet)
-            for d, p in enumerate(self.series.parts)
-        ]
-        return GradedSeries(self.series.alphabet, self.order, parts)
+    def reversed_tail(self, order: int) -> GradedSeries:
+        """sum_{2 <= n <= order} Phi_n(x_k, ..., x_1)."""
+        zero = NCPoly.zero(self.series.alphabet)
+        parts = self.reversed_arguments().parts
+        return GradedSeries._raw(
+            self.series.alphabet, order, [parts[n] if n >= 2 else zero for n in range(order + 1)]
+        )
 
 
 def _certify_lie(series: GradedSeries) -> None:
     """Raise NotLieElementError(p - gamma(p)) unless each component p of degree
     n >= 1 passes the Dynkin-Specht-Wever test r(p) = n p, in integers."""
-    for n in range(1, series.order + 1):
-        p = series.parts[n]
-        ints, _ = integer_form(p.terms)
-        if _right_nested(ints) != {w: n * c for w, c in ints.items()}:
+    for p in series.parts[1:]:
+        if not _is_lie(integer_form(p.terms)[0]):
             raise NotLieElementError(kernel_generator(p))
 
 
@@ -124,15 +130,13 @@ def bch_eulerian(order: int, k: int = 2) -> BchSeries:
     This is the production construction: component m is
     :func:`kvlie.idempotents.bch_component`, Goldberg's closed form of
     sum e(x_1^i_1 ... x_k^i_k) / (i_1! ... i_k!) over the power words of
-    degree m, and every component is certified to be a Lie element.
+    degree m, which certifies it to be a Lie element.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     alphabet = default_alphabet(k)
     parts = [NCPoly.zero(alphabet)] + [bch_component(m, k) for m in range(1, order + 1)]
-    series = GradedSeries._raw(alphabet, order, parts)
-    _certify_lie(series)
-    return BchSeries(series, alphabet.letters)
+    return BchSeries._raw(GradedSeries._raw(alphabet, order, parts), alphabet.letters)
 
 
 @lru_cache(maxsize=None)
@@ -146,9 +150,7 @@ def bch_oracle(order: int, k: int = 2) -> BchSeries:
     product = GradedSeries.one(alphabet, order)
     for letter in alphabet.letters:
         product = product * series_exp(GradedSeries.generator(alphabet, letter, order))
-    series = series_log(product)
-    _certify_lie(series)
-    return BchSeries(series, alphabet.letters)
+    return BchSeries(series_log(product), alphabet.letters)
 
 
 # -- the split of the BCH series ----------------------------------------------
@@ -163,7 +165,6 @@ def phi_split(phi: BchSeries) -> tuple[GradedSeries, GradedSeries]:
     alphabet = phi.series.alphabet
     if alphabet.size != 2:
         raise ValueError("the split is defined for two variables")
-    _certify_lie(phi.series)
     x_sym, y_sym = alphabet.letters
     x = NCPoly.letter(alphabet, x_sym)
     y = NCPoly.letter(alphabet, y_sym)
@@ -184,33 +185,10 @@ def phi_split(phi: BchSeries) -> tuple[GradedSeries, GradedSeries]:
 
 
 @lru_cache(maxsize=None)
-def a_series(order: int) -> GradedSeries:
-    """The Lie series a(x, y) feeding the particular solution.
-
-    Degree d component: (d/(d+1)) * gamma((Z_{d+1})_x), with Z_n the degree-n
-    BCH component, whose bidegree-(i, j) part is e(x^i y^j) / (i! j!).  On
-    degree d, gamma is r/d with r the right-nested bracketing, so the
-    component is r((Z_{d+1})_x) / (d+1), summed in integers.  The degree
-    bookkeeping is pinned by the split equation: E(-x) applied to the
-    resulting F reproduces the y-leading Dynkin half of the BCH tail exactly
-    (see verify_split), and the linear-solve oracle
-    :func:`kvlie.oracles.solve_split_chain` recovers the same components degree
-    by degree.  Only the result is certified; Z_{order+1} is read uncertified.
-    """
-    parts = [NCPoly.zero(XY)]
-    for d in range(1, order + 1):
-        ints, scale = integer_form(letter_part(bch_component(d + 1), "x").terms)
-        parts.append(from_integer_form(XY, _right_nested(ints), (d + 1) * scale))
-    series = GradedSeries._raw(XY, order, parts)
-    _certify_lie(series)
-    return series
-
-
-@lru_cache(maxsize=None)
 def f0(order: int) -> GradedSeries:
-    """The particular solution F0(x, y) = -Ber(-x) applied to a(-x, -y)."""
-    s = a_series(order).substitute(NEGATE)
-    return -op_bernoulli(MINUS_X, s)
+    """The particular solution F0(x, y) = -Ber(-x) b(x, y): the case i = 1,
+    k = 2 of :func:`multilinear_f0`."""
+    return multilinear_f0(1, 2, order)
 
 
 @lru_cache(maxsize=None)
@@ -271,10 +249,8 @@ def verify_kv1(pair: KvSolutionPair, order: int | None = None, phi: BchSeries | 
     """
     order = _checked_order(order, min(pair.F.order, pair.G.order), "pair (F, G)", phi)
     phi = bch_eulerian(order) if phi is None else phi
-    tail = phi.tail().substitute(SWAP)
-    F = pair.F.truncate(order)
-    G = pair.G.truncate(order)
-    return tail - op_exp_ad_minus_one(MINUS_X, F) + op_exp_ad_minus_one(Y, G)
+    F, G = pair.F.truncate(order), pair.G.truncate(order)
+    return phi.reversed_tail(order) - op_exp_ad_minus_one(MINUS_X, F) + op_exp_ad_minus_one(Y, G)
 
 
 def verify_homogeneous(pair: KvSolutionPair, order: int | None = None) -> GradedSeries:
@@ -376,13 +352,13 @@ def antisymmetric_kernel_element(p: NCPoly) -> NCPoly:
 def multilinear_f0(index: int, k: int, order: int, phi: BchSeries | None = None) -> GradedSeries:
     """The i-th component of the particular solution of the multilinear equation.
 
-    With Phi taken in reversed variable order (matching log(e^{x_k} ... e^{x_1})),
+    With Phi_m(x_k..x_1) = (-1)^(m+1) Phi_m the reversed BCH components,
 
-        b_i = sum_{m>=2} ((m-1)/m) gamma((Phi_m(x_k..x_1))_{x_i}),
-        F_{i,0} = (-1)^i Ber((-1)^i x_i) b_i,
+        b_d = r((Phi_{d+1}(x_k..x_1))_{x_i}) / (d+1) = (d/(d+1)) gamma(...),
+        F_{i,0} = (-1)^i Ber((-1)^i x_i) b,
 
     which solves E((-1)^i x_i) F_i = gamma(x_i (Phi_m(x_k..x_1))_{x_i}) summed
-    over m, the x_i-leading share of the reversed BCH tail.
+    over m, the x_i-leading share of the reversed BCH tail; b stays in integers.
     """
     if k < 2:
         raise ValueError("the multilinear equation needs at least two variables")
@@ -393,21 +369,17 @@ def multilinear_f0(index: int, k: int, order: int, phi: BchSeries | None = None)
         raise ValueError("need the BCH series one degree beyond the target order")
     alphabet = phi.series.alphabet
     letter = alphabet.letters[index - 1]
-    reversed_phi = phi.reversed_arguments()
-    parts = [NCPoly.zero(alphabet)]
+    b: IntegerParts = [({}, 1)]
     for d in range(1, order + 1):
-        m = d + 1
-        comp = dynkin(letter_part(reversed_phi.component(m), letter))
-        parts.append(comp.scaled(Fraction(m - 1, m)))
-    b = GradedSeries(alphabet, order, parts)
+        ints, scale = integer_form(letter_part(phi.component(d + 1), letter).terms)
+        nested = _right_nested(ints)
+        b.append(({w: -c for w, c in nested.items()} if d % 2 else nested, (d + 1) * scale))
     sign = (-1) ** index
     base = NCPoly.letter(alphabet, letter).scaled(sign)
-    return op_bernoulli(base, b).scaled(sign)
+    return _ad_power_sum(base, b, [sign * bernoulli(j) / factorial(j) for j in range(order + 1)])
 
 
 def multilinear_particular_solution(k: int, order: int) -> list[GradedSeries]:
-    if k < 2:
-        raise ValueError("the multilinear equation needs at least two variables")
     phi = bch_eulerian(order + 1, k)
     return [multilinear_f0(i, k, order, phi=phi) for i in range(1, k + 1)]
 
@@ -440,13 +412,8 @@ def verify_multilinear(
         raise ValueError("need at least two solution components")
     order = _checked_order(order, min(F.order for F in solutions), "solution tuple", phi)
     phi = bch_eulerian(order, k) if phi is None else phi
+    defect = phi.reversed_tail(order)
     alphabet = phi.series.alphabet
-    reversed_phi = phi.reversed_arguments()
-    parts = [
-        reversed_phi.component(m) if m >= 2 else NCPoly.zero(alphabet)
-        for m in range(order + 1)
-    ]
-    defect = GradedSeries(alphabet, order, parts)
     for i, F in enumerate(solutions, start=1):
         sign = (-1) ** i
         base = NCPoly.letter(alphabet, alphabet.letters[i - 1]).scaled(sign)

@@ -45,7 +45,7 @@ from math import comb
 from .algebra import XY, Alphabet, NCPoly, Word, bracket, integer_form, letter_part
 from .algebra import sum_integer_forms
 from .idempotents import dynkin, kernel_generator
-from .kv import MINUS_X, SWAP, X, Y, BchSeries, _certify_lie, bch_eulerian
+from .kv import MINUS_X, SWAP, X, Y, BchSeries, bch_eulerian
 from .kv import op_exp_ad_minus_one, phi_split
 from .linalg import independent_subset, nullspace_dimension, rank, solve_affine
 from .lyndon import lyndon_words, standard_bracketing, to_lie_coordinates
@@ -276,8 +276,8 @@ def bch_permutation_oracle(order: int) -> BchSeries:
     with e on each power word evaluated through the full S_n permutation sum.
     Factorial in the degree.
 
-    Pure powers beyond degree 1 are asserted to vanish under e, and every
-    component is certified to be a Lie element.
+    Pure powers beyond degree 1 are asserted to vanish under e, and
+    ``BchSeries`` certifies every component to be a Lie element.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -291,9 +291,7 @@ def bch_permutation_oracle(order: int) -> BchSeries:
             weight = Fraction(1, factorial(i) * factorial(m - i))
             items.append((weight, *integer_form(value.terms)))
         parts.append(sum_integer_forms(XY, items))
-    series = GradedSeries._raw(XY, order, parts)
-    _certify_lie(series)
-    return BchSeries(series, XY.letters)
+    return BchSeries(GradedSeries._raw(XY, order, parts), XY.letters)
 
 
 # -- linear-solve oracle for the split equation ---------------------------------

@@ -214,22 +214,26 @@ def _power_sum(s: GradedSeries, weights: Sequence) -> GradedSeries:
     return GradedSeries._raw(s.alphabet, s.order, [sum_integer_forms(s.alphabet, t) for t in terms])
 
 
-def _ad_power_sum(base: NCPoly, s: GradedSeries, weights: Sequence) -> GradedSeries:
+def _ad_power_sum(base: NCPoly, s: GradedSeries | IntegerParts, weights: Sequence) -> GradedSeries:
     """sum_k weights[k] * ad(base)^k s, truncated at the order of s.
 
     ``base`` must be homogeneous of degree 1 (any rational combination of
     letters, zero included); ad(base)^k of a component scaled to integers
-    stays in integers, with the base's own denominator once per power.
+    stays in integers, with the base's own denominator once per power.  ``s``
+    is a series over the alphabet of ``base`` or, from a kernel that already
+    holds them, its integer parts: (numerators, scale) for degrees 0..order.
     """
     if base and (not base.is_homogeneous() or base.max_degree() != 1):
         raise ValueError("operator base must be homogeneous of degree 1")
-    base._check_same_alphabet(s.parts[0])
+    if isinstance(s, GradedSeries):
+        base._check_same_alphabet(s.parts[0])
+        s = _integer_parts(s)
+    order = len(s) - 1
     coeffs, base_scale = integer_form(base.terms)
     letters = list(coeffs.items())
-    terms: list[list] = [[] for _ in range(s.order + 1)]
-    for d, part in enumerate(s.parts):
-        nums, scale = integer_form(part.terms)
-        for k, weight in enumerate(weights[: s.order + 1 - d]):
+    terms: list[list] = [[] for _ in range(order + 1)]
+    for d, (nums, scale) in enumerate(s):
+        for k, weight in enumerate(weights[: order + 1 - d]):
             if k:
                 out: dict[Word, int] = {}
                 for word, c in nums.items():
@@ -242,7 +246,7 @@ def _ad_power_sum(base: NCPoly, s: GradedSeries, weights: Sequence) -> GradedSer
             if not nums:
                 break
             terms[d + k].append((weight, nums, scale))
-    return GradedSeries._raw(s.alphabet, s.order, [sum_integer_forms(s.alphabet, t) for t in terms])
+    return GradedSeries._raw(base.alphabet, order, [sum_integer_forms(base.alphabet, t) for t in terms])
 
 
 def series_exp(s: GradedSeries) -> GradedSeries:

@@ -30,10 +30,10 @@ COEFFS = st.builds(
 
 
 @st.composite
-def polynomials(draw, max_degree=8, degrees=None):
-    """A polynomial over 2 or 3 letters: a few degrees, each with up to 40 of
-    its words, so that words share prefixes."""
-    k = draw(st.sampled_from([2, 3]))
+def polynomials(draw, max_degree=8, degrees=None, sizes=(2, 3)):
+    """A polynomial over 2 or 3 letters (or any of ``sizes``): a few degrees,
+    each with up to 40 of its words, so that words share prefixes."""
+    k = draw(st.sampled_from(sizes))
     if degrees is None:
         degrees = draw(st.lists(st.integers(0, max_degree), min_size=1, max_size=3, unique=True))
     terms = {}
@@ -72,8 +72,25 @@ def test_dynkin_equals_descent_oracle(p):
     assert dynkin(p) == dynkin_via_descents(p)
 
 
+@settings(deadline=None, max_examples=50)
+@given(polynomials(max_degree=6, sizes=(14,)))
+def test_dynkin_equals_descent_oracle_on_fourteen_letters(p):
+    # letter indices up to 13 take four bits in a packed word
+    assert dynkin(p) == dynkin_via_descents(p)
+
+
+def test_packing_width_follows_the_largest_letter():
+    # letter index 16 needs five bits: a fixed four-bit field would carry it
+    # into the neighbouring letter
+    alphabet = Alphabet("abcdefghijklmnopq")
+    p = parse_poly(alphabet, "qaq - 2/3*aqpq + 1/5*qqba + pqqp - 7*cqaq + qa")
+    assert dynkin(p) == dynkin_via_descents(p)
+    assert passes_fixed_point_test(dynkin(p)) and not passes_fixed_point_test(p)
+
+
 def test_dynkin_equals_descent_oracle_on_a_series_inputs():
-    # every polynomial a_series(10) hands to gamma: (Z_n)_x with n <= 11
+    # every polynomial the particular solution at degree 10 (the former
+    # a_series(10)) hands to r: (Z_n)_x with n <= 11
     for n in range(2, 12):
         p = letter_part(bch_component(n), "x")
         assert dynkin(p) == dynkin_via_descents(p), n

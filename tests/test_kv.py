@@ -12,6 +12,7 @@ from kvlie.algebra import (
     bracket,
     concat,
     default_alphabet,
+    letter_part,
     parse_poly,
     substitute,
 )
@@ -29,7 +30,6 @@ from kvlie.kv import (
     BchSeries,
     KvSolutionPair,
     _certify_lie,
-    a_series,
     antisymmetric_kernel_element,
     bch_eulerian,
     bch_oracle,
@@ -61,7 +61,7 @@ from kvlie.oracles import (
     operator_nullity,
     solve_split_chain,
 )
-from kvlie import oracles, permutations, scalars
+from kvlie import idempotents, kv, oracles, permutations, scalars
 from kvlie.series import GradedSeries, series_exp, series_log
 
 X = NCPoly.letter(XY, "x")
@@ -147,6 +147,63 @@ def test_bch_components_are_lie():
         to_lie_coordinates(phi.component(n))
 
 
+@pytest.mark.parametrize("k, n", [(2, 10), (3, 7), (4, 5)])
+def test_reversed_arguments_equal_the_letter_reversal(k, n):
+    # log(e^x_k ... e^x_1) = -Z(-x_1, ..., -x_k): a sign per degree
+    phi = bch_eulerian(n, k)
+    letters = phi.variables
+    assert phi.reversed_arguments() == phi.series.substitute(dict(zip(letters, reversed(letters))))
+
+
+@pytest.fixture
+def fresh_caches():
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def test_bch_component_certifies_the_goldberg_kernel(monkeypatch, fresh_caches):
+    real = idempotents._run_sequences
+    reversed_phi = bch_eulerian(5, 3).reversed_arguments()
+    clear_caches()
+    # ascents and descents swapped: the reversed-order series, still Lie
+    monkeypatch.setattr(
+        idempotents, "_run_sequences", lambda m, k: [(w, d, u) for w, u, d in real(m, k)]
+    )
+    for n in range(1, 6):
+        assert bch_component(n, 3) == reversed_phi.component(n)
+    clear_caches()
+    # descents dropped: degree 2 becomes xy/2 + yx, not a Lie element
+    monkeypatch.setattr(idempotents, "_run_sequences", lambda m, k: [(w, u, 0) for w, u, d in real(m, k)])
+    for k in (2, 3):
+        bch_component(1, k)
+        with pytest.raises(NotLieElementError) as err:
+            bch_component(2, k)
+        assert err.value.residual
+
+
+def test_goldberg_components_are_certified_once(monkeypatch, fresh_caches):
+    calls = {"component": 0, "series": 0}
+
+    def counting(key, real):
+        def wrapped(terms):
+            calls[key] += 1
+            return real(terms)
+
+        return wrapped
+
+    monkeypatch.setattr(idempotents, "_is_lie", counting("component", idempotents._is_lie))
+    monkeypatch.setattr(kv, "_is_lie", counting("series", kv._is_lie))
+    assert verify_kv1(particular_solution(6), 6).is_zero()
+    assert verify_split(f0(6), 6).is_zero()
+    assert calls == {"component": 7, "series": 0}
+    # a BchSeries built from outside bch_eulerian is certified on construction
+    bch_oracle(3)
+    with pytest.raises(NotLieElementError):
+        BchSeries(GradedSeries(XY, 2, [NCPoly.zero(XY), X, parse_poly(XY, "xy")]), ("x", "y"))
+    assert calls == {"component": 7, "series": 5}
+
+
 def test_certify_lie_reports_the_kernel_projection_as_residual():
     bad = parse_poly(XY, "2/3*xxy - 1/5*yxy + 1/7*yyx")
     parts = [NCPoly.zero(XY), X, parse_poly(XY, "xy - yx"), bad]
@@ -182,8 +239,8 @@ def test_phi_split_symmetry():
 
 def test_phi_split_rejects_non_lie():
     parts = [NCPoly.zero(XY), X, parse_poly(XY, "xy + yx")]
-    bad = BchSeries(GradedSeries(XY, 2, parts), ("x", "y"))
     with pytest.raises(ValueError):
+        bad = BchSeries(GradedSeries(XY, 2, parts), ("x", "y"))
         phi_split(bad)
 
 
@@ -251,15 +308,22 @@ def test_ad_x_kernel_on_full_tensor_algebra():
 
 
 def test_a_series_values():
-    a = a_series(3)
-    assert a.component(1) == Y.scaled(Fraction(1, 4))
-    for d in range(1, 4):
-        assert dynkin(a.component(d)) == a.component(d)
-    # the split equation is the ground truth for every component:
-    # ad(x) a(-x,-y) reproduces the y-leading Dynkin half of the swapped tail
+    # F0 = -Ber(-x) b, with b_d = (-1)^d (d/(d+1)) gamma((Z_{d+1})_x) the Lie
+    # series a(-x, -y) of the two-variable construction
     order = 6
-    s = a_series(order).substitute({"x": "-x", "y": "-y"})
-    lhs = op_ad(X, s)
+    phi = bch_eulerian(order + 1)
+    parts = [NCPoly.zero(XY)] + [
+        dynkin(letter_part(phi.component(d + 1), "x")).scaled(Fraction((-1) ** d * d, d + 1))
+        for d in range(1, order + 1)
+    ]
+    b = GradedSeries(XY, order, parts)
+    assert b.component(1) == Y.scaled(Fraction(-1, 4))
+    for d in range(1, order + 1):
+        assert dynkin(b.component(d)) == b.component(d)
+    assert f0(order) == -op_bernoulli(X.scaled(-1), b)
+    # the split equation is the ground truth for every component:
+    # ad(x) b reproduces the y-leading Dynkin half of the swapped tail
+    lhs = op_ad(X, b)
     _, minus = phi_split(bch_eulerian(order))
     target = minus.substitute(SWAP)
     for n in range(2, order + 1):
@@ -713,6 +777,13 @@ def test_multilinear_zero_tuple_defect():
     reversed_phi = bch_eulerian(4, 3).reversed_arguments()
     for m in range(2, 5):
         assert defect.component(m) == reversed_phi.component(m)
+
+
+@pytest.mark.parametrize("n", [4, 8, 11])
+def test_f0_and_g0_are_the_two_variable_multilinear_solution(n):
+    # pins the sign convention of G0: the multilinear F_2 is -G0
+    assert f0(n) == multilinear_f0(1, 2, n)
+    assert g0(n) == -multilinear_f0(2, 2, n)
 
 
 def test_multilinear_two_variable_reduction():
