@@ -19,7 +19,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .scalars import format_rational, parse_rational
+from .scalars import parse_rational
 
 Word = tuple[int, ...]
 
@@ -374,8 +374,8 @@ def _signed_terms(p: NCPoly, body) -> str:
 
 def _text_body(mag: Fraction, wtext: str) -> str:
     if not wtext:
-        return format_rational(mag)
-    return wtext if mag == 1 else f"{format_rational(mag)}*{wtext}"
+        return str(mag)
+    return wtext if mag == 1 else f"{mag}*{wtext}"
 
 
 def to_text(p: NCPoly) -> str:
@@ -385,7 +385,7 @@ def to_text(p: NCPoly) -> str:
 
 def to_json_terms(p: NCPoly) -> list[dict[str, str]]:
     return [
-        {"word": p.alphabet.word_text(word), "coeff": format_rational(coeff)}
+        {"word": p.alphabet.word_text(word), "coeff": str(coeff)}
         for word, coeff in p.sorted_terms()
     ]
 

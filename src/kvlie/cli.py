@@ -128,6 +128,10 @@ def _cmd_f0(args) -> int:
 
 def _cmd_verify(args) -> int:
     n = args.degree
+    for flag, value, readers in (("--kernel-poly", args.kernel_poly, ("kv1", "homogeneous")),
+                                 ("--vars", args.vars, ("multilinear",))):
+        if value is not None and args.equation not in readers:
+            raise SystemExit(f"kvlie: {flag} is read only by --equation {'|'.join(readers)}")
     if args.equation == "kv1":
         if args.kernel_poly:
             p = _parse_expr(args.kernel_poly, args.force)

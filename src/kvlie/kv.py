@@ -8,23 +8,30 @@ lives here: the Baker-Campbell-Hausdorff series, its split into the Dynkin
 images of the x-leading and y-leading monomials, the operator calculus
 E(z) = exp(ad z) - 1 and its Bernoulli inverse, the explicit particular
 solution, the parameterisation of all solutions by the kernel of the Dynkin
-idempotent, and the multilinear generalisation.
+idempotent, and the multilinear generalisation
+
+    sum_{n>=2} Phi_n(x_k, ..., x_1) = sum_i E((-1)^i x_i) F_i,
+
+whose case k = 2 with (F_1, F_2) = (F, -G) is the equation above.
 
 The production BCH series is ``bch_eulerian``: the Eulerian idempotent on
 power words in Goldberg's closed form (:func:`kvlie.idempotents.bch_component`),
-whose components are certified Lie once each.  F0 and the multilinear F_i
-come from one integer route over those components (``multilinear_f0``; ``f0``
-is its case i = 1, k = 2).  ``bch_oracle`` (log of a product of
-exponentials) stays here because ``kvlie bch --method oracle|both`` prints
-it.  The other oracles -- BCH through the S_n permutation sum, the particular
-solution by exact linear solves, and the dimension counts of the solution
-space -- live in :mod:`kvlie.oracles`.
+whose components are certified Lie once each.  The two-variable objects are
+the k = 2 case of the multilinear ones: F0 and the multilinear F_i come from
+one integer route over those components (``multilinear_f0``; ``f0`` is its
+case i = 1, k = 2), and every verifier subtracts the one operator sum
+sum_i E((-1)^i x_i) F_i, of which the split equation is the one-term case.
+``bch_oracle`` (log of a product of exponentials) stays here because
+``kvlie bch --method oracle|both`` prints it.  The other oracles -- BCH
+through the S_n permutation sum, the particular solution by exact linear
+solves, and the dimension counts of the solution space -- live in
+:mod:`kvlie.oracles`.
 
-Argument-order discipline: a ``BchSeries`` is certified Lie and carries the
-tuple of variables it was built in.  Reversed orders, such as the recurring
-(y, x), are never re-derived: log(e^x_k ... e^x_1) = -Z(-x_1, ..., -x_k), so
-component n of the reversed series is (-1)^(n+1) Z_n.  Identity checks return
-full graded defect series so that a failure is diagnosable term by term.
+Argument-order discipline: a ``BchSeries`` is certified Lie.  Reversed
+orders, such as the recurring (y, x), are never re-derived:
+log(e^x_k ... e^x_1) = -Z(-x_1, ..., -x_k), so component n of the reversed
+series is (-1)^(n+1) Z_n.  Identity checks return full graded defect series
+so that a failure is diagnosable term by term.
 """
 
 from __future__ import annotations
@@ -33,18 +40,17 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import factorial
 
-from .algebra import XY, NCPoly, concat, default_alphabet, integer_form, letter_part, substitute
+from .algebra import XY, Alphabet, NCPoly, concat, default_alphabet, integer_form, letter_part
+from .algebra import substitute
 from .idempotents import NotLieElementError, _is_lie, _right_nested, bch_component, dynkin
-from .idempotents import kernel_generator, psi
-from .scalars import bernoulli, factorial
+from .idempotents import kernel_generator
+from .scalars import bernoulli
 from .series import GradedSeries, IntegerParts, _ad_power_sum
 
 SWAP = {"x": "y", "y": "x"}
 NEGATE_SWAP = {"x": "-y", "y": "-x"}
-X = NCPoly.letter(XY, "x")
-Y = NCPoly.letter(XY, "y")
-MINUS_X = X.scaled(-1)
 
 
 # -- operators: weighted sums sum_k w_k ad(z)^k on the integer series kernel --
@@ -65,27 +71,30 @@ def op_bernoulli(base: NCPoly, s: GradedSeries) -> GradedSeries:
     return _ad_power_sum(base, s, [bernoulli(k) / factorial(k) for k in range(s.order + 1)])
 
 
+def _signed_letter(alphabet: Alphabet, i: int) -> NCPoly:
+    """(-1)^i x_i, the operator base of the i-th term of the multilinear
+    equation: -x and y for the two-variable one."""
+    return NCPoly.letter(alphabet, alphabet.letters[i - 1]).scaled((-1) ** i)
+
+
 # -- Baker-Campbell-Hausdorff series -----------------------------------------
 
 
 @dataclass(frozen=True)
 class BchSeries:
-    """A BCH series, certified Lie on construction, with the variable order it
-    was built in.  ``_raw`` skips the check for ``bch_eulerian``, whose
-    components ``bch_component`` has certified."""
+    """A BCH series, certified Lie on construction.  ``_raw`` skips the check
+    for ``bch_eulerian``, whose components ``bch_component`` has certified."""
 
     series: GradedSeries
-    variables: tuple[str, ...]
 
     def __post_init__(self) -> None:
         _certify_lie(self.series)
 
     @classmethod
-    def _raw(cls, series: GradedSeries, variables: tuple[str, ...]) -> "BchSeries":
+    def _raw(cls, series: GradedSeries) -> "BchSeries":
         """Trusted constructor for a series whose components are certified."""
         phi = cls.__new__(cls)
         object.__setattr__(phi, "series", series)
-        object.__setattr__(phi, "variables", variables)
         return phi
 
     @property
@@ -136,7 +145,7 @@ def bch_eulerian(order: int, k: int = 2) -> BchSeries:
         raise ValueError("order must be >= 1")
     alphabet = default_alphabet(k)
     parts = [NCPoly.zero(alphabet)] + [bch_component(m, k) for m in range(1, order + 1)]
-    return BchSeries._raw(GradedSeries._raw(alphabet, order, parts), alphabet.letters)
+    return BchSeries._raw(GradedSeries._raw(alphabet, order, parts))
 
 
 @lru_cache(maxsize=None)
@@ -150,10 +159,21 @@ def bch_oracle(order: int, k: int = 2) -> BchSeries:
     product = GradedSeries.one(alphabet, order)
     for letter in alphabet.letters:
         product = product * series_exp(GradedSeries.generator(alphabet, letter, order))
-    return BchSeries(series_log(product), alphabet.letters)
+    return BchSeries(series_log(product))
 
 
 # -- the split of the BCH series ----------------------------------------------
+
+
+def _leading_share(s: GradedSeries, letter: str) -> GradedSeries:
+    """The z-leading Dynkin share gamma(z (s_n)_z) of each component n >= 2,
+    for z = ``letter``; over the letters these shares sum to s_n when s_n is
+    a Lie element."""
+    alphabet = s.alphabet
+    z = NCPoly.letter(alphabet, letter)
+    zero = NCPoly.zero(alphabet)
+    shares = [dynkin(concat(z, letter_part(s.parts[n], letter))) for n in range(2, s.order + 1)]
+    return GradedSeries._raw(alphabet, s.order, [zero, zero][: s.order + 1] + shares)
 
 
 def phi_split(phi: BchSeries) -> tuple[GradedSeries, GradedSeries]:
@@ -162,26 +182,48 @@ def phi_split(phi: BchSeries) -> tuple[GradedSeries, GradedSeries]:
     Returns (plus, minus) with plus_n = gamma(x * (Phi_n)_x) and
     minus_n = gamma(y * (Phi_n)_y) for n >= 2; their sum restores Phi_n.
     """
-    alphabet = phi.series.alphabet
-    if alphabet.size != 2:
+    if phi.series.alphabet.size != 2:
         raise ValueError("the split is defined for two variables")
-    x_sym, y_sym = alphabet.letters
-    x = NCPoly.letter(alphabet, x_sym)
-    y = NCPoly.letter(alphabet, y_sym)
-    plus_parts = [NCPoly.zero(alphabet), NCPoly.zero(alphabet)]
-    minus_parts = [NCPoly.zero(alphabet), NCPoly.zero(alphabet)]
-    for n in range(2, phi.order + 1):
-        comp = phi.component(n)
-        plus_parts.append(dynkin(concat(x, letter_part(comp, x_sym))))
-        minus_parts.append(dynkin(concat(y, letter_part(comp, y_sym))))
-    order = phi.order
-    return (
-        GradedSeries(alphabet, order, plus_parts[: order + 1]),
-        GradedSeries(alphabet, order, minus_parts[: order + 1]),
-    )
+    x, y = phi.series.alphabet.letters
+    return _leading_share(phi.series, x), _leading_share(phi.series, y)
 
 
 # -- the particular solution ----------------------------------------------------
+
+
+def multilinear_f0(index: int, k: int, order: int, phi: BchSeries | None = None) -> GradedSeries:
+    """The i-th component of the particular solution of the multilinear equation.
+
+    With Phi_m(x_k..x_1) = (-1)^(m+1) Phi_m the reversed BCH components,
+
+        b_d = r((Phi_{d+1}(x_k..x_1))_{x_i}) / (d+1) = (d/(d+1)) gamma(...),
+        F_{i,0} = (-1)^i Ber((-1)^i x_i) b,
+
+    which solves E((-1)^i x_i) F_i = gamma(x_i (Phi_m(x_k..x_1))_{x_i}) summed
+    over m, the x_i-leading share of the reversed BCH tail; b stays in integers.
+    """
+    if k < 2:
+        raise ValueError("the multilinear equation needs at least two variables")
+    if not 1 <= index <= k:
+        raise ValueError(f"variable index {index} out of range for {k} variables")
+    phi = bch_eulerian(order + 1, k) if phi is None else phi
+    if phi.order < order + 1:
+        raise ValueError("need the BCH series one degree beyond the target order")
+    alphabet = phi.series.alphabet
+    letter = alphabet.letters[index - 1]
+    b: IntegerParts = [({}, 1)]
+    for d in range(1, order + 1):
+        ints, scale = integer_form(letter_part(phi.component(d + 1), letter).terms)
+        nested = _right_nested(ints)
+        b.append(({w: -c for w, c in nested.items()} if d % 2 else nested, (d + 1) * scale))
+    sign = (-1) ** index
+    weights = [sign * bernoulli(j) / factorial(j) for j in range(order + 1)]
+    return _ad_power_sum(_signed_letter(alphabet, index), b, weights)
+
+
+def multilinear_particular_solution(k: int, order: int) -> list[GradedSeries]:
+    phi = bch_eulerian(order + 1, k)
+    return [multilinear_f0(i, k, order, phi=phi) for i in range(1, k + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +255,7 @@ def particular_solution(order: int) -> KvSolutionPair:
     return KvSolutionPair(f0(order), g0(order))
 
 
-# -- verifiers -------------------------------------------------------------------
+# -- verifiers: the tail against sum_i E((-1)^i x_i) F_i ---------------------------
 
 
 def _checked_order(order: int | None, available: int, what: str, phi: BchSeries | None = None) -> int:
@@ -232,33 +274,54 @@ def _checked_order(order: int | None, available: int, what: str, phi: BchSeries 
     return order
 
 
-def verify_split(F: GradedSeries, order: int | None = None, phi: BchSeries | None = None) -> GradedSeries:
-    """Defect of the split equation: Phi^-(y, x) - E(-x) F."""
-    order = _checked_order(order, F.order, "series F", phi)
-    phi = bch_eulerian(order) if phi is None else phi
-    _, minus = phi_split(phi)
-    target = minus.substitute(SWAP)
-    return target - op_exp_ad_minus_one(MINUS_X, F.truncate(order))
+def _operator_sum(alphabet: Alphabet, solutions: list[GradedSeries], order: int) -> GradedSeries:
+    """sum_i E((-1)^i x_i) F_i with each F_i truncated at ``order``."""
+    terms = [
+        op_exp_ad_minus_one(_signed_letter(alphabet, i), F.truncate(order))
+        for i, F in enumerate(solutions, start=1)
+    ]
+    return sum(terms[1:], terms[0])
+
+
+def verify_multilinear(
+    solutions: list[GradedSeries], order: int | None = None, phi: BchSeries | None = None
+) -> GradedSeries:
+    """Defect of the multilinear first equation for a tuple (F_1, ..., F_k):
+
+    sum_{m>=2} Phi_m(x_k, ..., x_1) - sum_i E((-1)^i x_i) F_i.
+    """
+    k = len(solutions)
+    if k < 2:
+        raise ValueError("need at least two solution components")
+    order = _checked_order(order, min(F.order for F in solutions), "solution tuple", phi)
+    phi = bch_eulerian(order, k) if phi is None else phi
+    return phi.reversed_tail(order) - _operator_sum(phi.series.alphabet, solutions, order)
 
 
 def verify_kv1(pair: KvSolutionPair, order: int | None = None, phi: BchSeries | None = None) -> GradedSeries:
     """Defect of the rewritten first equation:
 
-    sum_{n>=2} Phi_n(y, x) - E(-x) F + E(y) G; identically zero exactly for
-    solutions of the Kashiwara-Vergne first equation.
+    sum_{n>=2} Phi_n(y, x) - E(-x) F + E(y) G, the case k = 2 of
+    :func:`verify_multilinear` with (F_1, F_2) = (F, -G); identically zero
+    exactly for solutions of the Kashiwara-Vergne first equation.
     """
-    order = _checked_order(order, min(pair.F.order, pair.G.order), "pair (F, G)", phi)
-    phi = bch_eulerian(order) if phi is None else phi
-    F, G = pair.F.truncate(order), pair.G.truncate(order)
-    return phi.reversed_tail(order) - op_exp_ad_minus_one(MINUS_X, F) + op_exp_ad_minus_one(Y, G)
+    return verify_multilinear([pair.F, -pair.G], order, phi)
 
 
 def verify_homogeneous(pair: KvSolutionPair, order: int | None = None) -> GradedSeries:
-    """Defect of the homogeneous equation E(-x) F = E(y) G."""
+    """Defect of the homogeneous equation E(-x) F = E(y) G: the operator sum
+    on (F, -G)."""
     order = _checked_order(order, min(pair.F.order, pair.G.order), "pair (F, G)")
-    return op_exp_ad_minus_one(MINUS_X, pair.F.truncate(order)) - op_exp_ad_minus_one(
-        Y, pair.G.truncate(order)
-    )
+    return _operator_sum(XY, [pair.F, -pair.G], order)
+
+
+def verify_split(F: GradedSeries, order: int | None = None, phi: BchSeries | None = None) -> GradedSeries:
+    """Defect of the split equation: Phi^-(y, x) - E(-x) F, where Phi^-(y, x)
+    is the x-leading share of the reversed BCH tail."""
+    order = _checked_order(order, F.order, "series F", phi)
+    phi = bch_eulerian(order) if phi is None else phi
+    tail = phi.reversed_tail(order)
+    return _leading_share(tail, tail.alphabet.letters[0]) - _operator_sum(tail.alphabet, [F], order)
 
 
 # -- symmetrisation and the solution space ----------------------------------------
@@ -297,8 +360,9 @@ def homogeneous_solution(
         raise ValueError("polynomial is not in the kernel of the Dynkin idempotent")
     P = GradedSeries.from_poly(dynkin(letter_part(p, "x")), order)
     Q = GradedSeries.from_poly(dynkin(letter_part(p, "y")), order)
-    F = op_bernoulli(MINUS_X, P) + GradedSeries.generator(XY, "x", order).scaled(lambda1)
-    G = op_bernoulli(Y, Q) + GradedSeries.generator(XY, "y", order).scaled(lambda2)
+    x_series, y_series = (GradedSeries.generator(XY, z, order) for z in XY.letters)
+    F = op_bernoulli(_signed_letter(XY, 1), P) + x_series.scaled(lambda1)
+    G = op_bernoulli(_signed_letter(XY, 2), Q) + y_series.scaled(lambda2)
     return KvSolutionPair(F, G)
 
 
@@ -313,22 +377,12 @@ def general_solution(
     F = F0 + Ber(-x) Psi_x(p) + lambda1 * x,
     G = G0 + Ber(y)  Psi_y(p) + lambda2 * y.
 
-    Psi projects p onto the kernel of the Dynkin idempotent first, so no
-    precondition on p is needed; p = 0 returns the particular solution.
+    Psi_z(p) = gamma((p - gamma(p))_z), so this is the particular solution
+    plus the homogeneous solution of the kernel element p - gamma(p): no
+    precondition on p is needed, and p = 0 returns the particular solution.
     """
-    Px = GradedSeries.from_poly(psi(p, "x"), order)
-    Py = GradedSeries.from_poly(psi(p, "y"), order)
-    F = (
-        f0(order)
-        + op_bernoulli(MINUS_X, Px)
-        + GradedSeries.generator(XY, "x", order).scaled(lambda1)
-    )
-    G = (
-        g0(order)
-        + op_bernoulli(Y, Py)
-        + GradedSeries.generator(XY, "y", order).scaled(lambda2)
-    )
-    return KvSolutionPair(F, G)
+    h = homogeneous_solution(kernel_generator(p), lambda1, lambda2, order)
+    return KvSolutionPair(f0(order) + h.F, g0(order) + h.G)
 
 
 def antisymmetric_kernel_element(p: NCPoly) -> NCPoly:
@@ -346,44 +400,6 @@ def antisymmetric_kernel_element(p: NCPoly) -> NCPoly:
     return concat(dynkin(p), p) - concat(dynkin(q), q)
 
 
-# -- multilinear version ---------------------------------------------------------------
-
-
-def multilinear_f0(index: int, k: int, order: int, phi: BchSeries | None = None) -> GradedSeries:
-    """The i-th component of the particular solution of the multilinear equation.
-
-    With Phi_m(x_k..x_1) = (-1)^(m+1) Phi_m the reversed BCH components,
-
-        b_d = r((Phi_{d+1}(x_k..x_1))_{x_i}) / (d+1) = (d/(d+1)) gamma(...),
-        F_{i,0} = (-1)^i Ber((-1)^i x_i) b,
-
-    which solves E((-1)^i x_i) F_i = gamma(x_i (Phi_m(x_k..x_1))_{x_i}) summed
-    over m, the x_i-leading share of the reversed BCH tail; b stays in integers.
-    """
-    if k < 2:
-        raise ValueError("the multilinear equation needs at least two variables")
-    if not 1 <= index <= k:
-        raise ValueError(f"variable index {index} out of range for {k} variables")
-    phi = bch_eulerian(order + 1, k) if phi is None else phi
-    if phi.order < order + 1:
-        raise ValueError("need the BCH series one degree beyond the target order")
-    alphabet = phi.series.alphabet
-    letter = alphabet.letters[index - 1]
-    b: IntegerParts = [({}, 1)]
-    for d in range(1, order + 1):
-        ints, scale = integer_form(letter_part(phi.component(d + 1), letter).terms)
-        nested = _right_nested(ints)
-        b.append(({w: -c for w, c in nested.items()} if d % 2 else nested, (d + 1) * scale))
-    sign = (-1) ** index
-    base = NCPoly.letter(alphabet, letter).scaled(sign)
-    return _ad_power_sum(base, b, [sign * bernoulli(j) / factorial(j) for j in range(order + 1)])
-
-
-def multilinear_particular_solution(k: int, order: int) -> list[GradedSeries]:
-    phi = bch_eulerian(order + 1, k)
-    return [multilinear_f0(i, k, order, phi=phi) for i in range(1, k + 1)]
-
-
 def clear_caches() -> None:
     """Drop every memoised table (BCH components and series, oracle tables
     when loaded, the Bernoulli prefix, ...); mainly for cold-start timing and
@@ -398,24 +414,3 @@ def clear_caches() -> None:
             for fn in vars(module).values():
                 if hasattr(fn, "cache_clear") and getattr(fn, "__module__", None) == name:
                     fn.cache_clear()
-
-
-def verify_multilinear(
-    solutions: list[GradedSeries], order: int | None = None, phi: BchSeries | None = None
-) -> GradedSeries:
-    """Defect of the multilinear first equation for a tuple (F_1, ..., F_k):
-
-    sum_{m>=2} Phi_m(x_k, ..., x_1) - sum_i E((-1)^i x_i) F_i.
-    """
-    k = len(solutions)
-    if k < 2:
-        raise ValueError("need at least two solution components")
-    order = _checked_order(order, min(F.order for F in solutions), "solution tuple", phi)
-    phi = bch_eulerian(order, k) if phi is None else phi
-    defect = phi.reversed_tail(order)
-    alphabet = phi.series.alphabet
-    for i, F in enumerate(solutions, start=1):
-        sign = (-1) ** i
-        base = NCPoly.letter(alphabet, alphabet.letters[i - 1]).scaled(sign)
-        defect = defect - op_exp_ad_minus_one(base, F.truncate(order))
-    return defect

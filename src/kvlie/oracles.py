@@ -40,20 +40,22 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, factorial
 
 from .algebra import XY, Alphabet, NCPoly, Word, bracket, integer_form, letter_part
 from .algebra import sum_integer_forms
 from .idempotents import dynkin, kernel_generator
-from .kv import MINUS_X, SWAP, X, Y, BchSeries, bch_eulerian
+from .kv import SWAP, BchSeries, bch_eulerian
 from .kv import op_exp_ad_minus_one, phi_split
 from .linalg import independent_subset, nullspace_dimension, rank, solve_affine
 from .lyndon import lyndon_words, standard_bracketing, to_lie_coordinates
 from .permutations import descent_class_images, sn_with_descents
-from .scalars import factorial
 from .series import GradedSeries
 
 _ZERO = Fraction(0)
+X = NCPoly.letter(XY, "x")
+Y = NCPoly.letter(XY, "y")
+MINUS_X = -X
 
 
 # -- word maps and the co-shuffle ----------------------------------------------
@@ -291,7 +293,7 @@ def bch_permutation_oracle(order: int) -> BchSeries:
             weight = Fraction(1, factorial(i) * factorial(m - i))
             items.append((weight, *integer_form(value.terms)))
         parts.append(sum_integer_forms(XY, items))
-    return BchSeries(GradedSeries._raw(XY, order, parts), XY.letters)
+    return BchSeries(GradedSeries._raw(XY, order, parts))
 
 
 # -- linear-solve oracle for the split equation ---------------------------------

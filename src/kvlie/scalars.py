@@ -44,12 +44,6 @@ def bernoulli(k: int) -> Fraction:
     return _bernoulli_values[k]
 
 
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError("factorial of a negative number")
-    return math.factorial(n)
-
-
 def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"binomial({n}, {k}) out of range")
@@ -90,8 +84,3 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational literal {text!r}") from exc
-
-
-def format_rational(value: Fraction) -> str:
-    """Render as "a/b", or "a" when the denominator is 1."""
-    return str(value)

@@ -218,6 +218,15 @@ def test_output_determinism(capsys, tmp_path):
         (("psi", "--var", "x", "--poly", "xyxyxyxyxyxy"), "polynomial degree 12 exceeds 11"),
         (("verify", "--equation", "kv1", "--degree", "3", "--kernel-poly", "x + xyxyxyxyxyxy"),
          "polynomial degree 12 exceeds 11"),
+        (("verify", "--equation", "split", "--degree", "3", "--kernel-poly", "xy"),
+         "--kernel-poly is read only by --equation kv1|homogeneous"),
+        (("verify", "--equation", "multilinear", "--degree", "3", "--kernel-poly", "xy"),
+         "--kernel-poly is read only by"),
+        (("verify", "--equation", "kv1", "--degree", "3", "--vars", "3"),
+         "--vars is read only by --equation multilinear"),
+        (("verify", "--equation", "split", "--degree", "3", "--vars", "2"), "--vars is read only by"),
+        (("verify", "--equation", "homogeneous", "--degree", "3", "--kernel-poly", "xy - yx",
+          "--vars", "2"), "--vars is read only by"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -29,7 +30,7 @@ from kvlie.oracles import (
     kernel_generator_explicit,
 )
 from kvlie.permutations import permute_word, reversal, sn_with_descents
-from kvlie.scalars import binomial, factorial, witt_dimension
+from kvlie.scalars import binomial, witt_dimension
 
 X = NCPoly.letter(XY, "x")
 Y = NCPoly.letter(XY, "y")

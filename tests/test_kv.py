@@ -151,7 +151,7 @@ def test_bch_components_are_lie():
 def test_reversed_arguments_equal_the_letter_reversal(k, n):
     # log(e^x_k ... e^x_1) = -Z(-x_1, ..., -x_k): a sign per degree
     phi = bch_eulerian(n, k)
-    letters = phi.variables
+    letters = phi.series.alphabet.letters
     assert phi.reversed_arguments() == phi.series.substitute(dict(zip(letters, reversed(letters))))
 
 
@@ -200,7 +200,7 @@ def test_goldberg_components_are_certified_once(monkeypatch, fresh_caches):
     # a BchSeries built from outside bch_eulerian is certified on construction
     bch_oracle(3)
     with pytest.raises(NotLieElementError):
-        BchSeries(GradedSeries(XY, 2, [NCPoly.zero(XY), X, parse_poly(XY, "xy")]), ("x", "y"))
+        BchSeries(GradedSeries(XY, 2, [NCPoly.zero(XY), X, parse_poly(XY, "xy")]))
     assert calls == {"component": 7, "series": 5}
 
 
@@ -240,7 +240,7 @@ def test_phi_split_symmetry():
 def test_phi_split_rejects_non_lie():
     parts = [NCPoly.zero(XY), X, parse_poly(XY, "xy + yx")]
     with pytest.raises(ValueError):
-        bad = BchSeries(GradedSeries(XY, 2, parts), ("x", "y"))
+        bad = BchSeries(GradedSeries(XY, 2, parts))
         phi_split(bad)
 
 
@@ -360,6 +360,22 @@ def test_verify_split():
     zero_defect = verify_split(GradedSeries.zero(XY, 5), 5)
     _, minus = phi_split(bch_eulerian(5))
     assert zero_defect == minus.substitute(SWAP)
+    # a BCH series above the requested order is truncated, as for verify_kv1
+    assert verify_split(F, 5, phi=bch_eulerian(7)).is_zero()
+
+
+def test_verify_split_builds_only_the_share_it_uses(monkeypatch):
+    # one Dynkin image per degree 2..6, the x-leading share of the reversed tail
+    f0(6)
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return idempotents.dynkin(p)
+
+    monkeypatch.setattr(kv, "dynkin", counting)
+    assert verify_split(f0(6), 6).is_zero()
+    assert len(calls) == 5
 
 
 def test_verifiers_refuse_orders_above_their_input():

@@ -3,7 +3,7 @@
 The kernel groups words by output degree and by common denominator, so these
 tests draw series over 2 and 3 letters whose components mix denominators and
 are dense or non-Lie, and check the products, exp/log and the operator sums
-built on it.
+built on it, and the defect series every verifier returns for such input.
 """
 
 from fractions import Fraction
@@ -13,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvlie.algebra import XY, NCPoly, bracket, default_alphabet, parse_poly
-from kvlie.kv import general_solution, op_ad, op_bernoulli, op_exp_ad_minus_one, verify_kv1
+from kvlie.kv import SWAP, KvSolutionPair, bch_eulerian, general_solution, op_ad, op_bernoulli
+from kvlie.kv import op_exp_ad_minus_one, phi_split, verify_homogeneous, verify_kv1
+from kvlie.kv import verify_multilinear, verify_split
 from kvlie.series import GradedSeries, series_exp, series_log
 
 COEFFS = st.builds(
     Fraction, st.integers(-30, 30).filter(bool), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12, 35])
 )
 RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+X, Y = NCPoly.letter(XY, "x"), NCPoly.letter(XY, "y")
 
 
 def component(draw, k, d):
@@ -122,3 +125,47 @@ def xy_polynomials(draw, max_degree):
 def test_general_solution_verifies(args):
     order, p, lam1, lam2 = args
     assert verify_kv1(general_solution(p, lam1, lam2, order), order).is_zero()
+
+
+def reversed_tail(k, order):
+    """sum_{n>=2} log(e^x_k ... e^x_1)_n, from exp and log of the letters."""
+    alphabet = default_alphabet(k)
+    product = GradedSeries.one(alphabet, order)
+    for letter in reversed(alphabet.letters):
+        product = product * series_exp(GradedSeries.generator(alphabet, letter, order))
+    log = series_log(product)
+    zero = NCPoly.zero(alphabet)
+    return GradedSeries(alphabet, order, [zero, zero][: order + 1] + list(log.parts[2:]))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_two_variable_defects_spelled_out(data):
+    # arbitrary (F, G), zero and non-Lie components included, against the
+    # defect of each equation written with the public operators
+    order = data.draw(st.integers(1, 5))
+    F = data.draw(series(k=2, order=order))
+    G = data.draw(series(k=2, order=order))
+    phi = bch_eulerian(order + data.draw(st.integers(0, 1)))
+    E_F = op_exp_ad_minus_one(-X, F)
+    E_G = op_exp_ad_minus_one(Y, G)
+    pair = KvSolutionPair(F, G)
+    assert verify_kv1(pair, order, phi) == reversed_tail(2, order) - E_F + E_G
+    assert verify_homogeneous(pair, order) == E_F - E_G
+    target = phi_split(bch_eulerian(order))[1].substitute(SWAP)
+    assert verify_split(F, order, phi) == target - E_F
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.data())
+def test_multilinear_defect_spelled_out(data):
+    order = data.draw(st.integers(1, 4))
+    solutions = [data.draw(series(k=3, order=order)) for _ in range(3)]
+    x, y, z = (NCPoly.letter(default_alphabet(3), a) for a in "xyz")
+    expected = (
+        reversed_tail(3, order)
+        - op_exp_ad_minus_one(-x, solutions[0])
+        - op_exp_ad_minus_one(y, solutions[1])
+        - op_exp_ad_minus_one(-z, solutions[2])
+    )
+    assert verify_multilinear(solutions, order) == expected
