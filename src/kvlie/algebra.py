@@ -3,10 +3,11 @@
 The tensor algebra on an alphabet is modelled as the algebra of
 noncommutative polynomials: a word is a tuple of letter indices, and a
 polynomial (:class:`NCPoly`) is a finitely supported map from words to
-nonzero rationals.  The concatenation product, the Lie bracket, letter-part
-extraction, signed letter substitution, the integer form (numerators over one
-common denominator) that the kernels compute in, and the text, JSON and LaTeX
-forms all live here.
+nonzero rationals, stored as integer numerators over one positive denominator
+in lowest terms: the form every kernel computes in, so ``Fraction``
+coefficients are built only where terms are read, printed or parsed.  The
+concatenation product, the Lie bracket, letter-part extraction, signed letter
+substitution, weighted sums, and the text, JSON and LaTeX forms all live here.
 
 Values are immutable once constructed; every operation returns a fresh
 polynomial, so instances are safe to share.
@@ -15,7 +16,7 @@ polynomial, so instances are safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -111,15 +112,17 @@ class Frozen:
 class NCPoly(Frozen):
     """A noncommutative polynomial: finitely many words with rational coefficients.
 
-    ``terms`` is a read-only view that never holds zero coefficients, so
-    ``==`` is exact term-wise equality; neither slot can be rebound, so a
-    shared (cached) value cannot be changed by its caller.  Addition and
-    subtraction use ``+``/``-``; ``*`` is the concatenation product when both
-    operands are polynomials and scalar multiplication when one side is a
-    rational or integer.
+    Stored as ``numerators``, a read-only map from words to nonzero ints, over
+    one positive ``scale``, reduced so that gcd(scale, *numerators) == 1: the
+    form is canonical, so ``==`` and ``hash`` are exact and term-wise, and no
+    slot can be rebound, so a shared (cached) value cannot be changed by its
+    caller.  ``terms`` is the read-only word -> Fraction view, built on access.
+    Addition and subtraction use ``+``/``-``; ``*`` is the concatenation
+    product when both operands are polynomials and scalar multiplication when
+    one side is a rational or integer.
     """
 
-    __slots__ = ("alphabet", "terms")
+    __slots__ = ("alphabet", "numerators", "scale")
 
     def __init__(self, alphabet: Alphabet, terms: Mapping[Word, Fraction] | None = None):
         clean: dict[Word, Fraction] = {}
@@ -132,22 +135,42 @@ class NCPoly(Frozen):
                 if any(not 0 <= i < size for i in word):
                     raise ValueError(f"word {word} has letters outside the alphabet")
                 clean[word] = coeff
+        # Over the lcm of lowest-terms denominators the numerators are coprime
+        # to the scale already: the canonical form needs no further reduction.
+        scale = lcm(*(c.denominator for c in clean.values()))
+        numerators = {w: c.numerator * (scale // c.denominator) for w, c in clean.items()}
+        self._fill(alphabet, numerators, scale)
+
+    @classmethod
+    def _raw(cls, alphabet: Alphabet, numerators: dict[Word, int], scale: int = 1) -> "NCPoly":
+        """Trusted constructor for numerators / scale: ``numerators`` holds no
+        zeros and only letters of ``alphabet``, and ``scale`` > 0; both are
+        reduced here by their gcd."""
+        g = gcd(scale, *numerators.values())
+        if g != 1:
+            numerators = {w: c // g for w, c in numerators.items()}
+            scale //= g
+        return cls.__new__(cls)._fill(alphabet, numerators, scale)
+
+    def _fill(self, alphabet: Alphabet, numerators: dict[Word, int], scale: int) -> "NCPoly":
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        object.__setattr__(self, "numerators", MappingProxyType(numerators))
+        object.__setattr__(self, "scale", scale)
+        return self
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, alphabet: Alphabet) -> "NCPoly":
-        return cls(alphabet)
+        return cls._raw(alphabet, {})
 
     @classmethod
     def unit(cls, alphabet: Alphabet) -> "NCPoly":
-        return cls(alphabet, {EMPTY_WORD: Fraction(1)})
+        return cls._raw(alphabet, {EMPTY_WORD: 1})
 
     @classmethod
     def letter(cls, alphabet: Alphabet, symbol: str) -> "NCPoly":
-        return cls(alphabet, {(alphabet.index(symbol),): Fraction(1)})
+        return cls._raw(alphabet, {(alphabet.index(symbol),): 1})
 
     @classmethod
     def from_word(cls, alphabet: Alphabet, word: Word, coeff=Fraction(1)) -> "NCPoly":
@@ -155,16 +178,23 @@ class NCPoly(Frozen):
 
     # -- basic protocol ----------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Word, Fraction]:
+        """Read-only map from words to their nonzero Fraction coefficients."""
+        scale = self.scale
+        return MappingProxyType({w: Fraction(c, scale) for w, c in self.numerators.items()})
+
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.numerators)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NCPoly):
             return NotImplemented
-        return self.alphabet == other.alphabet and self.terms == other.terms
+        mine = (self.alphabet, self.scale, self.numerators)
+        return mine == (other.alphabet, other.scale, other.numerators)
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, frozenset(self.terms.items())))
+        return hash((self.alphabet, self.scale, frozenset(self.numerators.items())))
 
     def __repr__(self) -> str:
         return f"NCPoly({to_text(self)!r})"
@@ -179,28 +209,19 @@ class NCPoly(Frozen):
         if not isinstance(other, NCPoly):
             return NotImplemented
         self._check_same_alphabet(other)
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = terms.get(word, _ZERO) + coeff
-            if acc:
-                terms[word] = acc
-            else:
-                terms.pop(word, None)
-        return NCPoly._raw(self.alphabet, terms)
+        return weighted_sum(self.alphabet, [(1, self), (1, other)])
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         if not isinstance(other, NCPoly):
             return NotImplemented
-        return self + (-other)
+        self._check_same_alphabet(other)
+        return weighted_sum(self.alphabet, [(1, self), (-1, other)])
 
     def __neg__(self) -> "NCPoly":
-        return NCPoly._raw(self.alphabet, {w: -c for w, c in self.terms.items()})
+        return NCPoly._raw(self.alphabet, {w: -c for w, c in self.numerators.items()}, self.scale)
 
     def scaled(self, scalar) -> "NCPoly":
-        scalar = _as_fraction(scalar)
-        if not scalar:
-            return NCPoly.zero(self.alphabet)
-        return NCPoly._raw(self.alphabet, {w: scalar * c for w, c in self.terms.items()})
+        return weighted_sum(self.alphabet, [(_as_fraction(scalar), self)])
 
     def __mul__(self, other):
         if isinstance(other, NCPoly):
@@ -213,40 +234,35 @@ class NCPoly(Frozen):
     def __reduce__(self):
         return NCPoly, (self.alphabet, dict(self.terms))
 
-    @classmethod
-    def _raw(cls, alphabet: Alphabet, terms: dict[Word, Fraction]) -> "NCPoly":
-        poly = cls.__new__(cls)
-        object.__setattr__(poly, "alphabet", alphabet)
-        object.__setattr__(poly, "terms", MappingProxyType(terms))
-        return poly
-
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, word: Word) -> Fraction:
-        return self.terms.get(tuple(word), _ZERO)
+        return Fraction(self.numerators.get(tuple(word), 0), self.scale)
 
     def max_degree(self) -> int:
         """Highest word length present; -1 for the zero polynomial."""
-        return max((len(w) for w in self.terms), default=-1)
+        return max((len(w) for w in self.numerators), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degrees = {len(w) for w in self.terms}
+        degrees = {len(w) for w in self.numerators}
         return len(degrees) <= 1
 
     def homogeneous_component(self, degree: int) -> "NCPoly":
         return NCPoly._raw(
-            self.alphabet, {w: c for w, c in self.terms.items() if len(w) == degree}
+            self.alphabet,
+            {w: c for w, c in self.numerators.items() if len(w) == degree},
+            self.scale,
         )
 
     def degrees(self) -> list[int]:
-        return sorted({len(w) for w in self.terms})
+        return sorted({len(w) for w in self.numerators})
 
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
         """Terms in the canonical order: by degree, then lexicographically."""
         return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(EMPTY_WORD, _ZERO)
+        return self.coefficient(EMPTY_WORD)
 
 
 _ZERO = Fraction(0)
@@ -258,12 +274,12 @@ _ZERO = Fraction(0)
 def concat(p: NCPoly, q: NCPoly) -> NCPoly:
     """Concatenation product, the bilinear extension of word concatenation."""
     p._check_same_alphabet(q)
-    terms: dict[Word, Fraction] = {}
-    for wp, cp in p.terms.items():
-        for wq, cq in q.terms.items():
+    terms: dict[Word, int] = {}
+    for wp, cp in p.numerators.items():
+        for wq, cq in q.numerators.items():
             word = wp + wq
-            terms[word] = terms.get(word, _ZERO) + cp * cq
-    return NCPoly._raw(p.alphabet, {w: c for w, c in terms.items() if c})
+            terms[word] = terms.get(word, 0) + cp * cq
+    return NCPoly._raw(p.alphabet, {w: c for w, c in terms.items() if c}, p.scale * q.scale)
 
 
 def bracket(p: NCPoly, q: NCPoly) -> NCPoly:
@@ -297,8 +313,8 @@ def letter_part(p: NCPoly, letter: str) -> NCPoly:
     leading letter; every other word, and the constant term, is discarded.
     """
     idx = p.alphabet.index(letter)
-    terms = {w[1:]: c for w, c in p.terms.items() if w and w[0] == idx}
-    return NCPoly._raw(p.alphabet, terms)
+    terms = {w[1:]: c for w, c in p.numerators.items() if w and w[0] == idx}
+    return NCPoly._raw(p.alphabet, terms, p.scale)
 
 
 def substitute(p: NCPoly, images: Mapping[str, str]) -> NCPoly:
@@ -316,8 +332,8 @@ def substitute(p: NCPoly, images: Mapping[str, str]) -> NCPoly:
             sign = -1
             dst = dst[1:].strip()
         table[alphabet.index(src)] = (alphabet.index(dst), sign)
-    terms: dict[Word, Fraction] = {}
-    for word, coeff in p.terms.items():
+    terms: dict[Word, int] = {}
+    for word, coeff in p.numerators.items():
         sign = 1
         out = []
         for i in word:
@@ -329,35 +345,21 @@ def substitute(p: NCPoly, images: Mapping[str, str]) -> NCPoly:
             out.append(j)
             sign *= s
         new_word = tuple(out)
-        terms[new_word] = terms.get(new_word, _ZERO) + sign * coeff
-    return NCPoly._raw(alphabet, {w: c for w, c in terms.items() if c})
+        terms[new_word] = terms.get(new_word, 0) + sign * coeff
+    return NCPoly._raw(alphabet, {w: c for w, c in terms.items() if c}, p.scale)
 
 
-def integer_form(terms: Mapping[Word, Fraction]) -> tuple[dict[Word, int], int]:
-    """(numerators, D) with terms = numerators / D, D the lcm of the denominators."""
-    scale = lcm(*(c.denominator for c in terms.values()))
-    return {w: c.numerator * (scale // c.denominator) for w, c in terms.items()}, scale
-
-
-def from_integer_form(alphabet: Alphabet, numerators: Mapping[Word, int], scale: int) -> NCPoly:
-    """The polynomial numerators / scale; ``numerators`` holds no zeros."""
-    return NCPoly._raw(alphabet, {w: Fraction(c, scale) for w, c in numerators.items()})
-
-
-def sum_integer_forms(alphabet: Alphabet, items) -> NCPoly:
-    """sum of weight * numerators / scale over (weight, numerators, scale) items.
-
-    Accumulates in integers over the lcm L of the weighted denominators and
-    builds one Fraction(c, L) per output word.
-    """
-    items = [(w, nums, w.denominator * scale) for w, nums, scale in items if w and nums]
-    common = lcm(*(den for _, _, den in items))
+def weighted_sum(alphabet: Alphabet, items) -> NCPoly:
+    """sum of weight * p over (weight, p) items, accumulated in integers over
+    the lcm of the weighted scales."""
+    items = [(w, p) for w, p in items if w and p]
+    common = lcm(*(w.denominator * p.scale for w, p in items))
     out: dict[Word, int] = {}
-    for weight, nums, den in items:
-        factor = weight.numerator * (common // den)
-        for word, c in nums.items():
+    for weight, p in items:
+        factor = weight.numerator * (common // (weight.denominator * p.scale))
+        for word, c in p.numerators.items():
             out[word] = out.get(word, 0) + factor * c
-    return from_integer_form(alphabet, {w: c for w, c in out.items() if c}, common)
+    return NCPoly._raw(alphabet, {w: c for w, c in out.items() if c}, common)
 
 
 # -- text, JSON and LaTeX forms ----------------------------------------------

@@ -277,6 +277,12 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # '--lambda1 -1/2' as '--lambda1=-1/2': argparse reads a separate value that
+    # starts with '-' and is not a plain negative number as the next flag.
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] in ("--lambda1", "--lambda2"):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         if args.degree < 1:

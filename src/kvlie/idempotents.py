@@ -3,8 +3,9 @@
 Each projector onto the free Lie algebra has one production construction here:
 
 * ``dynkin`` -- right-nested bracketing r with a 1/n prefactor on whole
-  homogeneous components, r(sum_a a p_a) = sum_a [a, r(p_a)], in integers on
-  words packed into one int each, so that a bracket is a few shifts and masks;
+  homogeneous components, r(sum_a a p_a) = sum_a [a, r(p_a)], on the integer
+  numerators of the polynomial, each word packed into one int so that a
+  bracket is a few shifts and masks;
 * ``bch_component`` -- the Eulerian idempotent e on power words, summed into
   the degree-n BCH component Z_n = sum e(x_1^i_1 ... x_k^i_k) / (i_1! ... i_k!)
   and given in Goldberg's closed form: the BCH series and the particular
@@ -24,18 +25,17 @@ elimination) live in :mod:`kvlie.oracles` and its support modules.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
+from typing import Mapping
 
-from .algebra import NCPoly, Word, concat, default_alphabet, from_integer_form, integer_form
-from .algebra import letter_part
+from .algebra import NCPoly, Word, concat, default_alphabet, letter_part
 
 
 # -- Dynkin idempotent --------------------------------------------------------
 
 
-def _nest_packed(terms: dict[Word, int]) -> tuple[dict[int, int], dict[int, int], int]:
+def _nest_packed(terms: Mapping[Word, int]) -> tuple[dict[int, int], dict[int, int], int]:
     """(p, r(p), width) for p homogeneous of degree n >= 1 in integers, each word
     one int of n ``width``-bit fields (first letter highest; width from the
     largest letter).  Bottom-up over the prefix trie, level j holds sum_u u r(p_u)
@@ -62,7 +62,7 @@ def _nest_packed(terms: dict[Word, int]) -> tuple[dict[int, int], dict[int, int]
     return p, nested, width
 
 
-def _right_nested(terms: dict[Word, int]) -> dict[Word, int]:
+def _right_nested(terms: Mapping[Word, int]) -> dict[Word, int]:
     """r(p) = sum_a [a, r(p_a)] for p = sum_a a * p_a homogeneous of degree >= 1,
     with r the identity on letters; words are tuples again only on output."""
     if not terms:
@@ -73,7 +73,7 @@ def _right_nested(terms: dict[Word, int]) -> dict[Word, int]:
     return {tuple([v >> s & mask for s in shifts]): c for v, c in nested.items()}
 
 
-def _is_lie(terms: dict[Word, int]) -> bool:
+def _is_lie(terms: Mapping[Word, int]) -> bool:
     """r(p) = n p (Dynkin-Specht-Wever) for p homogeneous of degree n >= 1."""
     if not terms:
         return True
@@ -88,15 +88,16 @@ def dynkin(p: NCPoly) -> NCPoly:
     gamma kills constants, fixes letters, and fixes exactly the Lie elements
     (Dynkin-Specht-Wever: p of degree n is Lie iff r(p) = n p), so applying it
     twice equals applying it once.
-    On the degree-n component, scaled to integers by the lcm D of its
-    denominators, gamma is r / (n * D) with r the right-nested bracketing.
+    On the degree-n numerators, over the scale D of p, gamma is r / (n * D)
+    with r the right-nested bracketing; every degree is put over D * lcm(n).
     """
-    terms: dict[Word, Fraction] = {}
-    for n in p.degrees():
-        if n:
-            ints, scale = integer_form(p.homogeneous_component(n).terms)
-            terms.update((w, Fraction(c, n * scale)) for w, c in _right_nested(ints).items())
-    return NCPoly._raw(p.alphabet, terms)
+    degrees = [n for n in p.degrees() if n]
+    common = lcm(*degrees)
+    numerators: dict[Word, int] = {}
+    for n in degrees:
+        part = {w: c for w, c in p.numerators.items() if len(w) == n}
+        numerators.update((w, c * (common // n)) for w, c in _right_nested(part).items())
+    return NCPoly._raw(p.alphabet, numerators, common * p.scale)
 
 
 class NotLieElementError(ValueError):
@@ -141,9 +142,10 @@ def bch_component(degree: int, k: int = 2) -> NCPoly:
     The kernel holds H_s = s! G_s as integer coefficient lists, walks the run
     compositions depth first with the product of each prefix shared, and
     integrates over L = lcm(1..n): L * int_0^1 t^u (t-1)^d dt is the integer
-    (-1)^d L / ((u+d+1) C(u+d, d)) for u + d < n.  On the integers n! L c_w the
-    component is certified Lie (r(p) = n p, which rules out the pure powers
-    x_a^n, n >= 2) once per (n, k); then each word gets one Fraction.
+    (-1)^d L / ((u+d+1) C(u+d, d)) for u + d < n.  The integers n! L c_w,
+    reduced by their gcd, are the numerators of the component, which is
+    certified Lie on them (r(p) = n p, which rules out the pure powers x_a^n,
+    n >= 2) once per (n, k).
     """
     n = degree
     if n < 1:
@@ -182,9 +184,10 @@ def bch_component(degree: int, k: int = 2) -> NCPoly:
             walk(runs + (r,), left - r, product, runs_factorial * factorial(r))
 
     walk((), n, [1], 1)
-    if not _is_lie(terms):
-        raise NotLieElementError(kernel_generator(from_integer_form(alphabet, terms, common * top)))
-    return from_integer_form(alphabet, terms, common * top)
+    component = NCPoly._raw(alphabet, terms, common * top)
+    if not _is_lie(component.numerators):
+        raise NotLieElementError(kernel_generator(component))
+    return component
 
 
 # -- kernel of the Dynkin idempotent -------------------------------------------

@@ -42,14 +42,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
 
-from .algebra import XY, Alphabet, NCPoly, concat, default_alphabet, integer_form, letter_part
-from .algebra import substitute
+from .algebra import XY, Alphabet, NCPoly, concat, default_alphabet, letter_part, substitute
 from .idempotents import NotLieElementError, _is_lie, _right_nested, bch_component, dynkin
 from .idempotents import kernel_generator
 from .scalars import bernoulli
-from .series import GradedSeries, IntegerParts, _ad_power_sum
+from .series import GradedSeries, _ad_power_sum
 
-SWAP = {"x": "y", "y": "x"}
 NEGATE_SWAP = {"x": "-y", "y": "-x"}
 
 
@@ -128,7 +126,7 @@ def _certify_lie(series: GradedSeries) -> None:
     """Raise NotLieElementError(p - gamma(p)) unless each component p of degree
     n >= 1 passes the Dynkin-Specht-Wever test r(p) = n p, in integers."""
     for p in series.parts[1:]:
-        if not _is_lie(integer_form(p.terms)[0]):
+        if not _is_lie(p.numerators):
             raise NotLieElementError(kernel_generator(p))
 
 
@@ -200,7 +198,8 @@ def multilinear_f0(index: int, k: int, order: int, phi: BchSeries | None = None)
         F_{i,0} = (-1)^i Ber((-1)^i x_i) b,
 
     which solves E((-1)^i x_i) F_i = gamma(x_i (Phi_m(x_k..x_1))_{x_i}) summed
-    over m, the x_i-leading share of the reversed BCH tail; b stays in integers.
+    over m, the x_i-leading share of the reversed BCH tail; b is built on the
+    integer numerators of (Phi_{d+1})_{x_i}.
     """
     if k < 2:
         raise ValueError("the multilinear equation needs at least two variables")
@@ -211,11 +210,13 @@ def multilinear_f0(index: int, k: int, order: int, phi: BchSeries | None = None)
         raise ValueError("need the BCH series one degree beyond the target order")
     alphabet = phi.series.alphabet
     letter = alphabet.letters[index - 1]
-    b: IntegerParts = [({}, 1)]
+    parts = [NCPoly.zero(alphabet)]
     for d in range(1, order + 1):
-        ints, scale = integer_form(letter_part(phi.component(d + 1), letter).terms)
-        nested = _right_nested(ints)
-        b.append(({w: -c for w, c in nested.items()} if d % 2 else nested, (d + 1) * scale))
+        part = letter_part(phi.component(d + 1), letter)
+        nested = _right_nested(part.numerators)
+        nested = {w: -c for w, c in nested.items()} if d % 2 else nested
+        parts.append(NCPoly._raw(alphabet, nested, (d + 1) * part.scale))
+    b = GradedSeries._raw(alphabet, order, parts)
     sign = (-1) ** index
     weights = [sign * bernoulli(j) / factorial(j) for j in range(order + 1)]
     return _ad_power_sum(_signed_letter(alphabet, index), b, weights)
@@ -402,13 +403,9 @@ def antisymmetric_kernel_element(p: NCPoly) -> NCPoly:
 
 def clear_caches() -> None:
     """Drop every memoised table (BCH components and series, oracle tables
-    when loaded, the Bernoulli prefix, ...); mainly for cold-start timing and
+    when loaded, the Bernoulli numbers, ...); mainly for cold-start timing and
     memory tests.  The lru caches are found in the loaded kvlie modules, so a
     new cache needs no registration here."""
-    from . import scalars as _scalars
-
-    with _scalars._bernoulli_lock:
-        _scalars._bernoulli_values[:] = [Fraction(1)]
     for name, module in list(sys.modules.items()):
         if name.startswith("kvlie."):
             for fn in vars(module).values():

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 
-from .algebra import Alphabet, NCPoly, Word, from_integer_form, integer_form
+from .algebra import Alphabet, NCPoly, Word
 from .idempotents import NotLieElementError
 
 
@@ -97,7 +97,7 @@ def standard_bracketing(alphabet: Alphabet, lw: LyndonWord | Word) -> NCPoly:
     word = lw.word if isinstance(lw, LyndonWord) else tuple(lw)
     if not is_lyndon(word):
         raise ValueError(f"{word} is not a Lyndon word")
-    return NCPoly(alphabet, {w: Fraction(c) for w, c in _standard_bracketing_word(word).items()})
+    return NCPoly(alphabet, _standard_bracketing_word(word))
 
 
 @dataclass(frozen=True)
@@ -114,14 +114,14 @@ def to_lie_coordinates(p: NCPoly) -> LieCoordinates:
     Repeatedly reads the lexicographically least remaining word; by
     unitriangularity it must be Lyndon with the coordinate as coefficient,
     and subtracting that bracketing only leaves larger words.  The
-    elimination runs in place on integers (p scaled by the lcm D of its
-    denominators), visiting words through a heap.
+    elimination runs in place on a copy of the integer numerators of p,
+    visiting words through a heap.
     """
     if not p.is_homogeneous():
         raise ValueError("to_lie_coordinates requires a homogeneous polynomial")
     if not p:
         return LieCoordinates(0, {})
-    residual, scale = integer_form(p.terms)
+    residual, scale = dict(p.numerators), p.scale
     heap = list(residual)
     heapify(heap)
     coords: dict[Word, Fraction] = {}
@@ -143,7 +143,7 @@ def to_lie_coordinates(p: NCPoly) -> LieCoordinates:
             else:
                 residual[w] = acc - coeff * c
     if residual:
-        raise NotLieElementError(from_integer_form(p.alphabet, residual, scale))
+        raise NotLieElementError(NCPoly._raw(p.alphabet, residual, scale))
     return LieCoordinates(p.max_degree(), coords)
 
 

@@ -42,10 +42,9 @@ from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 
-from .algebra import XY, Alphabet, NCPoly, Word, bracket, integer_form, letter_part
-from .algebra import sum_integer_forms
+from .algebra import XY, Alphabet, NCPoly, Word, bracket, letter_part, weighted_sum
 from .idempotents import dynkin, kernel_generator
-from .kv import SWAP, BchSeries, bch_eulerian
+from .kv import BchSeries, bch_eulerian
 from .kv import op_exp_ad_minus_one, phi_split
 from .linalg import independent_subset, nullspace_dimension, rank, solve_affine
 from .lyndon import lyndon_words, standard_bracketing, to_lie_coordinates
@@ -56,6 +55,7 @@ _ZERO = Fraction(0)
 X = NCPoly.letter(XY, "x")
 Y = NCPoly.letter(XY, "y")
 MINUS_X = -X
+SWAP = {"x": "y", "y": "x"}
 
 
 # -- word maps and the co-shuffle ----------------------------------------------
@@ -67,7 +67,7 @@ def apply_word_map(p: NCPoly, word_map) -> NCPoly:
     for word, coeff in p.terms.items():
         for w2, c2 in word_map(word).items():
             terms[w2] = terms.get(w2, _ZERO) + coeff * c2
-    return NCPoly._raw(p.alphabet, {w: c for w, c in terms.items() if c})
+    return NCPoly(p.alphabet, terms)
 
 
 class TensorSquare:
@@ -249,7 +249,7 @@ def kernel_generator_explicit(alphabet, word: Word) -> NCPoly:
         for images in descent_class_images(n, k):
             permuted = tuple(rev[s - 1] for s in images)
             counts[permuted] = counts.get(permuted, 0) + sign
-    return NCPoly(alphabet, {w: Fraction(c) for w, c in counts.items()})
+    return NCPoly(alphabet, counts)
 
 
 def dynkin_kernel_basis(alphabet, n: int) -> list[NCPoly]:
@@ -291,8 +291,8 @@ def bch_permutation_oracle(order: int) -> BchSeries:
             if m >= 2 and i in (0, m) and value:
                 raise AssertionError(f"e on the pure power word of degree {m} did not vanish")
             weight = Fraction(1, factorial(i) * factorial(m - i))
-            items.append((weight, *integer_form(value.terms)))
-        parts.append(sum_integer_forms(XY, items))
+            items.append((weight, value))
+        parts.append(weighted_sum(XY, items))
     return BchSeries(GradedSeries._raw(XY, order, parts))
 
 

@@ -1,10 +1,9 @@
 """Exact scalar arithmetic: rationals, Bernoulli numbers, and small number theory
 (binomials, the Moebius function, Witt's dimension formula).
 
-All coefficients in this package are exact rationals.  ``Rational`` is an
-alias for :class:`fractions.Fraction`, which already guarantees the canonical
-form we rely on everywhere (lowest terms, positive denominator, zero stored
-as 0/1), so polynomial equality reduces to term-by-term comparison.
+All scalars in this package are exact rationals; ``Rational`` is an alias for
+:class:`fractions.Fraction`.  Polynomials keep integer numerators over one
+reduced denominator instead (:class:`kvlie.algebra.NCPoly`).
 
 Bernoulli numbers follow the generating function t/(e^t - 1), i.e. B1 = -1/2.
 This is the convention under which the operator series Ber(x) = sum_k B_k
@@ -15,33 +14,27 @@ identity is what the test suite uses to pin the sign convention.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
+from functools import lru_cache
 
 Rational = Fraction
 
-_bernoulli_values: list[Fraction] = [Fraction(1)]
-_bernoulli_lock = threading.Lock()
 
-
+@lru_cache(maxsize=None)
 def bernoulli(k: int) -> Fraction:
     """k-th Bernoulli number, convention t/(e^t - 1) (so bernoulli(1) == -1/2).
 
-    Computed by the recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1,
-    with the whole prefix cached.
+    Computed by the recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1.
+    The prefix is filled in increasing index order first, so every call below
+    this one finds its own prefix cached and the recursion is one level deep.
     """
     if k < 0:
         raise ValueError("Bernoulli index must be non-negative")
-    if k >= len(_bernoulli_values):
-        with _bernoulli_lock:
-            values = list(_bernoulli_values)
-            for m in range(len(values), k + 1):
-                acc = sum(
-                    Fraction(math.comb(m + 1, j)) * values[j] for j in range(m)
-                )
-                values.append(-acc / (m + 1))
-            _bernoulli_values[:] = values
-    return _bernoulli_values[k]
+    if k == 0:
+        return Fraction(1)
+    for m in range(1, k):
+        bernoulli(m)
+    return -sum(math.comb(k + 1, j) * bernoulli(j) for j in range(k)) / (k + 1)
 
 
 def binomial(n: int, k: int) -> int:

@@ -5,10 +5,9 @@ and never reads above its truncation order.  exp and log are the truncated
 formal exponential/logarithm used as the direct-expansion oracle for the
 Baker-Campbell-Hausdorff series.
 
-Products and weighted power sums run on one integer kernel: components are
-held as integer numerators over the lcm of their denominators, accumulated in
-``int`` over one denominator per output degree, with one ``Fraction`` per
-output word at the end.  ``_power_sum`` (sum_k w_k s^k) carries exp and log,
+Products and weighted power sums run on the integer numerators of the
+components, accumulated in ``int`` over one common denominator per output
+degree.  ``_power_sum`` (sum_k w_k s^k) carries exp and log,
 ``_ad_power_sum`` (sum_k w_k ad(b)^k s) the operators ad, E and Ber.
 """
 
@@ -18,10 +17,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterator, Mapping, Sequence
 
-from .algebra import Alphabet, Frozen, NCPoly, Word, from_integer_form, integer_form, substitute
-from .algebra import sum_integer_forms, to_text
-
-IntegerParts = list[tuple[dict[Word, int], int]]
+from .algebra import Alphabet, Frozen, NCPoly, Word, substitute, to_text, weighted_sum
 
 
 class GradedSeries(Frozen):
@@ -130,10 +126,7 @@ class GradedSeries(Frozen):
         if not isinstance(other, GradedSeries):
             return self.scaled(other)
         self._check_compatible(other)
-        product = _integer_product(_integer_parts(self), _integer_parts(other))
-        return GradedSeries._raw(
-            self.alphabet, self.order, [from_integer_form(self.alphabet, *p) for p in product]
-        )
+        return GradedSeries._raw(self.alphabet, self.order, _product(self.parts, other.parts))
 
     def __rmul__(self, scalar):
         return self.scaled(scalar)
@@ -142,8 +135,10 @@ class GradedSeries(Frozen):
 
     def truncate(self, order: int) -> "GradedSeries":
         """Discard all components above ``order`` (or zero-pad up to it)."""
-        keep = min(order, self.order)
-        return GradedSeries(self.alphabet, order, list(self.parts[: keep + 1]))
+        if order < 0:
+            raise ValueError("truncation order must be >= 0")
+        parts = self.parts[: order + 1] + (NCPoly.zero(self.alphabet),) * (order - self.order)
+        return GradedSeries._raw(self.alphabet, order, parts)
 
     def substitute(self, images: Mapping[str, str]) -> "GradedSeries":
         return GradedSeries._raw(
@@ -151,10 +146,7 @@ class GradedSeries(Frozen):
         )
 
     def to_poly(self) -> NCPoly:
-        total = NCPoly.zero(self.alphabet)
-        for p in self.parts:
-            total = total + p
-        return total
+        return weighted_sum(self.alphabet, [(1, p) for p in self.parts])
 
     def is_zero(self) -> bool:
         return not any(self.parts)
@@ -176,77 +168,67 @@ class GradedSeries(Frozen):
 # -- the integer kernel ---------------------------------------------------------
 
 
-def _integer_parts(s: GradedSeries) -> IntegerParts:
-    return [integer_form(p.terms) for p in s.parts]
-
-
-def _integer_product(left: IntegerParts, right: IntegerParts) -> IntegerParts:
-    """Truncated product of two series in integer form, one lcm denominator per degree."""
-    out: IntegerParts = []
+def _product(left: Sequence[NCPoly], right: Sequence[NCPoly]) -> list[NCPoly]:
+    """Truncated product of two component sequences, one lcm denominator per degree."""
+    out = []
     for m in range(len(left)):
-        pairs = [(left[a], right[m - a]) for a in range(m + 1) if left[a][0] and right[m - a][0]]
-        common = lcm(*(da * db for (_, da), (_, db) in pairs))
+        pairs = [(left[a], right[m - a]) for a in range(m + 1) if left[a] and right[m - a]]
+        common = lcm(*(a.scale * b.scale for a, b in pairs))
         acc: dict[Word, int] = {}
-        for (na, da), (nb, db) in pairs:
-            factor = common // (da * db)
-            for wa, ca in na.items():
+        for a, b in pairs:
+            factor = common // (a.scale * b.scale)
+            for wa, ca in a.numerators.items():
                 ca *= factor
-                for wb, cb in nb.items():
+                for wb, cb in b.numerators.items():
                     word = wa + wb
                     acc[word] = acc.get(word, 0) + ca * cb
-        out.append(({w: c for w, c in acc.items() if c}, common))
+        out.append(NCPoly._raw(left[0].alphabet, {w: c for w, c in acc.items() if c}, common))
     return out
 
 
 def _power_sum(s: GradedSeries, weights: Sequence) -> GradedSeries:
     """sum_k weights[k] * s^k, truncated at the order of s (component 0 of s
     must vanish, so s^k starts in degree k and k <= order suffices)."""
-    base = _integer_parts(s)
-    power: IntegerParts = [({(): 1}, 1)] + [({}, 1)] * s.order
+    power = GradedSeries.one(s.alphabet, s.order).parts
     terms: list[list] = [[] for _ in range(s.order + 1)]
     for k, weight in enumerate(weights[: s.order + 1]):
         if k:
-            power = _integer_product(power, base)
-        if not any(nums for nums, _ in power):
+            power = _product(power, s.parts)
+        if not any(power):
             break
-        for d, (nums, scale) in enumerate(power):
-            terms[d].append((weight, nums, scale))
-    return GradedSeries._raw(s.alphabet, s.order, [sum_integer_forms(s.alphabet, t) for t in terms])
+        for d, p in enumerate(power):
+            terms[d].append((weight, p))
+    return GradedSeries._raw(s.alphabet, s.order, [weighted_sum(s.alphabet, t) for t in terms])
 
 
-def _ad_power_sum(base: NCPoly, s: GradedSeries | IntegerParts, weights: Sequence) -> GradedSeries:
+def _ad_power_sum(base: NCPoly, s: GradedSeries, weights: Sequence) -> GradedSeries:
     """sum_k weights[k] * ad(base)^k s, truncated at the order of s.
 
     ``base`` must be homogeneous of degree 1 (any rational combination of
-    letters, zero included); ad(base)^k of a component scaled to integers
-    stays in integers, with the base's own denominator once per power.  ``s``
-    is a series over the alphabet of ``base`` or, from a kernel that already
-    holds them, its integer parts: (numerators, scale) for degrees 0..order.
+    letters, zero included); ad(base)^k of a component stays in integers,
+    with the base's own denominator once per power.
     """
     if base and (not base.is_homogeneous() or base.max_degree() != 1):
         raise ValueError("operator base must be homogeneous of degree 1")
-    if isinstance(s, GradedSeries):
-        base._check_same_alphabet(s.parts[0])
-        s = _integer_parts(s)
-    order = len(s) - 1
-    coeffs, base_scale = integer_form(base.terms)
-    letters = list(coeffs.items())
-    terms: list[list] = [[] for _ in range(order + 1)]
-    for d, (nums, scale) in enumerate(s):
-        for k, weight in enumerate(weights[: order + 1 - d]):
+    alphabet = base.alphabet
+    base._check_same_alphabet(s.parts[0])
+    letters = list(base.numerators.items())
+    terms: list[list] = [[] for _ in range(s.order + 1)]
+    for d, part in enumerate(s.parts):
+        for k, weight in enumerate(weights[: s.order + 1 - d]):
             if k:
                 out: dict[Word, int] = {}
-                for word, c in nums.items():
+                for word, c in part.numerators.items():
                     for letter, b in letters:
                         left, right = letter + word, word + letter
                         out[left] = out.get(left, 0) + b * c
                         out[right] = out.get(right, 0) - b * c
                 nums = {w: c for w, c in out.items() if c}
-                scale *= base_scale
-            if not nums:
+                part = NCPoly._raw(alphabet, nums, part.scale * base.scale)
+            if not part:
                 break
-            terms[d + k].append((weight, nums, scale))
-    return GradedSeries._raw(base.alphabet, order, [sum_integer_forms(base.alphabet, t) for t in terms])
+            terms[d + k].append((weight, part))
+    return GradedSeries._raw(alphabet, s.order, [weighted_sum(alphabet, t) for t in terms])
 
 
 def series_exp(s: GradedSeries) -> GradedSeries:

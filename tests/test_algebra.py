@@ -1,8 +1,13 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvlie.algebra import (
     XY,
@@ -12,6 +17,7 @@ from kvlie.algebra import (
     ad_pow,
     bracket,
     concat,
+    default_alphabet,
     from_json_terms,
     letter_part,
     parse_poly,
@@ -225,3 +231,108 @@ def test_homogeneous_component():
     assert p.homogeneous_component(2) == parse_poly(XY, "xy")
     assert not p.homogeneous_component(5)
     assert not X.homogeneous_component(5)
+
+
+# -- the integer representation against a naive Fraction-dict reference --------
+
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6, 9, 10]))
+
+
+def word_dicts(k):
+    """Words of length 0..4 over k letters with rational coefficients, zeros included."""
+    words = st.lists(st.integers(0, k - 1), max_size=4).map(tuple)
+    return st.dictionaries(words, RATIONALS, max_size=8)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """(alphabet, a, b): two coefficient dicts over 2 or 3 letters, b cancelling
+    some words of a."""
+    k = draw(st.sampled_from([2, 3]))
+    a, b = draw(word_dicts(k)), draw(word_dicts(k))
+    for word in draw(st.lists(st.sampled_from(sorted(a)), unique=True)) if a else []:
+        b[word] = -a[word]
+    return default_alphabet(k), a, b
+
+
+def reference(terms):
+    return {w: Fraction(c) for w, c in terms.items() if c}
+
+
+def reference_add(a, b, sign=1):
+    out = dict(reference(a))
+    for w, c in b.items():
+        out[w] = out.get(w, Fraction(0)) + sign * c
+    return reference(out)
+
+
+def reference_concat(a, b):
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            out[wa + wb] = out.get(wa + wb, Fraction(0)) + ca * cb
+    return reference(out)
+
+
+def reference_substitute(a, table):
+    out = {}
+    for w, c in a.items():
+        sign = 1
+        for i in w:
+            sign *= table[i][1]
+        image = tuple(table[i][0] for i in w)
+        out[image] = out.get(image, Fraction(0)) + sign * c
+    return reference(out)
+
+
+@settings(deadline=None, max_examples=100)
+@given(polynomial_pairs(), RATIONALS, st.integers(0, 4), st.data())
+def test_operations_match_the_fraction_reference(pair, scalar, degree, data):
+    alphabet, a, b = pair
+    p, q = NCPoly(alphabet, a), NCPoly(alphabet, b)
+    assert dict(p.terms) == reference(a)
+    assert dict((p + q).terms) == reference_add(a, b)
+    assert dict((p - q).terms) == reference_add(a, b, -1)
+    assert dict((-p).terms) == {w: -c for w, c in reference(a).items()}
+    assert dict(p.scaled(scalar).terms) == reference({w: scalar * c for w, c in a.items()})
+    assert dict(concat(p, q).terms) == reference_concat(a, b)
+    for i, letter in enumerate(alphabet.letters):
+        expected = reference({w[1:]: c for w, c in a.items() if w and w[0] == i})
+        assert dict(letter_part(p, letter).terms) == expected
+    assert dict(p.homogeneous_component(degree).terms) == reference(
+        {w: c for w, c in a.items() if len(w) == degree}
+    )
+    table = {
+        i: (data.draw(st.integers(0, alphabet.size - 1)), data.draw(st.sampled_from([1, -1])))
+        for i in range(alphabet.size)
+    }
+    images = {
+        alphabet.letters[i]: ("-" if sign < 0 else "") + alphabet.letters[j]
+        for i, (j, sign) in table.items()
+    }
+    assert dict(substitute(p, images).terms) == reference_substitute(a, table)
+
+
+@settings(deadline=None, max_examples=100)
+@given(polynomial_pairs(), st.integers(1, 12))
+def test_equal_values_share_one_canonical_form(pair, factor):
+    alphabet, a, b = pair
+    p, q = NCPoly(alphabet, a), NCPoly(alphabet, b)
+    terms = reference(a)
+    scale = lcm(*(c.denominator for c in terms.values())) * factor
+    unreduced = NCPoly._raw(alphabet, {w: int(c * scale) for w, c in terms.items()}, scale)
+    copies = (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p)))
+    for value in (unreduced, p + q - q, *copies):
+        assert value == p and hash(value) == hash(p)
+        assert value.scale == p.scale and dict(value.numerators) == dict(p.numerators)
+    assert p.scale > 0 and gcd(p.scale, *p.numerators.values()) == 1
+    assert all(p.numerators.values())
+    for value in (p, *copies):
+        with pytest.raises(TypeError):
+            value.terms[(0,)] = Fraction(1)
+        with pytest.raises(TypeError):
+            value.numerators[(0,)] = 1
+        for name in ("terms", "numerators", "scale", "alphabet"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        assert value == p

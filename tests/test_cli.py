@@ -157,6 +157,14 @@ def test_solution_self_verifies(capsys):
     assert "1/3*x" in lines[0]
 
 
+@pytest.mark.parametrize("flag", ["--lambda1", "--lambda2"])
+def test_negative_rational_flag_value_in_its_own_argument(capsys, flag):
+    argv = ["solution", "--kernel-poly", "xyxy", "--degree", "4"]
+    joined = run(capsys, *argv, f"{flag}=-1/2")
+    assert joined[0] == 0 and joined[1] != run(capsys, *argv)[1]
+    assert run(capsys, *argv, flag, "-1/2") == joined
+
+
 def test_solution_json(capsys):
     code, out, _ = run(
         capsys, "solution", "--degree", "3", "--format", "json"

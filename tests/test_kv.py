@@ -26,7 +26,6 @@ from kvlie.idempotents import (
 )
 from kvlie.kv import (
     NEGATE_SWAP,
-    SWAP,
     BchSeries,
     KvSolutionPair,
     _certify_lie,
@@ -54,6 +53,7 @@ from kvlie.kv import (
 from kvlie.linalg import nullspace_dimension, rank
 from kvlie.lyndon import is_lie_element, lyndon_words, standard_bracketing, to_lie_coordinates
 from kvlie.oracles import (
+    SWAP,
     bch_permutation_oracle,
     dynkin_kernel_basis,
     kernel_parameterized_leading_dim,
@@ -408,9 +408,9 @@ def test_verifiers_refuse_a_bch_series_of_lower_order():
 
 def test_clear_caches_resets_bernoulli_memo():
     assert scalars.bernoulli(12) == Fraction(-691, 2730)
-    assert len(scalars._bernoulli_values) > 1
+    assert scalars.bernoulli.cache_info().currsize > 1
     clear_caches()
-    assert scalars._bernoulli_values == [Fraction(1)]
+    assert scalars.bernoulli.cache_info().currsize == 0
     assert scalars.bernoulli(12) == Fraction(-691, 2730)
 
 

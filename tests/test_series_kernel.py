@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvlie.algebra import XY, NCPoly, bracket, default_alphabet, parse_poly
-from kvlie.kv import SWAP, KvSolutionPair, bch_eulerian, general_solution, op_ad, op_bernoulli
+from kvlie.kv import KvSolutionPair, bch_eulerian, general_solution, op_ad, op_bernoulli
 from kvlie.kv import op_exp_ad_minus_one, phi_split, verify_homogeneous, verify_kv1
 from kvlie.kv import verify_multilinear, verify_split
+from kvlie.oracles import SWAP
 from kvlie.series import GradedSeries, series_exp, series_log
 
 COEFFS = st.builds(
