@@ -25,16 +25,15 @@ def bernoulli(k: int) -> Fraction:
     """k-th Bernoulli number, convention t/(e^t - 1) (so bernoulli(1) == -1/2).
 
     Computed by the recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1.
-    The prefix is filled in increasing index order first, so every call below
-    this one finds its own prefix cached and the recursion is one level deep.
+    The prefix is read in increasing index order, so every call below this
+    one finds its own prefix cached and the recursion is one level deep.
     """
     if k < 0:
         raise ValueError("Bernoulli index must be non-negative")
     if k == 0:
         return Fraction(1)
-    for m in range(1, k):
-        bernoulli(m)
-    return -sum(math.comb(k + 1, j) * bernoulli(j) for j in range(k)) / (k + 1)
+    prefix = [bernoulli(j) for j in range(k)]
+    return -sum(math.comb(k + 1, j) * b for j, b in enumerate(prefix)) / (k + 1)
 
 
 def binomial(n: int, k: int) -> int:
