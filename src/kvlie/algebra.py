@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .scalars import parse_rational
 
@@ -259,10 +259,7 @@ class NCPoly(Frozen):
 
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
         """Terms in the canonical order: by degree, then lexicographically."""
-        return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))
-
-    def constant_term(self) -> Fraction:
-        return self.coefficient(EMPTY_WORD)
+        return [(word, Fraction(num, den)) for word, num, den in _reduced_terms(self)]
 
 
 _ZERO = Fraction(0)
@@ -365,19 +362,33 @@ def weighted_sum(alphabet: Alphabet, items) -> NCPoly:
 # -- text, JSON and LaTeX forms ----------------------------------------------
 
 
+def _reduced_terms(p: NCPoly) -> Iterator[tuple[Word, int, int]]:
+    """(word, numerator, denominator) of each coefficient in lowest terms, in
+    the canonical order: by degree, then lexicographically; one gcd per word."""
+    scale = p.scale
+    for word, c in sorted(p.numerators.items(), key=lambda item: (len(item[0]), item[0])):
+        g = gcd(c, scale)
+        yield word, c // g, scale // g
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """num/den in lowest terms, written as ``str`` writes a ``Fraction``."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def _signed_terms(p: NCPoly, body) -> str:
-    """The canonical terms of p joined with signs; body(|c|, word text) renders one."""
+    """The canonical terms of p joined with signs; body(|num|, den, word) renders one."""
     pieces: list[str] = []
-    for k, (word, coeff) in enumerate(p.sorted_terms()):
-        sign = ("-" if coeff < 0 else "") if k == 0 else ("- " if coeff < 0 else "+ ")
-        pieces.append(sign + body(abs(coeff), p.alphabet.word_text(word)))
+    for k, (word, num, den) in enumerate(_reduced_terms(p)):
+        sign = ("-" if num < 0 else "") if k == 0 else ("- " if num < 0 else "+ ")
+        pieces.append(sign + body(abs(num), den, p.alphabet.word_text(word)))
     return " ".join(pieces) or "0"
 
 
-def _text_body(mag: Fraction, wtext: str) -> str:
+def _text_body(num: int, den: int, wtext: str) -> str:
     if not wtext:
-        return str(mag)
-    return wtext if mag == 1 else f"{mag}*{wtext}"
+        return _ratio_text(num, den)
+    return wtext if num == den == 1 else f"{_ratio_text(num, den)}*{wtext}"
 
 
 def to_text(p: NCPoly) -> str:
@@ -387,8 +398,8 @@ def to_text(p: NCPoly) -> str:
 
 def to_json_terms(p: NCPoly) -> list[dict[str, str]]:
     return [
-        {"word": p.alphabet.word_text(word), "coeff": str(coeff)}
-        for word, coeff in p.sorted_terms()
+        {"word": p.alphabet.word_text(word), "coeff": _ratio_text(num, den)}
+        for word, num, den in _reduced_terms(p)
     ]
 
 
@@ -400,11 +411,11 @@ def from_json_terms(alphabet: Alphabet, items: Iterable[Mapping[str, str]]) -> N
     return NCPoly(alphabet, terms)
 
 
-def _latex_body(mag: Fraction, wtext: str) -> str:
-    if mag.denominator == 1:
-        ctext = "" if mag == 1 else str(mag)
+def _latex_body(num: int, den: int, wtext: str) -> str:
+    if den == 1:
+        ctext = "" if num == 1 else str(num)
     else:
-        ctext = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+        ctext = f"\\frac{{{num}}}{{{den}}}"
     return (ctext + wtext) or "1"
 
 

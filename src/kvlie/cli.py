@@ -128,6 +128,8 @@ def _cmd_f0(args) -> int:
 
 def _cmd_verify(args) -> int:
     n = args.degree
+    if args.format is not None:
+        raise SystemExit("kvlie: verify prints one status line and reads no --format")
     for flag, value, readers in (("--kernel-poly", args.kernel_poly, ("kv1", "homogeneous")),
                                  ("--vars", args.vars, ("multilinear",))):
         if value is not None and args.equation not in readers:
@@ -154,7 +156,7 @@ def _cmd_verify(args) -> int:
         k = 3 if args.vars is None else args.vars
         _check_vars(k)
         solutions = multilinear_particular_solution(k, n)
-        defect = verify_multilinear(solutions, n, phi=bch_eulerian(n + 1, k))
+        defect = verify_multilinear(solutions, n)
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(f"kvlie: unknown equation {args.equation!r}")
     if defect.is_zero():
@@ -241,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check an identity; exit 1 on any defect")
     common(p_verify)
+    p_verify.set_defaults(format=None)  # None unless given, so that --format is refused
     p_verify.add_argument("--equation", choices=("kv1", "split", "homogeneous", "multilinear"),
                           required=True)
     p_verify.add_argument("--kernel-poly", default=None,

@@ -16,10 +16,12 @@ whose case k = 2 with (F_1, F_2) = (F, -G) is the equation above.
 
 The production BCH series is ``bch_eulerian``: the Eulerian idempotent on
 power words in Goldberg's closed form (:func:`kvlie.idempotents.bch_component`),
-whose components are certified Lie once each.  The two-variable objects are
-the k = 2 case of the multilinear ones: F0 and the multilinear F_i come from
-one integer route over those components (``multilinear_f0``; ``f0`` is its
-case i = 1, k = 2), and every verifier subtracts the one operator sum
+whose components are certified Lie once each; no verifier takes a BCH
+series as an argument.  The two-variable objects are the k = 2 case of the
+multilinear ones.  One letter-nested series b_{n-1} = r((Phi_n)_z) / n gives
+both the z-leading Dynkin share gamma(z (Phi_n)_z) = [z, b_{n-1}] and, on the
+reversed BCH tail, F_i = (-1)^i Ber((-1)^i x_i) b (``multilinear_f0``; ``f0``
+is its case i = 1, k = 2).  Every verifier subtracts the one operator sum
 sum_i E((-1)^i x_i) F_i, of which the split equation is the one-term case.
 ``bch_oracle`` (log of a product of exponentials) stays here because
 ``kvlie bch --method oracle|both`` prints it.  The other oracles -- BCH
@@ -30,8 +32,9 @@ solves, and the dimension counts of the solution space -- live in
 Argument-order discipline: a ``BchSeries`` is certified Lie.  Reversed
 orders, such as the recurring (y, x), are never re-derived:
 log(e^x_k ... e^x_1) = -Z(-x_1, ..., -x_k), so component n of the reversed
-series is (-1)^(n+1) Z_n.  Identity checks return full graded defect series
-so that a failure is diagnosable term by term.
+series is (-1)^(n+1) Z_n, held once per series as ``reversed_tail``.
+Identity checks return full graded defect series so that a failure is
+diagnosable term by term.
 """
 
 from __future__ import annotations
@@ -102,24 +105,15 @@ class BchSeries:
     def component(self, degree: int) -> NCPoly:
         return self.series.component(degree)
 
-    def reversed_arguments(self) -> GradedSeries:
-        """The series at the reversed variable tuple: log(e^x_k ... e^x_1) is
+    @cached_property
+    def reversed_tail(self) -> GradedSeries:
+        """sum_{n>=2} Phi_n(x_k, ..., x_1): log(e^x_k ... e^x_1) is
         -Z(-x_1, ..., -x_k), so component n is (-1)^(n+1) Z_n.  Computed once
         per BchSeries and shared, as every GradedSeries is immutable."""
-        return self._reversed
-
-    @cached_property
-    def _reversed(self) -> GradedSeries:
         s = self.series
-        return GradedSeries._raw(s.alphabet, s.order, [p if n % 2 else -p for n, p in enumerate(s.parts)])
-
-    def reversed_tail(self, order: int) -> GradedSeries:
-        """sum_{2 <= n <= order} Phi_n(x_k, ..., x_1)."""
-        zero = NCPoly.zero(self.series.alphabet)
-        parts = self.reversed_arguments().parts
-        return GradedSeries._raw(
-            self.series.alphabet, order, [parts[n] if n >= 2 else zero for n in range(order + 1)]
-        )
+        zero = NCPoly.zero(s.alphabet)
+        tail = [p if n % 2 else -p for n, p in enumerate(s.parts[2:], 2)]
+        return GradedSeries._raw(s.alphabet, s.order, [zero, zero][: s.order + 1] + tail)
 
 
 def _certify_lie(series: GradedSeries) -> None:
@@ -163,15 +157,24 @@ def bch_oracle(order: int, k: int = 2) -> BchSeries:
 # -- the split of the BCH series ----------------------------------------------
 
 
-def _leading_share(s: GradedSeries, letter: str) -> GradedSeries:
-    """The z-leading Dynkin share gamma(z (s_n)_z) of each component n >= 2,
-    for z = ``letter``; over the letters these shares sum to s_n when s_n is
-    a Lie element."""
+def _letter_nested(s: GradedSeries, letter: str) -> GradedSeries:
+    """The series b with b_d = r((s_{d+1})_z) / (d+1) for 1 <= d < s.order and
+    z = ``letter``, zero elsewhere: gamma(z (s_{d+1})_z) = [z, b_d], and
+    -Ber(-x) b solves E(-x) F = ad(x) b.  The one reader of the letter
+    decomposition of a series, on its integer numerators."""
     alphabet = s.alphabet
-    z = NCPoly.letter(alphabet, letter)
-    zero = NCPoly.zero(alphabet)
-    shares = [dynkin(concat(z, letter_part(s.parts[n], letter))) for n in range(2, s.order + 1)]
-    return GradedSeries._raw(alphabet, s.order, [zero, zero][: s.order + 1] + shares)
+    parts = [NCPoly.zero(alphabet)] * (s.order + 1)
+    for d in range(1, s.order):
+        part = letter_part(s.parts[d + 1], letter)
+        parts[d] = NCPoly._raw(alphabet, _right_nested(part.numerators), (d + 1) * part.scale)
+    return GradedSeries._raw(alphabet, s.order, parts)
+
+
+def _leading_share(s: GradedSeries, letter: str) -> GradedSeries:
+    """The z-leading Dynkin share gamma(z (s_n)_z) = [z, b_{n-1}] of each
+    component n >= 2, for z = ``letter``; over the letters these shares sum to
+    s_n when s_n is a Lie element."""
+    return op_ad(NCPoly.letter(s.alphabet, letter), _letter_nested(s, letter))
 
 
 def phi_split(phi: BchSeries) -> tuple[GradedSeries, GradedSeries]:
@@ -189,42 +192,32 @@ def phi_split(phi: BchSeries) -> tuple[GradedSeries, GradedSeries]:
 # -- the particular solution ----------------------------------------------------
 
 
-def multilinear_f0(index: int, k: int, order: int, phi: BchSeries | None = None) -> GradedSeries:
+def multilinear_f0(index: int, k: int, order: int) -> GradedSeries:
     """The i-th component of the particular solution of the multilinear equation.
 
-    With Phi_m(x_k..x_1) = (-1)^(m+1) Phi_m the reversed BCH components,
+    With b the letter-nested series of the reversed BCH tail
+    sum_m Phi_m(x_k..x_1) at the letter x_i,
 
-        b_d = r((Phi_{d+1}(x_k..x_1))_{x_i}) / (d+1) = (d/(d+1)) gamma(...),
+        b_d = r((Phi_{d+1}(x_k..x_1))_{x_i}) / (d+1),
         F_{i,0} = (-1)^i Ber((-1)^i x_i) b,
 
-    which solves E((-1)^i x_i) F_i = gamma(x_i (Phi_m(x_k..x_1))_{x_i}) summed
-    over m, the x_i-leading share of the reversed BCH tail; b is built on the
-    integer numerators of (Phi_{d+1})_{x_i}.
+    which solves E((-1)^i x_i) F_i = ad(x_i) b = gamma(x_i (Phi_m(x_k..x_1))_{x_i})
+    summed over m, the x_i-leading share of the reversed BCH tail.
     """
     if k < 2:
         raise ValueError("the multilinear equation needs at least two variables")
     if not 1 <= index <= k:
         raise ValueError(f"variable index {index} out of range for {k} variables")
-    phi = bch_eulerian(order + 1, k) if phi is None else phi
-    if phi.order < order + 1:
-        raise ValueError("need the BCH series one degree beyond the target order")
-    alphabet = phi.series.alphabet
-    letter = alphabet.letters[index - 1]
-    parts = [NCPoly.zero(alphabet)]
-    for d in range(1, order + 1):
-        part = letter_part(phi.component(d + 1), letter)
-        nested = _right_nested(part.numerators)
-        nested = {w: -c for w, c in nested.items()} if d % 2 else nested
-        parts.append(NCPoly._raw(alphabet, nested, (d + 1) * part.scale))
-    b = GradedSeries._raw(alphabet, order, parts)
+    alphabet = default_alphabet(k)
+    tail = bch_eulerian(order + 1, k).reversed_tail
+    b = _letter_nested(tail, alphabet.letters[index - 1]).truncate(order)
     sign = (-1) ** index
     weights = [sign * bernoulli(j) / factorial(j) for j in range(order + 1)]
     return _ad_power_sum(_signed_letter(alphabet, index), b, weights)
 
 
 def multilinear_particular_solution(k: int, order: int) -> list[GradedSeries]:
-    phi = bch_eulerian(order + 1, k)
-    return [multilinear_f0(i, k, order, phi=phi) for i in range(1, k + 1)]
+    return [multilinear_f0(i, k, order) for i in range(1, k + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -259,19 +252,15 @@ def particular_solution(order: int) -> KvSolutionPair:
 # -- verifiers: the tail against sum_i E((-1)^i x_i) F_i ---------------------------
 
 
-def _checked_order(order: int | None, available: int, what: str, phi: BchSeries | None = None) -> int:
+def _checked_order(order: int | None, available: int, what: str) -> int:
     """The order to verify through: ``order``, or ``available`` when None.
 
     Truncation is never mistaken for a defect: an order above what the
-    given series carry, or a ``phi`` of lower order, raises ValueError.
+    given series carry raises ValueError.
     """
     order = available if order is None else order
     if order > available:
         raise ValueError(f"order {order} is above the order {available} of the {what}")
-    if phi is not None and phi.order < order:
-        raise ValueError(
-            f"the BCH series has order {phi.order}, below the requested order {order}"
-        )
     return order
 
 
@@ -284,9 +273,7 @@ def _operator_sum(alphabet: Alphabet, solutions: list[GradedSeries], order: int)
     return sum(terms[1:], terms[0])
 
 
-def verify_multilinear(
-    solutions: list[GradedSeries], order: int | None = None, phi: BchSeries | None = None
-) -> GradedSeries:
+def verify_multilinear(solutions: list[GradedSeries], order: int | None = None) -> GradedSeries:
     """Defect of the multilinear first equation for a tuple (F_1, ..., F_k):
 
     sum_{m>=2} Phi_m(x_k, ..., x_1) - sum_i E((-1)^i x_i) F_i.
@@ -294,19 +281,19 @@ def verify_multilinear(
     k = len(solutions)
     if k < 2:
         raise ValueError("need at least two solution components")
-    order = _checked_order(order, min(F.order for F in solutions), "solution tuple", phi)
-    phi = bch_eulerian(order, k) if phi is None else phi
-    return phi.reversed_tail(order) - _operator_sum(phi.series.alphabet, solutions, order)
+    order = _checked_order(order, min(F.order for F in solutions), "solution tuple")
+    tail = bch_eulerian(order, k).reversed_tail
+    return tail - _operator_sum(tail.alphabet, solutions, order)
 
 
-def verify_kv1(pair: KvSolutionPair, order: int | None = None, phi: BchSeries | None = None) -> GradedSeries:
+def verify_kv1(pair: KvSolutionPair, order: int | None = None) -> GradedSeries:
     """Defect of the rewritten first equation:
 
     sum_{n>=2} Phi_n(y, x) - E(-x) F + E(y) G, the case k = 2 of
     :func:`verify_multilinear` with (F_1, F_2) = (F, -G); identically zero
     exactly for solutions of the Kashiwara-Vergne first equation.
     """
-    return verify_multilinear([pair.F, -pair.G], order, phi)
+    return verify_multilinear([pair.F, -pair.G], order)
 
 
 def verify_homogeneous(pair: KvSolutionPair, order: int | None = None) -> GradedSeries:
@@ -316,12 +303,11 @@ def verify_homogeneous(pair: KvSolutionPair, order: int | None = None) -> Graded
     return _operator_sum(XY, [pair.F, -pair.G], order)
 
 
-def verify_split(F: GradedSeries, order: int | None = None, phi: BchSeries | None = None) -> GradedSeries:
+def verify_split(F: GradedSeries, order: int | None = None) -> GradedSeries:
     """Defect of the split equation: Phi^-(y, x) - E(-x) F, where Phi^-(y, x)
     is the x-leading share of the reversed BCH tail."""
-    order = _checked_order(order, F.order, "series F", phi)
-    phi = bch_eulerian(order) if phi is None else phi
-    tail = phi.reversed_tail(order)
+    order = _checked_order(order, F.order, "series F")
+    tail = bch_eulerian(order).reversed_tail
     return _leading_share(tail, tail.alphabet.letters[0]) - _operator_sum(tail.alphabet, [F], order)
 
 

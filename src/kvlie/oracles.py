@@ -18,7 +18,8 @@ here share no kernel with it, so agreement term by term is evidence for both:
   through the S_n sum, against :func:`kvlie.kv.bch_eulerian` (the exp/log
   oracle :func:`kvlie.kv.bch_oracle` stays in ``kv`` because the CLI prints it);
 * ``solve_split_chain`` -- the particular solution by exact linear solves,
-  against :func:`kvlie.kv.f0`;
+  against :func:`kvlie.kv.f0`, with its right-hand side Phi^- built by
+  ``dynkin_via_descents``, not read from production;
 * ``operator_nullity``, ``leading_pair_nullity`` and
   ``kernel_parameterized_leading_dim`` -- dimension counts of the solution
   space;
@@ -45,7 +46,7 @@ from math import comb, factorial
 from .algebra import XY, Alphabet, NCPoly, Word, bracket, letter_part, weighted_sum
 from .idempotents import dynkin, kernel_generator
 from .kv import BchSeries, bch_eulerian
-from .kv import op_exp_ad_minus_one, phi_split
+from .kv import op_exp_ad_minus_one
 from .linalg import independent_subset, nullspace_dimension, rank, solve_affine
 from .lyndon import lyndon_words, standard_bracketing, to_lie_coordinates
 from .permutations import descent_class_images, sn_with_descents
@@ -311,8 +312,9 @@ def solve_split_chain(max_degree: int, phi: BchSeries | None = None) -> GradedSe
     phi = bch_eulerian(max_degree + 1) if phi is None else phi
     if phi.order < max_degree + 1:
         raise ValueError("need the BCH series one degree beyond the solve target")
-    _, minus = phi_split(phi)
-    target = minus.substitute(SWAP)
+    # Phi^-(x, y): the y-leading shares gamma(y (Phi_n)_y) by descent classes
+    minus = [dynkin_via_descents(Y * letter_part(p, "y")) for p in phi.series.parts[2:]]
+    target = GradedSeries(XY, phi.order, [NCPoly.zero(XY)] * 2 + minus).substitute(SWAP)
 
     parts = [NCPoly.zero(XY)]
     for d in range(1, max_degree + 1):

@@ -1,5 +1,5 @@
 """Exact scalar arithmetic: rationals, Bernoulli numbers, and small number theory
-(binomials, the Moebius function, Witt's dimension formula).
+(the Moebius function, Witt's dimension formula).
 
 All scalars in this package are exact rationals; ``Rational`` is an alias for
 :class:`fractions.Fraction`.  Polynomials keep integer numerators over one
@@ -34,12 +34,6 @@ def bernoulli(k: int) -> Fraction:
         return Fraction(1)
     prefix = [bernoulli(j) for j in range(k)]
     return -sum(math.comb(k + 1, j) * b for j, b in enumerate(prefix)) / (k + 1)
-
-
-def binomial(n: int, k: int) -> int:
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"binomial({n}, {k}) out of range")
-    return math.comb(n, k)
 
 
 def moebius(n: int) -> int:

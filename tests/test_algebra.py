@@ -97,13 +97,13 @@ def test_letter_part_reconstruction():
     for d in range(1, 6):
         for wt in product(range(2), repeat=d):
             p = NCPoly.from_word(XY, wt)
-            rebuilt = NCPoly(XY, {(): p.constant_term()})
+            rebuilt = NCPoly(XY, {(): p.coefficient(())})
             for sym in XY.letters:
                 rebuilt = rebuilt + concat(NCPoly.letter(XY, sym), letter_part(p, sym))
             assert rebuilt == p
     for _ in range(20):
         p = random_poly(rng, 4)
-        rebuilt = NCPoly(XY, {(): p.constant_term()})
+        rebuilt = NCPoly(XY, {(): p.coefficient(())})
         for sym in XY.letters:
             rebuilt = rebuilt + concat(NCPoly.letter(XY, sym), letter_part(p, sym))
         assert rebuilt == p

@@ -235,6 +235,8 @@ def test_output_determinism(capsys, tmp_path):
         (("verify", "--equation", "split", "--degree", "3", "--vars", "2"), "--vars is read only by"),
         (("verify", "--equation", "homogeneous", "--degree", "3", "--kernel-poly", "xy - yx",
           "--vars", "2"), "--vars is read only by"),
+        (("verify", "--equation", "kv1", "--degree", "3", "--format", "latex"),
+         "verify prints one status line and reads no --format"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):
@@ -246,13 +248,15 @@ def test_bad_input_exits_2_with_one_line(capsys, argv, message):
 
 
 def test_verify_multilinear_builds_the_bch_series_once(capsys):
-    # the order-(n+1) series of the particular solution also serves the check
-    from kvlie.kv import bch_eulerian, clear_caches
+    # each component of the order-(n+1) series is built and certified once;
+    # the check reads the first n of them from the same cache
+    from kvlie.idempotents import bch_component
+    from kvlie.kv import clear_caches
 
     clear_caches()
     code, out, _ = run(capsys, "verify", "--equation", "multilinear", "--vars", "3", "--degree", "5")
     assert code == 0 and out.startswith("verified:")
-    assert bch_eulerian.cache_info().currsize == 1
+    assert bch_component.cache_info().misses == 5 + 1
 
 
 def test_witt_counts_without_enumerating_lyndon_words(capsys):

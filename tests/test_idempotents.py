@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -30,7 +30,7 @@ from kvlie.oracles import (
     kernel_generator_explicit,
 )
 from kvlie.permutations import permute_word, reversal, sn_with_descents
-from kvlie.scalars import binomial, witt_dimension
+from kvlie.scalars import witt_dimension
 
 X = NCPoly.letter(XY, "x")
 Y = NCPoly.letter(XY, "y")
@@ -187,7 +187,7 @@ def test_x_part_restricted_permutation_sum():
                 if images[0] > i:
                     continue
                 permuted = tuple(w[s - 1] for s in images[1:])
-                c = Fraction((-1) ** d, n * binomial(n - 1, d))
+                c = Fraction((-1) ** d, n * comb(n - 1, d))
                 acc[permuted] = acc.get(permuted, 0) + c
             assert NCPoly(XY, acc) == expected, (i, j)
             # and the projected form with gamma applied to both sides

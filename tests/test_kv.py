@@ -152,7 +152,9 @@ def test_reversed_arguments_equal_the_letter_reversal(k, n):
     # log(e^x_k ... e^x_1) = -Z(-x_1, ..., -x_k): a sign per degree
     phi = bch_eulerian(n, k)
     letters = phi.series.alphabet.letters
-    assert phi.reversed_arguments() == phi.series.substitute(dict(zip(letters, reversed(letters))))
+    reversal = phi.series.substitute(dict(zip(letters, reversed(letters))))
+    assert phi.reversed_tail.parts[2:] == reversal.parts[2:]
+    assert not any(phi.reversed_tail.parts[:2])
 
 
 @pytest.fixture
@@ -164,13 +166,13 @@ def fresh_caches():
 
 def test_bch_component_certifies_the_goldberg_kernel(monkeypatch, fresh_caches):
     real = idempotents._run_sequences
-    reversed_phi = bch_eulerian(5, 3).reversed_arguments()
+    reversed_phi = bch_eulerian(5, 3).reversed_tail
     clear_caches()
     # ascents and descents swapped: the reversed-order series, still Lie
     monkeypatch.setattr(
         idempotents, "_run_sequences", lambda m, k: [(w, d, u) for w, u, d in real(m, k)]
     )
-    for n in range(1, 6):
+    for n in range(2, 6):
         assert bch_component(n, 3) == reversed_phi.component(n)
     clear_caches()
     # descents dropped: degree 2 becomes xy/2 + yx, not a Lie element
@@ -230,6 +232,17 @@ def test_phi_split_reconstructs_tail():
         assert plus.component(n) + minus.component(n) == phi.component(n)
         to_lie_coordinates(plus.component(n))
         to_lie_coordinates(minus.component(n))
+
+
+def test_phi_split_matches_the_descent_class_dynkin_map():
+    # the z-leading share gamma(z (Phi_n)_z), with gamma as the descent-class sum
+    phi = bch_eulerian(9)
+    plus, minus = phi_split(phi)
+    for z, share in (("x", plus), ("y", minus)):
+        letter = NCPoly.letter(XY, z)
+        for n in range(2, 10):
+            leading = concat(letter, letter_part(phi.component(n), z))
+            assert share.component(n) == oracles.dynkin_via_descents(leading)
 
 
 def test_phi_split_symmetry():
@@ -360,20 +373,20 @@ def test_verify_split():
     zero_defect = verify_split(GradedSeries.zero(XY, 5), 5)
     _, minus = phi_split(bch_eulerian(5))
     assert zero_defect == minus.substitute(SWAP)
-    # a BCH series above the requested order is truncated, as for verify_kv1
-    assert verify_split(F, 5, phi=bch_eulerian(7)).is_zero()
+    # a lower order is a plain truncation, as for verify_kv1
+    assert verify_split(F, 5).is_zero()
 
 
 def test_verify_split_builds_only_the_share_it_uses(monkeypatch):
-    # one Dynkin image per degree 2..6, the x-leading share of the reversed tail
+    # one right-nested pass per degree 2..6, the x-leading share of the reversed tail
     f0(6)
     calls = []
 
-    def counting(p):
-        calls.append(p)
-        return idempotents.dynkin(p)
+    def counting(terms):
+        calls.append(terms)
+        return idempotents._right_nested(terms)
 
-    monkeypatch.setattr(kv, "dynkin", counting)
+    monkeypatch.setattr(kv, "_right_nested", counting)
     assert verify_split(f0(6), 6).is_zero()
     assert len(calls) == 5
 
@@ -392,18 +405,6 @@ def test_verifiers_refuse_orders_above_their_input():
     # a lower order is a plain truncation and still verifies
     assert verify_kv1(particular_solution(6), 4).is_zero()
     assert verify_multilinear(sols, 2).is_zero()
-
-
-def test_verifiers_refuse_a_bch_series_of_lower_order():
-    pair = particular_solution(6)
-    low = bch_eulerian(4)
-    with pytest.raises(ValueError, match="order 4, below the requested order 6"):
-        verify_kv1(pair, 6, phi=low)
-    with pytest.raises(ValueError, match="order 4, below the requested order 6"):
-        verify_split(pair.F, 6, phi=low)
-    sols = multilinear_particular_solution(3, 4)
-    with pytest.raises(ValueError, match="order 3, below the requested order 4"):
-        verify_multilinear(sols, 4, phi=bch_eulerian(3, 3))
 
 
 def test_clear_caches_resets_bernoulli_memo():
@@ -467,18 +468,18 @@ def test_cached_results_are_read_only():
     assert bch_oracle(3).series.order == 3
     # the reversed BCH series is memoised on the cached BchSeries it came from
     phi = bch_eulerian(4, 3)
-    reversed_phi = phi.reversed_arguments()
+    reversed_phi = phi.reversed_tail
     reversed_snapshot = [dict(p.terms) for p in reversed_phi.parts]
     with pytest.raises(AttributeError):
         reversed_phi.parts = ()
     with pytest.raises(TypeError):
         reversed_phi.parts[3].terms[(0, 0, 0)] = Fraction(1)
     with pytest.raises(AttributeError):
-        phi._reversed = reversed_phi.truncate(2)
+        phi.reversed_tail = reversed_phi.truncate(2)
     with pytest.raises(AttributeError):
-        del phi._reversed
+        del phi.reversed_tail
     multilinear_particular_solution(3, 3)
-    assert bch_eulerian(4, 3).reversed_arguments() is reversed_phi
+    assert bch_eulerian(4, 3).reversed_tail is reversed_phi
     assert [dict(p.terms) for p in reversed_phi.parts] == reversed_snapshot
     clear_caches()
     assert f0(4) == expected
@@ -790,7 +791,7 @@ def test_multilinear_zero_tuple_defect():
     zeros = [GradedSeries.zero(A3, 4) for _ in range(3)]
     defect = verify_multilinear(zeros, 4)
     assert not defect.is_zero()
-    reversed_phi = bch_eulerian(4, 3).reversed_arguments()
+    reversed_phi = bch_eulerian(4, 3).reversed_tail
     for m in range(2, 5):
         assert defect.component(m) == reversed_phi.component(m)
 

@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from kvlie.scalars import (
     bernoulli,
-    binomial,
     moebius,
     parse_rational,
 )
@@ -40,7 +40,7 @@ def test_bernoulli_matches_akiyama_tanigawa():
 
 def test_bernoulli_recurrence_and_odd_zeros():
     for m in range(1, 20):
-        assert sum(Fraction(binomial(m + 1, j)) * bernoulli(j) for j in range(m + 1)) == 0
+        assert sum(Fraction(comb(m + 1, j)) * bernoulli(j) for j in range(m + 1)) == 0
     for k in range(3, 25, 2):
         assert bernoulli(k) == 0
 
@@ -48,15 +48,6 @@ def test_bernoulli_recurrence_and_odd_zeros():
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         bernoulli(-1)
-
-
-def test_binomial():
-    assert binomial(4, 2) == 6
-    assert binomial(7, 0) == 1
-    with pytest.raises(ValueError):
-        binomial(3, 5)
-    with pytest.raises(ValueError):
-        binomial(3, -1)
 
 
 def test_moebius():

@@ -147,14 +147,13 @@ def test_two_variable_defects_spelled_out(data):
     order = data.draw(st.integers(1, 5))
     F = data.draw(series(k=2, order=order))
     G = data.draw(series(k=2, order=order))
-    phi = bch_eulerian(order + data.draw(st.integers(0, 1)))
     E_F = op_exp_ad_minus_one(-X, F)
     E_G = op_exp_ad_minus_one(Y, G)
     pair = KvSolutionPair(F, G)
-    assert verify_kv1(pair, order, phi) == reversed_tail(2, order) - E_F + E_G
+    assert verify_kv1(pair, order) == reversed_tail(2, order) - E_F + E_G
     assert verify_homogeneous(pair, order) == E_F - E_G
     target = phi_split(bch_eulerian(order))[1].substitute(SWAP)
-    assert verify_split(F, order, phi) == target - E_F
+    assert verify_split(F, order) == target - E_F
 
 
 @settings(deadline=None, max_examples=15)
