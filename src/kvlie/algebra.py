@@ -7,7 +7,11 @@ nonzero rationals, stored as integer numerators over one positive denominator
 in lowest terms: the form every kernel computes in, so ``Fraction``
 coefficients are built only where terms are read, printed or parsed.  The
 concatenation product, the Lie bracket, letter-part extraction, signed letter
-substitution, weighted sums, and the text, JSON and LaTeX forms all live here.
+substitution, weighted sums, and the text, JSON and LaTeX forms all live here,
+with the dense form the kernels work in: a homogeneous degree-n component
+over k letters as a list of k^n integer numerators, indexed by the base-k
+value of each word, first letter most significant (``dense`` and
+``from_dense``).
 
 Values are immutable once constructed; every operation returns a fresh
 polynomial, so instances are safe to share.
@@ -16,6 +20,7 @@ polynomial, so instances are safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, product, repeat
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -263,6 +268,21 @@ class NCPoly(Frozen):
 
 
 _ZERO = Fraction(0)
+
+
+# -- the dense form of a homogeneous component ---------------------------------
+
+
+def dense(numerators: Mapping[Word, int], degree: int, k: int) -> list[int]:
+    """The degree-n numerators as a list over all k^n words, zeros included:
+    word (a_1, ..., a_n) sits at index sum_i a_i k^(n-i), which is the order in
+    which ``itertools.product(range(k), repeat=n)`` lists the words."""
+    return list(map(numerators.get, product(range(k), repeat=degree), repeat(0)))
+
+
+def from_dense(vector, degree: int, k: int) -> dict[Word, int]:
+    """The nonzero entries of a dense degree-n vector, keyed by their words."""
+    return dict(compress(zip(product(range(k), repeat=degree), vector), vector))
 
 
 # -- products and brackets ---------------------------------------------------

@@ -68,7 +68,7 @@ def _check_degree(n: int, force: bool, what: str = "degree") -> None:
     if n > MAX_UNFORCED_DEGREE and not force:
         raise SystemExit(
             f"kvlie: {what} {n} exceeds {MAX_UNFORCED_DEGREE}; the cost grows about 2x "
-            "per degree (verify kv1 takes about 0.7 s at degree 12), pass --force to proceed"
+            "per degree (verify kv1 takes about 0.3 s at degree 12), pass --force to proceed"
         )
 
 
@@ -107,6 +107,8 @@ def _parse_expr(text: str, force: bool) -> NCPoly:
 
 def _cmd_bch(args) -> int:
     _check_vars(args.vars)
+    if args.method == "both" and args.format != "text":
+        raise SystemExit("kvlie: bch --method both prints difference lines and has no json or latex form")
     if args.method in ("eulerian", "both"):
         left = bch_eulerian(args.degree, args.vars)
     if args.method in ("oracle", "both"):
@@ -194,6 +196,8 @@ def _cmd_solution(args) -> int:
 
 
 def _cmd_witt(args) -> int:
+    if args.format == "latex":
+        raise SystemExit("kvlie: witt prints a table and has no latex form; use --format text|json")
     # The Lyndon words of degree n are a basis of the degree-n piece, so
     # Witt's formula counts both columns without enumerating the words.
     rows = [(n, witt_dimension(args.vars, n)) for n in range(1, args.degree + 1)]

@@ -4,53 +4,82 @@ Each projector onto the free Lie algebra has one production construction here:
 
 * ``dynkin`` -- right-nested bracketing r with a 1/n prefactor on whole
   homogeneous components, r(sum_a a p_a) = sum_a [a, r(p_a)], on the integer
-  numerators of the polynomial, each word packed into one int so that a
-  bracket is a few shifts and masks;
+  numerators of the polynomial;
 * ``bch_component`` -- the Eulerian idempotent e on power words, summed into
   the degree-n BCH component Z_n = sum e(x_1^i_1 ... x_k^i_k) / (i_1! ... i_k!)
   and given in Goldberg's closed form: the BCH series and the particular
   solutions only ever need e on power words, and e(x^i y^j) is i! j! times
   the bidegree-(i, j) part of Z_{i+j}.
 
+Both run on the dense form of a component: a list of the integer numerators
+of all k^n words of degree n over k letters, indexed by the base-k value of
+the word, first letter most significant (:func:`kvlie.algebra.dense`).  The
+Goldberg walk writes each numerator at its index, and a level of r is one
+fixed permutation of the index.  r keeps a sparse route, each word packed
+into one int, for input whose k^n words are far more than r can reach from
+it (``_route``), such as a few words over many letters; every BCH
+component, every letter part of one and every two-letter input is dense.
+
 ``kernel_generator``, ``psi`` and the Patras-Reutenauer elements gamma(a) a
 build the kernel of gamma from ``dynkin``.  The fixed point r(p) = n p is the
 production Lie-membership test: ``bch_component`` certifies each component
-with it once, and :func:`kvlie.kv._certify_lie` any other BCH series; both
-raise ``NotLieElementError``.  The independent constructions that the tests
-play against these (the descent-class Dynkin sum, the S_n and convolution
+with it once, keeping the level of that pass whose blocks are r((Z_n)_z),
+and :func:`kvlie.kv._certify_lie` any other BCH series; both raise
+``NotLieElementError``.  The independent constructions that the tests play
+against these (the descent-class Dynkin sum, the S_n and convolution
 Eulerian sums, the explicit kernel elements and a kernel basis, the Lyndon
 elimination) live in :mod:`kvlie.oracles` and its support modules.
-``bch_component`` is memoised per (degree, k).
+``bch_component`` is memoised per (degree, k), with the kept level, by
+``_goldberg``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Mapping
 
-from .algebra import NCPoly, Word, concat, default_alphabet, letter_part
+from .algebra import NCPoly, Word, concat, default_alphabet, dense, from_dense, letter_part
 
 
 # -- Dynkin idempotent --------------------------------------------------------
 
 
-def _nest_packed(terms: Mapping[Word, int]) -> tuple[dict[int, int], dict[int, int], int]:
-    """(p, r(p), width) for p homogeneous of degree n >= 1 in integers, each word
-    one int of n ``width``-bit fields (first letter highest; width from the
-    largest letter).  Bottom-up over the prefix trie, level j holds sum_u u r(p_u)
-    over prefixes u of length n - j: each term u a v of level j - 1 stays, and
-    u v a, its last j letters rotated left by one, is subtracted: u [a, v]."""
+def _nest(vector: list[int], k: int) -> tuple[list[int], list[int]]:
+    """(level n-1, level n) of r on a dense component p of degree n >= 1.
+
+    Level j holds sum_u u r(p_u) over the prefixes u of length n - j (level 1
+    is p, level n is r(p), and block z of level n-1 is r(p_z)).  Going from
+    level j - 1 to level j keeps each word u a v and subtracts it at u v a,
+    its last j letters rotated left by one: u [a, v].  On the base-k index
+    that rotation is a fixed perfect shuffle inside each block of k^j, so a
+    level is one pass over a source map, built for that level only.
+    """
+    size = len(vector)
+    previous = current = vector
+    width = k
+    while width < size:
+        step, width = width, width * k
+        block = [a * step + v for v in range(step) for a in range(k)]
+        source = [start + s for start in range(0, size, width) for s in block]
+        previous, current = current, [c - current[s] for c, s in zip(current, source)]
+    return previous, current
+
+
+def _nest_packed(terms: Mapping[Word, int]) -> dict[Word, int]:
+    """r(p) on the sparse route, level by level as in ``_nest`` but over the
+    words present only, each word one int of n ``width``-bit fields (first
+    letter highest; width from the largest letter)."""
     width = max(max(w) for w in terms).bit_length() or 1
     mask = (1 << width) - 1
-    p: dict[int, int] = {}
+    nested: dict[int, int] = {}
     for w, c in terms.items():
         v = 0
         for a in w:
             v = v << width | a
-        p[v] = c
-    nested = p
-    for j in range(2, len(w) + 1):
+        nested[v] = c
+    n = len(w)
+    for j in range(2, n + 1):
         shift = width * (j - 1)
         low, high = (1 << shift) - 1, -1 << (shift + width)
         out = dict(nested)
@@ -59,27 +88,37 @@ def _nest_packed(terms: Mapping[Word, int]) -> tuple[dict[int, int], dict[int, i
             rotated = v & high | (v & low) << width | v >> shift & mask
             out[rotated] = get(rotated, 0) - c
         nested = {v: c for v, c in out.items() if c}
-    return p, nested, width
+    shifts = range(width * (n - 1), -1, -width)
+    return {tuple([v >> s & mask for s in shifts]): c for v, c in nested.items()}
+
+
+def _route(terms: Mapping[Word, int]) -> tuple[int, int] | None:
+    """(n, k) when r runs on the dense vector of these degree-n terms over k
+    letters (one past the largest letter, at least 2), None for the sparse
+    route.  r of one word reaches at most 2^(n-1) words, so the rule is
+    k^n <= 2^n * len(terms): the k^n entries cost at most twice the support
+    r can reach.  Always dense for two letters."""
+    n = len(next(iter(terms)))
+    k = max(max(max(w) for w in terms) + 1, 2)
+    return (n, k) if k**n <= len(terms) << n else None
 
 
 def _right_nested(terms: Mapping[Word, int]) -> dict[Word, int]:
     """r(p) = sum_a [a, r(p_a)] for p = sum_a a * p_a homogeneous of degree >= 1,
-    with r the identity on letters; words are tuples again only on output."""
+    with r the identity on letters."""
     if not terms:
         return {}
-    _, nested, width = _nest_packed(terms)
-    mask = (1 << width) - 1
-    shifts = range(width * (len(next(iter(terms))) - 1), -1, -width)
-    return {tuple([v >> s & mask for s in shifts]): c for v, c in nested.items()}
+    route = _route(terms)
+    if route is None:
+        return _nest_packed(terms)
+    n, k = route
+    return from_dense(_nest(dense(terms, n, k), k)[1], n, k)
 
 
 def _is_lie(terms: Mapping[Word, int]) -> bool:
     """r(p) = n p (Dynkin-Specht-Wever) for p homogeneous of degree n >= 1."""
-    if not terms:
-        return True
-    p, nested, _ = _nest_packed(terms)
-    n = len(next(iter(terms)))
-    return nested == {v: n * c for v, c in p.items()}
+    n = len(next(iter(terms), ()))
+    return _right_nested(terms) == {w: n * c for w, c in terms.items()}
 
 
 def dynkin(p: NCPoly) -> NCPoly:
@@ -112,22 +151,14 @@ class NotLieElementError(ValueError):
 # -- Eulerian idempotent on power words: Goldberg's closed form ---------------
 
 
-def _run_sequences(m: int, k: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """(letters, ups, downs) for every run of m letters out of k with no two
-    neighbours equal; ups and downs count the boundaries where the letter
-    index rises and falls."""
-    out = [((a,), 0, 0) for a in range(k)]
-    for _ in range(m - 1):
-        out = [
-            (letters + (b,), ups + (b > letters[-1]), downs + (b < letters[-1]))
-            for letters, ups, downs in out
-            for b in range(k)
-            if b != letters[-1]
-        ]
-    return out
+def _class_numerators(poly: list[int], m: int, moment: list[list[int]]) -> list[int]:
+    """L int_0^1 t^u (t-1)^(m-1-u) P(t) dt for u = 0..m-1, with P = sum_j
+    poly[j] t^j: the coefficient, times L, of each word with m runs, u
+    ascending and m-1-u descending run boundaries, whose run polynomials
+    multiply to P."""
+    return [sum(c * moment[u + j][m - 1 - u] for j, c in enumerate(poly) if c) for u in range(m)]
 
 
-@lru_cache(maxsize=None)
 def bch_component(degree: int, k: int = 2) -> NCPoly:
     """The degree-n component Z_n of log(e^x_1 ... e^x_k), in Goldberg's closed
     form (Goldberg, "The formal power series for log e^x e^y", 1956).
@@ -137,20 +168,31 @@ def bch_component(degree: int, k: int = 2) -> NCPoly:
     idempotent on power words, summed.  A word whose maximal runs have lengths
     r_1, ..., r_m, with a ascending and d descending run boundaries, has the
     coefficient  int_0^1 t^a (t-1)^d prod_i G_{r_i}(t) dt,  where G_1 = 1 and
-    G_s = (1/s) d/dt [t(t-1) G_{s-1}].
-
-    The kernel holds H_s = s! G_s as integer coefficient lists, walks the run
-    compositions depth first with the product of each prefix shared, and
-    integrates over L = lcm(1..n): L * int_0^1 t^u (t-1)^d dt is the integer
-    (-1)^d L / ((u+d+1) C(u+d, d)) for u + d < n.  The integers n! L c_w,
-    reduced by their gcd, are the numerators of the component, which is
-    certified Lie on them (r(p) = n p, which rules out the pure powers x_a^n,
-    n >= 2) once per (n, k).
+    G_s = (1/s) d/dt [t(t-1) G_{s-1}].  Built and certified Lie once per
+    (n, k), by ``_goldberg``.
     """
-    n = degree
+    return _goldberg(degree, k)[0]
+
+
+@lru_cache(maxsize=None)
+def _goldberg(n: int, k: int) -> tuple[NCPoly, tuple[int, ...]]:
+    """(Z_n, level n-1 of r on its numerators): block z of that level, the
+    k^(n-1) entries from z k^(n-1) on, is r((Z_n)_z) over the scale of Z_n.
+
+    The kernel holds H_s = s! G_s as integer coefficient lists and integrates
+    over L = lcm(1..n): L * int_0^1 t^u (t-1)^d dt is the integer
+    (-1)^d L / ((u+d+1) C(u+d, d)) for u + d < n.  The coefficient depends on
+    the multiset of run lengths and the ascents only, so n! L c_w is computed
+    once per (multiset, ascents).  The walk over the run compositions only
+    places words: a run of r letters a ending l places before the end adds
+    a (k^l + ... + k^(l+r-1)) to the base-k index, and the indices of all
+    letter sequences with the same last letter and ascents travel together.
+    The integers, reduced by their gcd, are the numerators of Z_n, which is
+    certified Lie on them (r(p) = n p, which rules out the pure powers
+    x_a^n, n >= 2) by the one pass of r whose level n-1 is kept.
+    """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    alphabet = default_alphabet(k)
     H = [[], [1]]
     for s in range(2, n + 1):
         g = [a - b for a, b in zip([0, 0] + H[-1], [0] + H[-1] + [0])]  # t(t-1) H_{s-1}
@@ -160,34 +202,55 @@ def bch_component(degree: int, k: int = 2) -> NCPoly:
         [(-1) ** d * (common // ((u + d + 1) * comb(u + d, d))) for d in range(n - u)]
         for u in range(n)
     ]
-    sequences = [None] + [_run_sequences(m, k) for m in range(1, n + 1)]
     top = factorial(n)
-    terms: dict[Word, int] = {}  # numerators over common * n!
+    powers = [k**i for i in range(n + 1)]
+    vector = [0] * powers[n]  # numerators over common * n!
+    tables: dict[tuple[int, ...], list[int]] = {}
 
-    def walk(runs: tuple[int, ...], left: int, poly: list[int], runs_factorial: int) -> None:
+    def numerators(runs: tuple[int, ...]) -> list[int]:
+        key = tuple(sorted(runs))
+        if key not in tables:
+            poly, multinomial = [1], top
+            for r in key:
+                h = H[r]
+                product = [0] * (len(poly) + len(h) - 1)
+                for i, a in enumerate(poly):
+                    if a:
+                        for j, b in enumerate(h):
+                            product[i + j] += a * b
+                poly, multinomial = product, multinomial // factorial(r)
+            tables[key] = [multinomial * c for c in _class_numerators(poly, len(key), moment)]
+        return tables[key]
+
+    def walk(runs: tuple[int, ...], left: int, groups: dict[tuple[int, int], list[int]]) -> None:
         if not left:
-            m = len(runs)
-            multinomial = top // runs_factorial
-            for letters, ups, downs in sequences[m]:
-                numerator = sum(c * moment[ups + j][downs] for j, c in enumerate(poly) if c)
-                if numerator:
-                    word = tuple(a for a, r in zip(letters, runs) for _ in range(r))
-                    terms[word] = numerator * multinomial
+            table = numerators(runs)
+            for (_, ups), indices in groups.items():
+                c = table[ups]
+                for i in indices:
+                    vector[i] = c
             return
         for r in range(1, left + 1):
-            h = H[r]
-            product = [0] * (len(poly) + len(h) - 1)
-            for i, a in enumerate(poly):
-                if a:
-                    for j, b in enumerate(h):
-                        product[i + j] += a * b
-            walk(runs + (r,), left - r, product, runs_factorial * factorial(r))
+            weight = sum(powers[left - r : left])
+            extended: dict[tuple[int, int], list[int]] = {}
+            for (last, ups), indices in groups.items():
+                for b in range(k):
+                    if b != last:
+                        shift = b * weight
+                        extended.setdefault((b, ups + (b > last)), []).extend(
+                            [i + shift for i in indices]
+                        )
+            walk(runs + (r,), left - r, extended)
 
-    walk((), n, [1], 1)
-    component = NCPoly._raw(alphabet, terms, common * top)
-    if not _is_lie(component.numerators):
+    walk((), n, {(-1, -1): [0]})  # the first letter rises from -1 and counts no ascent
+    scale = common * top
+    g = gcd(scale, *vector)
+    vector = [c // g for c in vector]
+    nested, full = _nest(vector, k)
+    component = NCPoly._raw(default_alphabet(k), from_dense(vector, n, k), scale // g)
+    if full != [n * c for c in vector]:
         raise NotLieElementError(kernel_generator(component))
-    return component
+    return component, tuple(nested)
 
 
 # -- kernel of the Dynkin idempotent -------------------------------------------

@@ -21,8 +21,12 @@ series as an argument.  The two-variable objects are the k = 2 case of the
 multilinear ones.  One letter-nested series b_{n-1} = r((Phi_n)_z) / n gives
 both the z-leading Dynkin share gamma(z (Phi_n)_z) = [z, b_{n-1}] and, on the
 reversed BCH tail, F_i = (-1)^i Ber((-1)^i x_i) b (``multilinear_f0``; ``f0``
-is its case i = 1, k = 2).  Every verifier subtracts the one operator sum
-sum_i E((-1)^i x_i) F_i, of which the split equation is the one-term case.
+is its case i = 1, k = 2).  It costs no r pass of its own: the certification
+of Z_n keeps the level of r whose block z is r((Z_n)_z), and b is read from
+those blocks as dense base-k vectors (see :mod:`kvlie.idempotents`), which
+the operator sums take as they are.  Every verifier subtracts the one
+operator sum sum_i E((-1)^i x_i) F_i, of which the split equation is the
+one-term case.
 ``bch_oracle`` (log of a product of exponentials) stays here because
 ``kvlie bch --method oracle|both`` prints it.  The other oracles -- BCH
 through the S_n permutation sum, the particular solution by exact linear
@@ -46,10 +50,10 @@ from functools import cached_property, lru_cache
 from math import factorial
 
 from .algebra import XY, Alphabet, NCPoly, concat, default_alphabet, letter_part, substitute
-from .idempotents import NotLieElementError, _is_lie, _right_nested, bch_component, dynkin
+from .idempotents import NotLieElementError, _goldberg, _is_lie, bch_component, dynkin
 from .idempotents import kernel_generator
 from .scalars import bernoulli
-from .series import GradedSeries, _ad_power_sum
+from .series import GradedSeries, _ad_power_sum, _ad_sum
 
 NEGATE_SWAP = {"x": "-y", "y": "-x"}
 
@@ -157,24 +161,19 @@ def bch_oracle(order: int, k: int = 2) -> BchSeries:
 # -- the split of the BCH series ----------------------------------------------
 
 
-def _letter_nested(s: GradedSeries, letter: str) -> GradedSeries:
-    """The series b with b_d = r((s_{d+1})_z) / (d+1) for 1 <= d < s.order and
-    z = ``letter``, zero elsewhere: gamma(z (s_{d+1})_z) = [z, b_d], and
-    -Ber(-x) b solves E(-x) F = ad(x) b.  The one reader of the letter
-    decomposition of a series, on its integer numerators."""
-    alphabet = s.alphabet
-    parts = [NCPoly.zero(alphabet)] * (s.order + 1)
-    for d in range(1, s.order):
-        part = letter_part(s.parts[d + 1], letter)
-        parts[d] = NCPoly._raw(alphabet, _right_nested(part.numerators), (d + 1) * part.scale)
-    return GradedSeries._raw(alphabet, s.order, parts)
-
-
-def _leading_share(s: GradedSeries, letter: str) -> GradedSeries:
-    """The z-leading Dynkin share gamma(z (s_n)_z) = [z, b_{n-1}] of each
-    component n >= 2, for z = ``letter``; over the letters these shares sum to
-    s_n when s_n is a Lie element."""
-    return op_ad(NCPoly.letter(s.alphabet, letter), _letter_nested(s, letter))
+def _letter_nested(order: int, k: int, z: int) -> list:
+    """b with b_d = r((Phi_{d+1}(x_k, ..., x_1))_z) / (d+1) for 1 <= d < order,
+    None elsewhere, in the dense form that :func:`kvlie.series._ad_sum` reads;
+    z indexes the letters from 0.  gamma(x_z (Phi_m)_z) = [x_z, b_{m-1}], and
+    (-1)^i Ber((-1)^i x_i) b solves E((-1)^i x_i) F = ad(x_i) b.  No r pass
+    runs here: b_d is block z of the level that the certification of
+    Z_{d+1} kept, with the sign (-1)^d of the reversed tail."""
+    parts: list = [None] * (order + 1)
+    for d in range(1, order):
+        component, nested = _goldberg(d + 1, k)
+        size = k**d
+        parts[d] = (nested[z * size : (z + 1) * size], Fraction((-1) ** d, (d + 1) * component.scale))
+    return parts
 
 
 def phi_split(phi: BchSeries) -> tuple[GradedSeries, GradedSeries]:
@@ -182,11 +181,21 @@ def phi_split(phi: BchSeries) -> tuple[GradedSeries, GradedSeries]:
 
     Returns (plus, minus) with plus_n = gamma(x * (Phi_n)_x) and
     minus_n = gamma(y * (Phi_n)_y) for n >= 2; their sum restores Phi_n.
+    Any certified series is split, so gamma runs on its components; the
+    verifiers read the same shares of the cached BCH series from
+    ``_letter_nested``.
     """
-    if phi.series.alphabet.size != 2:
+    s = phi.series
+    if s.alphabet.size != 2:
         raise ValueError("the split is defined for two variables")
-    x, y = phi.series.alphabet.letters
-    return _leading_share(phi.series, x), _leading_share(phi.series, y)
+
+    def share(z: str) -> GradedSeries:
+        letter = NCPoly.letter(s.alphabet, z)
+        parts = [dynkin(concat(letter, letter_part(p, z))) if n > 1 else NCPoly.zero(s.alphabet)
+                 for n, p in enumerate(s.parts)]
+        return GradedSeries._raw(s.alphabet, s.order, parts)
+
+    return share("x"), share("y")
 
 
 # -- the particular solution ----------------------------------------------------
@@ -208,12 +217,10 @@ def multilinear_f0(index: int, k: int, order: int) -> GradedSeries:
         raise ValueError("the multilinear equation needs at least two variables")
     if not 1 <= index <= k:
         raise ValueError(f"variable index {index} out of range for {k} variables")
-    alphabet = default_alphabet(k)
-    tail = bch_eulerian(order + 1, k).reversed_tail
-    b = _letter_nested(tail, alphabet.letters[index - 1]).truncate(order)
+    b = _letter_nested(order + 1, k, index - 1)[: order + 1]
     sign = (-1) ** index
     weights = [sign * bernoulli(j) / factorial(j) for j in range(order + 1)]
-    return _ad_power_sum(_signed_letter(alphabet, index), b, weights)
+    return _ad_sum(_signed_letter(default_alphabet(k), index), b, weights)
 
 
 def multilinear_particular_solution(k: int, order: int) -> list[GradedSeries]:
@@ -307,8 +314,8 @@ def verify_split(F: GradedSeries, order: int | None = None) -> GradedSeries:
     """Defect of the split equation: Phi^-(y, x) - E(-x) F, where Phi^-(y, x)
     is the x-leading share of the reversed BCH tail."""
     order = _checked_order(order, F.order, "series F")
-    tail = bch_eulerian(order).reversed_tail
-    return _leading_share(tail, tail.alphabet.letters[0]) - _operator_sum(tail.alphabet, [F], order)
+    share = _ad_sum(NCPoly.letter(XY, "x"), _letter_nested(order, 2, 0), (0, 1))
+    return share - _operator_sum(XY, [F], order)
 
 
 # -- symmetrisation and the solution space ----------------------------------------

@@ -300,7 +300,7 @@ def bch_permutation_oracle(order: int) -> BchSeries:
 # -- linear-solve oracle for the split equation ---------------------------------
 
 
-def solve_split_chain(max_degree: int, phi: BchSeries | None = None) -> GradedSeries:
+def solve_split_chain(max_degree: int) -> GradedSeries:
     """Solve E(-x) F = Phi^-(y, x) degree by degree as exact linear systems.
 
     Independent oracle for the particular solution: at each degree the
@@ -309,9 +309,7 @@ def solve_split_chain(max_degree: int, phi: BchSeries | None = None) -> GradedSe
     Inconsistency of any system would falsify the image description of the
     operator and raises.
     """
-    phi = bch_eulerian(max_degree + 1) if phi is None else phi
-    if phi.order < max_degree + 1:
-        raise ValueError("need the BCH series one degree beyond the solve target")
+    phi = bch_eulerian(max_degree + 1)
     # Phi^-(x, y): the y-leading shares gamma(y (Phi_n)_y) by descent classes
     minus = [dynkin_via_descents(Y * letter_part(p, "y")) for p in phi.series.parts[2:]]
     target = GradedSeries(XY, phi.order, [NCPoly.zero(XY)] * 2 + minus).substitute(SWAP)

@@ -7,17 +7,20 @@ Baker-Campbell-Hausdorff series.
 
 Products and weighted power sums run on the integer numerators of the
 components, accumulated in ``int`` over one common denominator per output
-degree.  ``_power_sum`` (sum_k w_k s^k) carries exp and log,
-``_ad_power_sum`` (sum_k w_k ad(b)^k s) the operators ad, E and Ber.
+degree.  ``_power_sum`` (sum_k w_k s^k), on word dicts, carries exp and log;
+``_ad_power_sum`` (sum_k w_k ad(b)^k s), on the dense base-k vectors of
+:func:`kvlie.algebra.dense`, the operators ad, E and Ber.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
+from operator import add, sub
 from typing import Iterator, Mapping, Sequence
 
-from .algebra import Alphabet, Frozen, NCPoly, Word, substitute, to_text, weighted_sum
+from .algebra import Alphabet, Frozen, NCPoly, Word, dense, from_dense, substitute, to_text
+from .algebra import weighted_sum
 
 
 class GradedSeries(Frozen):
@@ -205,30 +208,59 @@ def _ad_power_sum(base: NCPoly, s: GradedSeries, weights: Sequence) -> GradedSer
     """sum_k weights[k] * ad(base)^k s, truncated at the order of s.
 
     ``base`` must be homogeneous of degree 1 (any rational combination of
-    letters, zero included); ad(base)^k of a component stays in integers,
-    with the base's own denominator once per power.
+    letters, zero included).
     """
     if base and (not base.is_homogeneous() or base.max_degree() != 1):
         raise ValueError("operator base must be homogeneous of degree 1")
-    alphabet = base.alphabet
     base._check_same_alphabet(s.parts[0])
-    letters = list(base.numerators.items())
-    terms: list[list] = [[] for _ in range(s.order + 1)]
-    for d, part in enumerate(s.parts):
-        for k, weight in enumerate(weights[: s.order + 1 - d]):
-            if k:
-                out: dict[Word, int] = {}
-                for word, c in part.numerators.items():
-                    for letter, b in letters:
-                        left, right = letter + word, word + letter
-                        out[left] = out.get(left, 0) + b * c
-                        out[right] = out.get(right, 0) - b * c
-                nums = {w: c for w, c in out.items() if c}
-                part = NCPoly._raw(alphabet, nums, part.scale * base.scale)
-            if not part:
-                break
-            terms[d + k].append((weight, part))
-    return GradedSeries._raw(alphabet, s.order, [weighted_sum(alphabet, t) for t in terms])
+    k = s.alphabet.size
+    parts = [(dense(p.numerators, d, k), Fraction(1, p.scale)) if p else None for d, p in enumerate(s.parts)]
+    return _ad_sum(base, parts, weights)
+
+
+def _ad_sum(base: NCPoly, parts: Sequence, weights: Sequence) -> GradedSeries:
+    """sum_k weights[k] * ad(base)^k b through degree len(parts) - 1, with b
+    given in the dense form: parts[d] is None for zero, or (vector, factor)
+    for factor times the dense degree-d vector of integers.
+
+    On the base-k index, ad(z) is two slice operations: left concatenation by
+    a letter a is the block at offset a k^d, right concatenation the stride-k
+    positions a::k.  Every ad(base)^k b stays in integers, with the base's
+    own denominator in its factor; each output degree is summed over the lcm
+    of the factors' denominators.
+    """
+    alphabet = base.alphabet
+    k = alphabet.size
+    order = len(parts) - 1
+    letters = [(w[0], c) for w, c in base.numerators.items()]
+    terms: list[list] = [[] for _ in range(order + 1)]
+    for d, part in enumerate(parts):
+        if part is None:
+            continue
+        vector, factor = part
+        for j, weight in enumerate(weights[: order + 1 - d]):
+            if j:
+                size = len(vector)
+                out = [0] * (size * k)
+                for a, b in letters:
+                    scaled = [b * c for c in vector]
+                    left = slice(a * size, (a + 1) * size)
+                    out[left] = map(add, out[left], scaled)
+                    out[a::k] = map(sub, out[a::k], scaled)
+                vector, factor = out, factor / base.scale
+                if not any(vector):
+                    break
+            if weight:
+                terms[d + j].append((weight * factor, vector))
+    sums = []
+    for n, items in enumerate(terms):
+        common = lcm(*(w.denominator for w, _ in items))
+        total = [0] * k**n if items else []
+        for w, vector in items:
+            f = w.numerator * (common // w.denominator)
+            total = [t + f * c for t, c in zip(total, vector)]
+        sums.append(NCPoly._raw(alphabet, from_dense(total, n, k), common))
+    return GradedSeries._raw(alphabet, order, sums)
 
 
 def series_exp(s: GradedSeries) -> GradedSeries:

@@ -237,6 +237,11 @@ def test_output_determinism(capsys, tmp_path):
           "--vars", "2"), "--vars is read only by"),
         (("verify", "--equation", "kv1", "--degree", "3", "--format", "latex"),
          "verify prints one status line and reads no --format"),
+        (("witt", "--degree", "3", "--format", "latex"), "witt prints a table and has no latex form"),
+        (("bch", "--method", "both", "--degree", "3", "--format", "json"),
+         "bch --method both prints difference lines and has no json or latex form"),
+        (("bch", "--method", "both", "--degree", "3", "--format", "latex"),
+         "bch --method both prints difference lines"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):
@@ -247,16 +252,22 @@ def test_bad_input_exits_2_with_one_line(capsys, argv, message):
     assert message in err
 
 
-def test_verify_multilinear_builds_the_bch_series_once(capsys):
-    # each component of the order-(n+1) series is built and certified once;
-    # the check reads the first n of them from the same cache
-    from kvlie.idempotents import bch_component
+def test_verify_multilinear_builds_the_bch_series_once(capsys, monkeypatch):
+    # each component of the order-(n+1) series is built and certified once,
+    # by one r pass that also gives its letter-nested shares; the check reads
+    # the first n of them from the same cache
+    from kvlie import idempotents
     from kvlie.kv import clear_caches
 
+    passes = []
+    real = idempotents._nest
+    monkeypatch.setattr(idempotents, "_nest", lambda *args: passes.append(args) or real(*args))
+    monkeypatch.setattr(idempotents, "_nest_packed", None)  # the sparse route must not run
     clear_caches()
     code, out, _ = run(capsys, "verify", "--equation", "multilinear", "--vars", "3", "--degree", "5")
     assert code == 0 and out.startswith("verified:")
-    assert bch_component.cache_info().misses == 5 + 1
+    assert idempotents._goldberg.cache_info().misses == 5 + 1
+    assert len(passes) == 5 + 1
 
 
 def test_witt_counts_without_enumerating_lyndon_words(capsys):

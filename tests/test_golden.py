@@ -48,8 +48,8 @@ GOLDEN = [
      "8c3f172508a5ec66daeb1b063d5637d2f8d4b71bb9cde4db6ab9460b7029cdbc"),
     ("witt --vars 3 --degree 8 --format json", 0,
      "6d15352d843b63faf2ea917eeeac24e82d33d425e97d740eb0b157aafef65973"),
-    ("witt --vars 3 --degree 8 --format latex", 0,
-     "8c3f172508a5ec66daeb1b063d5637d2f8d4b71bb9cde4db6ab9460b7029cdbc"),
+    ("witt --vars 3 --degree 8 --format latex", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("verify --equation kv1 --degree 8", 0,
      "dba446c0b438e5bc056a5b78cfbfe876286b3a5e7d4c55e0f0d657bf839f5c5a"),
     ("verify --equation kv1 --degree 6 --kernel-poly xyxy", 0,

@@ -6,13 +6,16 @@ draw dense polynomials of mixed degree with mixed denominators.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvlie.algebra import Alphabet, NCPoly, default_alphabet, letter_part, parse_poly
-from kvlie.idempotents import NotLieElementError, bch_component, dynkin, kernel_generator, psi
+from kvlie.algebra import Alphabet, NCPoly, default_alphabet, dense, from_dense, letter_part
+from kvlie.algebra import parse_poly
+from kvlie.idempotents import NotLieElementError, _route, bch_component, dynkin, kernel_generator
+from kvlie.idempotents import psi
 from kvlie.kv import _certify_lie
 from kvlie.lyndon import (
     from_lie_coordinates,
@@ -79,11 +82,53 @@ def test_dynkin_equals_descent_oracle_on_fourteen_letters(p):
     assert dynkin(p) == dynkin_via_descents(p)
 
 
+@st.composite
+def near_the_dense_rule(draw):
+    """A polynomial over 2 to 4 letters with one to three components, each
+    within two words of the size at which r turns dense, on either side."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    terms = {}
+    for d in draw(st.lists(st.integers(1, 7 - k // 2), min_size=1, max_size=3, unique=True)):
+        threshold = -(-(k**d) // 2**d)  # the fewest words of degree d that go dense
+        size = draw(st.integers(max(threshold - 2, 1), min(threshold + 2, k**d)))
+        words = st.sets(st.tuples(*[st.integers(0, k - 1)] * d), min_size=size, max_size=size)
+        for w in draw(words.filter(lambda ws: any(k - 1 in w for w in ws))):
+            terms[w] = draw(COEFFS)
+    return NCPoly(default_alphabet(k), terms)
+
+
+@settings(deadline=None, max_examples=150)
+@given(near_the_dense_rule())
+def test_dynkin_equals_descent_oracle_on_both_sides_of_the_dense_rule(p):
+    k = p.alphabet.size
+    for d in p.degrees():
+        part = p.homogeneous_component(d).numerators
+        assert (_route(part) is not None) == (k**d <= len(part) * 2**d)
+    q = dynkin(p)
+    assert q == dynkin_via_descents(p)
+    assert passes_fixed_point_test(q)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_dense_index_is_the_base_k_value_of_the_word(k):
+    alphabet = default_alphabet(k)
+    for n in range(5):
+        words = list(product(range(k), repeat=n))
+        assert [sum(a * k ** (n - 1 - i) for i, a in enumerate(w)) for w in words] == list(range(k**n))
+        numerators = {w: i - 3 for i, w in enumerate(words) if i != 3 and i % 4}
+        vector = dense(numerators, n, k)
+        assert vector == [i - 3 if i % 4 else 0 for i in range(k**n)]
+        assert from_dense(vector, n, k) == numerators
+        # the index order is the canonical order of the printed forms
+        assert list(numerators) == [w for w, _ in NCPoly._raw(alphabet, numerators).sorted_terms()]
+
+
 def test_packing_width_follows_the_largest_letter():
     # letter index 16 needs five bits: a fixed four-bit field would carry it
     # into the neighbouring letter
     alphabet = Alphabet("abcdefghijklmnopq")
     p = parse_poly(alphabet, "qaq - 2/3*aqpq + 1/5*qqba + pqqp - 7*cqaq + qa")
+    assert all(_route(p.homogeneous_component(d).numerators) is None for d in p.degrees())
     assert dynkin(p) == dynkin_via_descents(p)
     assert passes_fixed_point_test(dynkin(p)) and not passes_fixed_point_test(p)
 

@@ -62,7 +62,7 @@ from kvlie.oracles import (
     solve_split_chain,
 )
 from kvlie import idempotents, kv, oracles, permutations, scalars
-from kvlie.series import GradedSeries, series_exp, series_log
+from kvlie.series import GradedSeries, _ad_sum, series_exp, series_log
 
 X = NCPoly.letter(XY, "x")
 Y = NCPoly.letter(XY, "y")
@@ -165,18 +165,22 @@ def fresh_caches():
 
 
 def test_bch_component_certifies_the_goldberg_kernel(monkeypatch, fresh_caches):
-    real = idempotents._run_sequences
+    real = idempotents._class_numerators
     reversed_phi = bch_eulerian(5, 3).reversed_tail
     clear_caches()
     # ascents and descents swapped: the reversed-order series, still Lie
     monkeypatch.setattr(
-        idempotents, "_run_sequences", lambda m, k: [(w, d, u) for w, u, d in real(m, k)]
+        idempotents, "_class_numerators", lambda poly, m, moment: real(poly, m, moment)[::-1]
     )
     for n in range(2, 6):
         assert bch_component(n, 3) == reversed_phi.component(n)
     clear_caches()
     # descents dropped: degree 2 becomes xy/2 + yx, not a Lie element
-    monkeypatch.setattr(idempotents, "_run_sequences", lambda m, k: [(w, u, 0) for w, u, d in real(m, k)])
+    monkeypatch.setattr(
+        idempotents,
+        "_class_numerators",
+        lambda poly, m, moment: [sum(c * moment[u + j][0] for j, c in enumerate(poly)) for u in range(m)],
+    )
     for k in (2, 3):
         bch_component(1, k)
         with pytest.raises(NotLieElementError) as err:
@@ -184,26 +188,45 @@ def test_bch_component_certifies_the_goldberg_kernel(monkeypatch, fresh_caches):
         assert err.value.residual
 
 
-def test_goldberg_components_are_certified_once(monkeypatch, fresh_caches):
-    calls = {"component": 0, "series": 0}
+def count_r_passes(monkeypatch) -> dict[str, int]:
+    """Count the dense and the sparse passes of r from here on."""
+    calls = {"dense": 0, "sparse": 0}
 
     def counting(key, real):
-        def wrapped(terms):
+        def wrapped(*args):
             calls[key] += 1
-            return real(terms)
+            return real(*args)
 
         return wrapped
 
-    monkeypatch.setattr(idempotents, "_is_lie", counting("component", idempotents._is_lie))
-    monkeypatch.setattr(kv, "_is_lie", counting("series", kv._is_lie))
+    monkeypatch.setattr(idempotents, "_nest", counting("dense", idempotents._nest))
+    monkeypatch.setattr(idempotents, "_nest_packed", counting("sparse", idempotents._nest_packed))
+    return calls
+
+
+def test_goldberg_components_are_certified_once(monkeypatch, fresh_caches):
+    passes = count_r_passes(monkeypatch)
+    series_checks = []
+    monkeypatch.setattr(kv, "_is_lie", lambda terms: series_checks.append(terms) or idempotents._is_lie(terms))
     assert verify_kv1(particular_solution(6), 6).is_zero()
     assert verify_split(f0(6), 6).is_zero()
-    assert calls == {"component": 7, "series": 0}
+    assert passes == {"dense": 7, "sparse": 0} and not series_checks
     # a BchSeries built from outside bch_eulerian is certified on construction
     bch_oracle(3)
     with pytest.raises(NotLieElementError):
         BchSeries(GradedSeries(XY, 2, [NCPoly.zero(XY), X, parse_poly(XY, "xy")]))
-    assert calls == {"component": 7, "series": 5}
+    # five checks, and gamma of the one that fails for the residual it reports
+    assert passes == {"dense": 13, "sparse": 0} and len(series_checks) == 5
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_f0_runs_one_r_pass_per_bch_component(monkeypatch, fresh_caches, n):
+    # the particular solution reads the letter-nested shares from the level
+    # that the certification of each component Z_2, ..., Z_{n+1} kept
+    passes = count_r_passes(monkeypatch)
+    f0(n)
+    assert passes == {"dense": n, "sparse": 0}
+    assert idempotents._goldberg.cache_info().currsize == n
 
 
 def test_certify_lie_reports_the_kernel_projection_as_residual():
@@ -378,17 +401,14 @@ def test_verify_split():
 
 
 def test_verify_split_builds_only_the_share_it_uses(monkeypatch):
-    # one right-nested pass per degree 2..6, the x-leading share of the reversed tail
+    # the x-leading share of the reversed tail, read from the certification
+    # passes that f0(6) already ran: one ad sum and no r pass
     f0(6)
-    calls = []
-
-    def counting(terms):
-        calls.append(terms)
-        return idempotents._right_nested(terms)
-
-    monkeypatch.setattr(kv, "_right_nested", counting)
+    passes = count_r_passes(monkeypatch)
+    shares = []
+    monkeypatch.setattr(kv, "_ad_sum", lambda *args: shares.append(args) or _ad_sum(*args))
     assert verify_split(f0(6), 6).is_zero()
-    assert len(calls) == 5
+    assert len(shares) == 1 and passes == {"dense": 0, "sparse": 0}
 
 
 def test_verifiers_refuse_orders_above_their_input():
@@ -434,7 +454,7 @@ def _kvlie_lru_caches():
 def test_clear_caches_empties_every_lru_cache():
     caches = _kvlie_lru_caches()
     assert {"kv.f0", "kv.bch_oracle", "lyndon._standard_bracketing_word",
-            "idempotents.bch_component", "permutations._sn_descents_cached"} <= set(caches)
+            "idempotents._goldberg", "permutations._sn_descents_cached"} <= set(caches)
     f0(6)
     bch_oracle(5)
     bch_permutation_oracle(5)
@@ -481,7 +501,14 @@ def test_cached_results_are_read_only():
     multilinear_particular_solution(3, 3)
     assert bch_eulerian(4, 3).reversed_tail is reversed_phi
     assert [dict(p.terms) for p in reversed_phi.parts] == reversed_snapshot
+    # the Goldberg table: the component and the level of r its certification kept
+    component, nested = table = idempotents._goldberg(4, 3)
+    assert type(table) is tuple and type(nested) is tuple and component is bch_component(4, 3)
+    with pytest.raises(TypeError):
+        nested[0] = 1
+    assert idempotents._goldberg(4, 3) is table
     clear_caches()
+    assert idempotents._goldberg.cache_info().currsize == 0
     assert f0(4) == expected
 
 
