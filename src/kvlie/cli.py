@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -61,7 +62,11 @@ def _emit(text: str, output: str | None) -> None:
         except OSError as exc:
             raise SystemExit(f"kvlie: cannot write {output}: {exc.strerror or exc}")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except OSError as exc:  # a closed pipe: send what is still buffered nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise SystemExit(f"kvlie: cannot write stdout: {exc.strerror or exc}")
 
 
 def _check_degree(n: int, force: bool, what: str = "degree") -> None:

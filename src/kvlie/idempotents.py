@@ -14,7 +14,7 @@ Each projector onto the free Lie algebra has one production construction here:
 Both run on the dense form of a component: a list of the integer numerators
 of all k^n words of degree n over k letters, indexed by the base-k value of
 the word, first letter most significant (:func:`kvlie.algebra.dense`).  The
-Goldberg walk writes each numerator at its index, and a level of r is one
+Goldberg kernel reads each word's class in that order, and a level of r is one
 fixed permutation of the index.  r keeps a sparse route, each word packed
 into one int, for input whose k^n words are far more than r can reach from
 it (``_route``), such as a few words over many letters; every BCH
@@ -183,13 +183,14 @@ def _goldberg(n: int, k: int) -> tuple[NCPoly, tuple[int, ...]]:
     over L = lcm(1..n): L * int_0^1 t^u (t-1)^d dt is the integer
     (-1)^d L / ((u+d+1) C(u+d, d)) for u + d < n.  The coefficient depends on
     the multiset of run lengths and the ascents only, so n! L c_w is computed
-    once per (multiset, ascents).  The walk over the run compositions only
-    places words: a run of r letters a ending l places before the end adds
-    a (k^l + ... + k^(l+r-1)) to the base-k index, and the indices of all
-    letter sequences with the same last letter and ascents travel together.
-    The integers, reduced by their gcd, are the numerators of Z_n, which is
-    certified Lie on them (r(p) = n p, which rules out the pure powers
-    x_a^n, n >= 2) by the one pass of r whose level n-1 is kept.
+    once per (multiset, ascents).  A word's class (closed run lengths, sorted;
+    open run length; last letter; ascents) is read letter by letter: level j
+    lists the class ids of the k^j words of length j in base-k order, each
+    class finds its k successors once per level, and the last letter maps
+    each class of length n-1 to its k numerators.  The integers, reduced by
+    their gcd, are the numerators of Z_n, certified Lie on them (r(p) = n p,
+    which rules out the pure powers x_a^n, n >= 2) by the one pass of r whose
+    level n-1 is kept.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -203,12 +204,11 @@ def _goldberg(n: int, k: int) -> tuple[NCPoly, tuple[int, ...]]:
         for u in range(n)
     ]
     top = factorial(n)
-    powers = [k**i for i in range(n + 1)]
-    vector = [0] * powers[n]  # numerators over common * n!
     tables: dict[tuple[int, ...], list[int]] = {}
 
-    def numerators(runs: tuple[int, ...]) -> list[int]:
-        key = tuple(sorted(runs))
+    def numerator(word_class: tuple) -> int:
+        closed, run, _, ups = word_class
+        key = tuple(sorted(closed + (run,)))
         if key not in tables:
             poly, multinomial = [1], top
             for r in key:
@@ -220,32 +220,26 @@ def _goldberg(n: int, k: int) -> tuple[NCPoly, tuple[int, ...]]:
                             product[i + j] += a * b
                 poly, multinomial = product, multinomial // factorial(r)
             tables[key] = [multinomial * c for c in _class_numerators(poly, len(key), moment)]
-        return tables[key]
+        return tables[key][ups]
 
-    def walk(runs: tuple[int, ...], left: int, groups: dict[tuple[int, int], list[int]]) -> None:
-        if not left:
-            table = numerators(runs)
-            for (_, ups), indices in groups.items():
-                c = table[ups]
-                for i in indices:
-                    vector[i] = c
-            return
-        for r in range(1, left + 1):
-            weight = sum(powers[left - r : left])
-            extended: dict[tuple[int, int], list[int]] = {}
-            for (last, ups), indices in groups.items():
-                for b in range(k):
-                    if b != last:
-                        shift = b * weight
-                        extended.setdefault((b, ups + (b > last)), []).extend(
-                            [i + shift for i in indices]
-                        )
-            walk(runs + (r,), left - r, extended)
+    def extend(key: tuple, b: int) -> tuple:
+        closed, run, last, ups = key
+        if b == last:
+            return closed, run + 1, last, ups
+        return tuple(sorted(closed + (run,))) if run else closed, 1, b, ups + (b > last)
 
-    walk((), n, {(-1, -1): [0]})  # the first letter rises from -1 and counts no ascent
+    classes, level = [((), 0, -1, -1)], [0]  # the empty word; its first letter counts no ascent
+    for _ in range(n - 1):
+        ids: dict[tuple, int] = {}
+        step = [[ids.setdefault(extend(key, b), len(ids)) for b in range(k)] for key in classes]
+        classes, level = list(ids), [t for s in level for t in step[s]]
+    # numerators over common * n!, k per class of length n-1; each is some word's, so the
+    # gcd over the rows is the gcd over the words
+    rows = [[numerator(extend(key, b)) for b in range(k)] for key in classes]
     scale = common * top
-    g = gcd(scale, *vector)
-    vector = [c // g for c in vector]
+    g = gcd(scale, *(c for row in rows for c in row))
+    rows = [[c // g for c in row] for row in rows]
+    vector = [c for s in level for c in rows[s]]
     nested, full = _nest(vector, k)
     component = NCPoly._raw(default_alphabet(k), from_dense(vector, n, k), scale // g)
     if full != [n * c for c in vector]:

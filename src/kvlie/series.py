@@ -154,14 +154,6 @@ class GradedSeries(Frozen):
     def is_zero(self) -> bool:
         return not any(self.parts)
 
-    def first_nonzero(self) -> tuple[int, Word, Fraction] | None:
-        """Lowest (degree, word, coefficient) present, or None if zero."""
-        for d, p in enumerate(self.parts):
-            if p:
-                word, coeff = p.sorted_terms()[0]
-                return d, word, coeff
-        return None
-
     def iter_terms(self) -> Iterator[tuple[int, Word, Fraction]]:
         for d, p in enumerate(self.parts):
             for word, coeff in p.sorted_terms():

@@ -340,3 +340,19 @@ print(codes, loaded)
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == f"{[0] * len(PRODUCTION_COMMANDS)} []"
+
+
+def test_closed_stdout_pipe_exits_2_with_one_line():
+    # f0 at degree 11 prints 92,666 bytes, more than one pipe buffer holds
+    src = str(Path(kvlie.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from kvlie.cli import main; sys.exit(main())",
+         "f0", "--degree", "11"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.startswith("kvlie: cannot write stdout: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err

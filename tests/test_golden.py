@@ -66,6 +66,10 @@ GOLDEN = [
      "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
     ("bch --method both --vars 4 --degree 5", 0,
      "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+    ("bch --vars 4 --degree 7", 0,
+     "cf524fea8d1e5d70b3fede8847253f95915e9e6fceae87f7d0ab711d34586cd9"),
+    ("f0 --degree 11", 0,
+     "0abf03bd936199fcb4f8c5f48bfd3bb03669539f480a428f94cd3fb0fd3ed7ff"),
 ]
 
 
