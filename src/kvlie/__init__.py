@@ -25,7 +25,6 @@ from .algebra import (
     Alphabet,
     NCPoly,
     PolyParseError,
-    ad_pow,
     bracket,
     concat,
     default_alphabet,

@@ -11,7 +11,7 @@ substitution, weighted sums, and the text, JSON and LaTeX forms all live here,
 with the dense form the kernels work in: a homogeneous degree-n component
 over k letters as a list of k^n integer numerators, indexed by the base-k
 value of each word, first letter most significant (``dense`` and
-``from_dense``).
+``from_dense``; ``radix`` is the smallest k that holds given words).
 
 Values are immutable once constructed; every operation returns a fresh
 polynomial, so instances are safe to share.
@@ -280,6 +280,11 @@ def dense(numerators: Mapping[Word, int], degree: int, k: int) -> list[int]:
     return list(map(numerators.get, product(range(k), repeat=degree), repeat(0)))
 
 
+def radix(words: Iterable[Word]) -> int:
+    """The smallest k >= 2 whose dense index holds ``words``: one past the largest letter."""
+    return max(2, 1 + max((max(w) for w in words if w), default=0))
+
+
 def from_dense(vector, degree: int, k: int) -> dict[Word, int]:
     """The nonzero entries of a dense degree-n vector, keyed by their words."""
     return dict(compress(zip(product(range(k), repeat=degree), vector), vector))
@@ -302,25 +307,6 @@ def concat(p: NCPoly, q: NCPoly) -> NCPoly:
 def bracket(p: NCPoly, q: NCPoly) -> NCPoly:
     """Lie bracket [p, q] = pq - qp."""
     return concat(p, q) - concat(q, p)
-
-
-def _coerce_poly(alphabet: Alphabet, z) -> NCPoly:
-    if isinstance(z, NCPoly):
-        return z
-    if isinstance(z, str):
-        return NCPoly.letter(alphabet, z)
-    raise TypeError("expected a letter symbol or a polynomial")
-
-
-def ad_pow(z, k: int, p: NCPoly) -> NCPoly:
-    """k-fold application of ad(z); ad_pow(z, 0, p) == p."""
-    if k < 0:
-        raise ValueError("ad_pow requires k >= 0")
-    zp = _coerce_poly(p.alphabet, z)
-    out = p
-    for _ in range(k):
-        out = bracket(zp, out)
-    return out
 
 
 def letter_part(p: NCPoly, letter: str) -> NCPoly:

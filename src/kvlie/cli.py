@@ -234,9 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, degree_default: int = 8) -> None:
+    def common(p: argparse.ArgumentParser, degree_default: int | None = 8) -> None:
         p.add_argument("--degree", type=int, default=degree_default,
-                       help=f"working degree (default {degree_default})")
+                       help=f"working degree (default {degree_default})" if degree_default
+                       else "not read: the degree is that of --poly")
         p.add_argument("--format", choices=("text", "json", "latex"), default="text")
         p.add_argument("--output", default=None, help="write to this path instead of stdout")
         p.add_argument("--force", action="store_true",
@@ -271,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_witt.add_argument("--vars", type=int, default=2)
 
     p_psi = sub.add_parser("psi", help="apply the kernel projection map")
-    common(p_psi)
+    common(p_psi, None)
     p_psi.add_argument("--var", required=True)
     p_psi.add_argument("--poly", required=True)
 
@@ -297,9 +298,13 @@ def main(argv: list[str] | None = None) -> int:
             argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
-        if args.degree < 1:
+        if args.command == "psi":
+            if args.degree is not None:
+                raise SystemExit("kvlie: psi works at the degree of --poly and reads no --degree")
+        elif args.degree < 1:
             raise SystemExit("kvlie: --degree must be >= 1")
-        _check_degree(args.degree, args.force)
+        else:
+            _check_degree(args.degree, args.force)
         if getattr(args, "vars", None) is not None and args.vars < 2:
             raise SystemExit("kvlie: --vars must be >= 2")
         return _HANDLERS[args.command](args)

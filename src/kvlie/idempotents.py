@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from typing import Mapping
 
-from .algebra import NCPoly, Word, concat, default_alphabet, dense, from_dense, letter_part
+from .algebra import NCPoly, Word, concat, default_alphabet, dense, from_dense, letter_part, radix
 
 
 # -- Dynkin idempotent --------------------------------------------------------
@@ -99,7 +99,7 @@ def _route(terms: Mapping[Word, int]) -> tuple[int, int] | None:
     k^n <= 2^n * len(terms): the k^n entries cost at most twice the support
     r can reach.  Always dense for two letters."""
     n = len(next(iter(terms)))
-    k = max(max(max(w) for w in terms) + 1, 2)
+    k = radix(terms)
     return (n, k) if k**n <= len(terms) << n else None
 
 

@@ -23,10 +23,10 @@ both the z-leading Dynkin share gamma(z (Phi_n)_z) = [z, b_{n-1}] and, on the
 reversed BCH tail, F_i = (-1)^i Ber((-1)^i x_i) b (``multilinear_f0``; ``f0``
 is its case i = 1, k = 2).  It costs no r pass of its own: the certification
 of Z_n keeps the level of r whose block z is r((Z_n)_z), and b is read from
-those blocks as dense base-k vectors (see :mod:`kvlie.idempotents`), which
-the operator sums take as they are.  Every verifier subtracts the one
-operator sum sum_i E((-1)^i x_i) F_i, of which the split equation is the
-one-term case.
+those blocks as dense base-k vectors (see :mod:`kvlie.idempotents`).  Each
+operator, particular solution and verifier is one :func:`kvlie.series._ad_sum`
+call; a verifier's terms are its target (the reversed tail, or ad(x) b for the
+split equation) and -E((-1)^i x_i) F_i for each i, all summed at once.
 ``bch_oracle`` (log of a product of exponentials) stays here because
 ``kvlie bch --method oracle|both`` prints it.  The other oracles -- BCH
 through the S_n permutation sum, the particular solution by exact linear
@@ -47,33 +47,49 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import factorial
 
-from .algebra import XY, Alphabet, NCPoly, concat, default_alphabet, letter_part, substitute
+from .algebra import XY, Alphabet, NCPoly, concat, default_alphabet, letter_part, radix, substitute
 from .idempotents import NotLieElementError, _goldberg, _is_lie, bch_component, dynkin
 from .idempotents import kernel_generator
 from .scalars import bernoulli
-from .series import GradedSeries, _ad_power_sum, _ad_sum
+from .series import GradedSeries, _ad_sum
 
 NEGATE_SWAP = {"x": "-y", "y": "-x"}
 
 
-# -- operators: weighted sums sum_k w_k ad(z)^k on the integer series kernel --
+# -- operators: weighted sums sum_j w_j ad(z)^j, each one ``_ad_sum`` call ------
+
+
+def _exp_weights(order: int, sign: int = 1) -> list:
+    """sign times the weights of E(z) = exp(ad z) - 1: 0, then 1/j!."""
+    return [0] + [Fraction(sign, factorial(j)) for j in range(1, order + 1)]
+
+
+def _bernoulli_weights(order: int, sign: int = 1) -> list:
+    """sign times the weights of Ber(z): B_j / j!."""
+    return [sign * bernoulli(j) / factorial(j) for j in range(order + 1)]
+
+
+def _radix(base: NCPoly, s: GradedSeries) -> int:
+    """The dense radix of an operator on s: the letters present, not the alphabet."""
+    return radix(chain(base.numerators, *(p.numerators for p in s.parts)))
 
 
 def op_ad(base: NCPoly, s: GradedSeries) -> GradedSeries:
     """ad(base) applied componentwise; base must be homogeneous of degree 1."""
-    return _ad_power_sum(base, s, (0, 1))
+    return _ad_sum(s.alphabet, _radix(base, s), s.order, [(base, (0, 1), s)])
 
 
 def op_exp_ad_minus_one(base: NCPoly, s: GradedSeries) -> GradedSeries:
     """E(base) = exp(ad base) - 1, truncated at the series order."""
-    return _ad_power_sum(base, s, [0] + [Fraction(1, factorial(k)) for k in range(1, s.order + 1)])
+    return _ad_sum(s.alphabet, _radix(base, s), s.order, [(base, _exp_weights(s.order), s)])
 
 
 def op_bernoulli(base: NCPoly, s: GradedSeries) -> GradedSeries:
     """Ber(base) = sum_k B_k ad(base)^k / k!, the inverse of E up to ad."""
-    return _ad_power_sum(base, s, [bernoulli(k) / factorial(k) for k in range(s.order + 1)])
+    return _ad_sum(s.alphabet, _radix(base, s), s.order, [(base, _bernoulli_weights(s.order), s)])
 
 
 def _signed_letter(alphabet: Alphabet, i: int) -> NCPoly:
@@ -217,10 +233,10 @@ def multilinear_f0(index: int, k: int, order: int) -> GradedSeries:
         raise ValueError("the multilinear equation needs at least two variables")
     if not 1 <= index <= k:
         raise ValueError(f"variable index {index} out of range for {k} variables")
-    b = _letter_nested(order + 1, k, index - 1)[: order + 1]
-    sign = (-1) ** index
-    weights = [sign * bernoulli(j) / factorial(j) for j in range(order + 1)]
-    return _ad_sum(_signed_letter(default_alphabet(k), index), b, weights)
+    alphabet = default_alphabet(k)
+    b = _letter_nested(order + 1, k, index - 1)
+    weights = _bernoulli_weights(order, (-1) ** index)
+    return _ad_sum(alphabet, k, order, [(_signed_letter(alphabet, index), weights, b)])
 
 
 def multilinear_particular_solution(k: int, order: int) -> list[GradedSeries]:
@@ -271,13 +287,10 @@ def _checked_order(order: int | None, available: int, what: str) -> int:
     return order
 
 
-def _operator_sum(alphabet: Alphabet, solutions: list[GradedSeries], order: int) -> GradedSeries:
-    """sum_i E((-1)^i x_i) F_i with each F_i truncated at ``order``."""
-    terms = [
-        op_exp_ad_minus_one(_signed_letter(alphabet, i), F.truncate(order))
-        for i, F in enumerate(solutions, start=1)
-    ]
-    return sum(terms[1:], terms[0])
+def _operator_terms(alphabet: Alphabet, solutions: list[GradedSeries], order: int, sign: int = -1):
+    """The ``_ad_sum`` terms of sign * sum_i E((-1)^i x_i) F_i through ``order``."""
+    weights = _exp_weights(order, sign)
+    return [(_signed_letter(alphabet, i), weights, F) for i, F in enumerate(solutions, start=1)]
 
 
 def verify_multilinear(solutions: list[GradedSeries], order: int | None = None) -> GradedSeries:
@@ -289,8 +302,9 @@ def verify_multilinear(solutions: list[GradedSeries], order: int | None = None) 
     if k < 2:
         raise ValueError("need at least two solution components")
     order = _checked_order(order, min(F.order for F in solutions), "solution tuple")
-    tail = bch_eulerian(order, k).reversed_tail
-    return tail - _operator_sum(tail.alphabet, solutions, order)
+    alphabet = default_alphabet(k)
+    target = (NCPoly.zero(alphabet), (1,), bch_eulerian(order, k).reversed_tail)
+    return _ad_sum(alphabet, k, order, [target, *_operator_terms(alphabet, solutions, order)])
 
 
 def verify_kv1(pair: KvSolutionPair, order: int | None = None) -> GradedSeries:
@@ -307,15 +321,15 @@ def verify_homogeneous(pair: KvSolutionPair, order: int | None = None) -> Graded
     """Defect of the homogeneous equation E(-x) F = E(y) G: the operator sum
     on (F, -G)."""
     order = _checked_order(order, min(pair.F.order, pair.G.order), "pair (F, G)")
-    return _operator_sum(XY, [pair.F, -pair.G], order)
+    return _ad_sum(XY, 2, order, _operator_terms(XY, [pair.F, -pair.G], order, 1))
 
 
 def verify_split(F: GradedSeries, order: int | None = None) -> GradedSeries:
     """Defect of the split equation: Phi^-(y, x) - E(-x) F, where Phi^-(y, x)
-    is the x-leading share of the reversed BCH tail."""
+    = ad(x) b is the x-leading share of the reversed BCH tail."""
     order = _checked_order(order, F.order, "series F")
-    share = _ad_sum(NCPoly.letter(XY, "x"), _letter_nested(order, 2, 0), (0, 1))
-    return share - _operator_sum(XY, [F], order)
+    share = (NCPoly.letter(XY, "x"), (0, 1), _letter_nested(order, 2, 0))
+    return _ad_sum(XY, 2, order, [share, *_operator_terms(XY, [F], order)])
 
 
 # -- symmetrisation and the solution space ----------------------------------------

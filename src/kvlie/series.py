@@ -8,8 +8,9 @@ Baker-Campbell-Hausdorff series.
 Products and weighted power sums run on the integer numerators of the
 components, accumulated in ``int`` over one common denominator per output
 degree.  ``_power_sum`` (sum_k w_k s^k), on word dicts, carries exp and log;
-``_ad_power_sum`` (sum_k w_k ad(b)^k s), on the dense base-k vectors of
-:func:`kvlie.algebra.dense`, the operators ad, E and Ber.
+``_ad_sum``, the one kernel of weighted ad powers, sums any number of terms
+sum_j w_j ad(b)^j s on the dense base-k vectors of :func:`kvlie.algebra.dense`:
+the operators ad, E and Ber, the particular solutions and every verifier.
 """
 
 from __future__ import annotations
@@ -196,63 +197,56 @@ def _power_sum(s: GradedSeries, weights: Sequence) -> GradedSeries:
     return GradedSeries._raw(s.alphabet, s.order, [weighted_sum(s.alphabet, t) for t in terms])
 
 
-def _ad_power_sum(base: NCPoly, s: GradedSeries, weights: Sequence) -> GradedSeries:
-    """sum_k weights[k] * ad(base)^k s, truncated at the order of s.
-
-    ``base`` must be homogeneous of degree 1 (any rational combination of
-    letters, zero included).
-    """
-    if base and (not base.is_homogeneous() or base.max_degree() != 1):
-        raise ValueError("operator base must be homogeneous of degree 1")
-    base._check_same_alphabet(s.parts[0])
-    k = s.alphabet.size
-    parts = [(dense(p.numerators, d, k), Fraction(1, p.scale)) if p else None for d, p in enumerate(s.parts)]
-    return _ad_sum(base, parts, weights)
-
-
-def _ad_sum(base: NCPoly, parts: Sequence, weights: Sequence) -> GradedSeries:
-    """sum_k weights[k] * ad(base)^k b through degree len(parts) - 1, with b
-    given in the dense form: parts[d] is None for zero, or (vector, factor)
-    for factor times the dense degree-d vector of integers.
+def _ad_sum(alphabet: Alphabet, k: int, order: int, terms: Sequence) -> GradedSeries:
+    """sum over terms (base, weights, b) of sum_j weights[j] ad(base)^j b
+    through degree ``order``, on the dense index of radix k.  ``base`` is
+    homogeneous of degree 1 (a rational combination of letters below k, zero
+    included); b is a series over its alphabet, or its dense form: b[d] is
+    None for zero, or (vector, factor) for the Fraction factor times the dense
+    degree-d vector of integers.
 
     On the base-k index, ad(z) is two slice operations: left concatenation by
     a letter a is the block at offset a k^d, right concatenation the stride-k
-    positions a::k.  Every ad(base)^k b stays in integers, with the base's
-    own denominator in its factor; each output degree is summed over the lcm
-    of the factors' denominators.
+    positions a::k.  Every ad(base)^j b stays in integers, with the base's
+    denominator in its factor.  Each output degree is one integer vector over
+    the lcm of the denominators that can reach it, found before any ad power.
     """
-    alphabet = base.alphabet
-    k = alphabet.size
-    order = len(parts) - 1
-    letters = [(w[0], c) for w, c in base.numerators.items()]
-    terms: list[list] = [[] for _ in range(order + 1)]
-    for d, part in enumerate(parts):
-        if part is None:
-            continue
-        vector, factor = part
-        for j, weight in enumerate(weights[: order + 1 - d]):
-            if j:
-                size = len(vector)
-                out = [0] * (size * k)
-                for a, b in letters:
-                    scaled = [b * c for c in vector]
-                    left = slice(a * size, (a + 1) * size)
-                    out[left] = map(add, out[left], scaled)
-                    out[a::k] = map(sub, out[a::k], scaled)
-                vector, factor = out, factor / base.scale
-                if not any(vector):
-                    break
-            if weight:
-                terms[d + j].append((weight * factor, vector))
-    sums = []
-    for n, items in enumerate(terms):
-        common = lcm(*(w.denominator for w, _ in items))
-        total = [0] * k**n if items else []
-        for w, vector in items:
-            f = w.numerator * (common // w.denominator)
-            total = [t + f * c for t, c in zip(total, vector)]
-        sums.append(NCPoly._raw(alphabet, from_dense(total, n, k), common))
-    return GradedSeries._raw(alphabet, order, sums)
+    checked, common = [], [1] * (order + 1)
+    for base, weights, parts in terms:
+        if base and (not base.is_homogeneous() or base.max_degree() != 1):
+            raise ValueError("operator base must be homogeneous of degree 1")
+        if isinstance(parts, GradedSeries):
+            base._check_same_alphabet(parts.parts[0])
+            parts = [(dense(p.numerators, d, k), Fraction(1, p.scale)) if p else None
+                     for d, p in enumerate(parts.parts[: order + 1])]
+        parts = [(d, part) for d, part in enumerate(parts[: order + 1]) if part]
+        checked.append((base, weights, parts))
+        for d, (_, factor) in parts:
+            for j, weight in enumerate(weights[: order + 1 - d]):
+                common[d + j] = lcm(common[d + j], (weight * factor / base.scale**j).denominator)
+    totals: list = [None] * (order + 1)
+    for base, weights, parts in checked:
+        letters = [(w[0], c) for w, c in base.numerators.items()]
+        for d, (vector, factor) in parts:
+            for j, weight in enumerate(weights[: order + 1 - d]):
+                if j:
+                    size = len(vector)
+                    out = [0] * (size * k)
+                    for a, b in letters:
+                        scaled = [b * c for c in vector]
+                        left = slice(a * size, (a + 1) * size)
+                        out[left] = map(add, out[left], scaled)
+                        out[a::k] = map(sub, out[a::k], scaled)
+                    vector, factor = out, factor / base.scale
+                    if not any(vector):
+                        break
+                if weight:
+                    n = d + j
+                    f = int(weight * factor * common[n])
+                    totals[n] = [t + f * c for t, c in zip(totals[n] or [0] * len(vector), vector)]
+    parts = [NCPoly._raw(alphabet, from_dense(t or (), n, k), c)
+             for n, (t, c) in enumerate(zip(totals, common))]
+    return GradedSeries._raw(alphabet, order, parts)
 
 
 def series_exp(s: GradedSeries) -> GradedSeries:

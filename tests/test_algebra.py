@@ -14,7 +14,6 @@ from kvlie.algebra import (
     Alphabet,
     NCPoly,
     PolyParseError,
-    ad_pow,
     bracket,
     concat,
     default_alphabet,
@@ -59,8 +58,6 @@ def test_concat_associative_unital():
 
 def test_bracket_properties():
     assert bracket(X, Y) == parse_poly(XY, "xy - yx")
-    assert ad_pow("x", 2, Y) == parse_poly(XY, "xxy - 2*xyx + yxx")
-    assert ad_pow("x", 0, Y) == Y
     rng = random.Random(3)
     for _ in range(20):
         p, q, r = (random_poly(rng, 3) for _ in range(3))

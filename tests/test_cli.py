@@ -224,6 +224,8 @@ def test_output_determinism(capsys, tmp_path):
          "cannot parse polynomial"),
         (("psi", "--var", "x", "--poly", "1/\u00b2"), "cannot parse polynomial"),
         (("psi", "--var", "x", "--poly", "xyxyxyxyxyxy"), "polynomial degree 12 exceeds 11"),
+        (("psi", "--var", "x", "--poly", "xy", "--degree", "12"), "psi works at the degree of --poly"),
+        (("psi", "--var", "x", "--poly", "xy", "--degree", "3"), "reads no --degree"),
         (("verify", "--equation", "kv1", "--degree", "3", "--kernel-poly", "x + xyxyxyxyxyxy"),
          "polynomial degree 12 exceeds 11"),
         (("verify", "--equation", "split", "--degree", "3", "--kernel-poly", "xy"),

@@ -7,13 +7,17 @@ built on it, and the defect series every verifier returns for such input.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvlie import kv
+from kvlie import series as series_module
 from kvlie.algebra import XY, NCPoly, bracket, default_alphabet, parse_poly
 from kvlie.kv import KvSolutionPair, bch_eulerian, general_solution, op_ad, op_bernoulli
+from kvlie.kv import multilinear_f0, multilinear_particular_solution, particular_solution
 from kvlie.kv import op_exp_ad_minus_one, phi_split, verify_homogeneous, verify_kv1
 from kvlie.kv import verify_multilinear, verify_split
 from kvlie.oracles import SWAP
@@ -169,3 +173,87 @@ def test_multilinear_defect_spelled_out(data):
         - op_exp_ad_minus_one(-z, solutions[2])
     )
     assert verify_multilinear(solutions, order) == expected
+
+
+def test_operators_densify_over_the_letters_present(monkeypatch):
+    # y + zu over 14 letters: the radix is that of the letters present (x, y,
+    # z, u), so order 8 builds 4^8 entries per degree, not 14^8
+    alphabet = default_alphabet(14)
+    x = NCPoly.letter(alphabet, "x")
+    s = GradedSeries.from_poly(parse_poly(alphabet, "y + 1/2*zu"), 8)
+    radices = []
+    real = series_module.dense
+
+    def spy(terms, degree, k):
+        assert k <= 4  # before the 14^degree entries are built
+        radices.append(k)
+        return real(terms, degree, k)
+
+    monkeypatch.setattr(series_module, "dense", spy)
+    result = op_exp_ad_minus_one(x, s)
+    assert op_exp_ad_minus_one(x, op_bernoulli(x, s)) == op_ad(x, s)
+    assert set(radices) == {4}
+    expected, power = GradedSeries.zero(alphabet, 8), s
+    for j in range(1, 9):
+        power = GradedSeries(alphabet, 8, [NCPoly.zero(alphabet)] + [bracket(x, p) for p in power.parts[:-1]])
+        expected = expected + power.scaled(Fraction(1, factorial(j)))
+    assert result == expected and result
+
+
+def test_each_operator_solution_and_verifier_is_one_ad_sum(monkeypatch):
+    s = GradedSeries.from_poly(parse_poly(XY, "xy - 2/3*y"), 4)
+    pair, solutions = particular_solution(4), multilinear_particular_solution(3, 3)
+    bch_eulerian(4), bch_eulerian(3, 3)
+    calls = []
+    real = kv._ad_sum
+    monkeypatch.setattr(kv, "_ad_sum", lambda *args: calls.append(args) or real(*args))
+    for run in (
+        lambda: op_ad(X, s),
+        lambda: op_exp_ad_minus_one(X, s),
+        lambda: op_bernoulli(X, s),
+        lambda: multilinear_f0(2, 3, 4),
+        lambda: verify_multilinear(solutions),
+        lambda: verify_kv1(pair),
+        lambda: verify_homogeneous(pair),
+        lambda: verify_split(pair.F),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
+def test_verifiers_refuse_a_solution_over_another_alphabet():
+    pair = particular_solution(3)
+    other = GradedSeries.from_poly(parse_poly(default_alphabet(3), "x - 1/2*zy"), 3)
+    for run in (
+        lambda: verify_kv1(KvSolutionPair(pair.F, other)),
+        lambda: verify_kv1(KvSolutionPair(other, pair.G)),
+        lambda: verify_homogeneous(KvSolutionPair(pair.F, other)),
+        lambda: verify_homogeneous(KvSolutionPair(other, pair.G)),
+        lambda: verify_split(other),
+        lambda: verify_multilinear(multilinear_particular_solution(3, 3)[:2] + [pair.F]),
+        lambda: verify_multilinear([pair.F, other]),
+    ):
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            run()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_perturbed_solution_defects_equal_the_operator_reference(k):
+    # a Lie perturbation of degrees 2 and 3 in each F_i: every verifier's
+    # defect is the reference built with series arithmetic, term by term
+    order = 6 if k == 2 else 4
+    alphabet = default_alphabet(k)
+    bump = GradedSeries.from_poly(parse_poly(alphabet, "1/3*xy - 1/3*yx + xxy - 2*xyx + yxx"), order)
+    solutions = [F + bump.scaled(i) for i, F in enumerate(multilinear_particular_solution(k, order), 1)]
+    letters = [NCPoly.letter(alphabet, a).scaled((-1) ** i) for i, a in enumerate(alphabet.letters, 1)]
+    images = [op_exp_ad_minus_one(z, F) for z, F in zip(letters, solutions)]
+    expected = reversed_tail(k, order) - sum(images[1:], images[0])
+    defect = verify_multilinear(solutions)
+    assert defect and list(defect.iter_terms()) == list(expected.iter_terms())
+    if k == 2:
+        pair = KvSolutionPair(solutions[0], -solutions[1])
+        assert list(verify_kv1(pair).iter_terms()) == list(expected.iter_terms())
+        assert verify_homogeneous(pair) == images[0] + images[1]
+        target = phi_split(bch_eulerian(order))[1].substitute(SWAP)
+        assert list(verify_split(pair.F).iter_terms()) == list((target - images[0]).iter_terms())
