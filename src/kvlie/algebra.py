@@ -11,7 +11,7 @@ substitution, weighted sums, and the text, JSON and LaTeX forms all live here,
 with the dense form the kernels work in: a homogeneous degree-n component
 over k letters as a list of k^n integer numerators, indexed by the base-k
 value of each word, first letter most significant (``dense`` and
-``from_dense``; ``radix`` is the smallest k that holds given words).
+``from_dense``).
 
 Values are immutable once constructed; every operation returns a fresh
 polynomial, so instances are safe to share.
@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import compress, product, repeat
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .scalars import parse_rational
 
@@ -273,21 +273,16 @@ _ZERO = Fraction(0)
 # -- the dense form of a homogeneous component ---------------------------------
 
 
-def dense(numerators: Mapping[Word, int], degree: int, k: int) -> list[int]:
-    """The degree-n numerators as a list over all k^n words, zeros included:
-    word (a_1, ..., a_n) sits at index sum_i a_i k^(n-i), which is the order in
-    which ``itertools.product(range(k), repeat=n)`` lists the words."""
-    return list(map(numerators.get, product(range(k), repeat=degree), repeat(0)))
+def dense(numerators: Mapping[Word, int], degree: int, letters: Sequence[int]) -> list[int]:
+    """The degree-n numerators over all k^n words of the k ``letters``, zeros
+    included: with letters[i] as digit i (``range(k)`` for 0..k-1), word
+    (a_1, ..., a_n) sits at sum_i a_i k^(n-i), as ``product(letters, repeat=n)`` lists it."""
+    return list(map(numerators.get, product(letters, repeat=degree), repeat(0)))
 
 
-def radix(words: Iterable[Word]) -> int:
-    """The smallest k >= 2 whose dense index holds ``words``: one past the largest letter."""
-    return max(2, 1 + max((max(w) for w in words if w), default=0))
-
-
-def from_dense(vector, degree: int, k: int) -> dict[Word, int]:
+def from_dense(vector, degree: int, letters: Sequence[int]) -> dict[Word, int]:
     """The nonzero entries of a dense degree-n vector, keyed by their words."""
-    return dict(compress(zip(product(range(k), repeat=degree), vector), vector))
+    return dict(compress(zip(product(letters, repeat=degree), vector), vector))
 
 
 # -- products and brackets ---------------------------------------------------

@@ -37,9 +37,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
+from operator import sub
 from typing import Mapping
 
-from .algebra import NCPoly, Word, concat, default_alphabet, dense, from_dense, letter_part, radix
+from .algebra import NCPoly, Word, concat, default_alphabet, dense, from_dense, letter_part
 
 
 # -- Dynkin idempotent --------------------------------------------------------
@@ -52,17 +53,24 @@ def _nest(vector: list[int], k: int) -> tuple[list[int], list[int]]:
     is p, level n is r(p), and block z of level n-1 is r(p_z)).  Going from
     level j - 1 to level j keeps each word u a v and subtracts it at u v a,
     its last j letters rotated left by one: u [a, v].  On the base-k index
-    that rotation is a fixed perfect shuffle inside each block of k^j, so a
-    level is one pass over a source map, built for that level only.
+    that rotation is a perfect shuffle inside each block of k^j, which sends
+    the words a v of each letter a to a stride-k slice: k slice copies per
+    block, or per v when there are more blocks than v, and one subtraction.
     """
     size = len(vector)
     previous = current = vector
     width = k
     while width < size:
         step, width = width, width * k
-        block = [a * step + v for v in range(step) for a in range(k)]
-        source = [start + s for start in range(0, size, width) for s in block]
-        previous, current = current, [c - current[s] for c, s in zip(current, source)]
+        rotated = [0] * size
+        for a in range(k):
+            if size // width <= step:
+                for start in range(0, size, width):
+                    rotated[start + a : start + width : k] = current[start + a * step : start + (a + 1) * step]
+            else:
+                for v in range(step):
+                    rotated[a + k * v :: width] = current[a * step + v :: width]
+        previous, current = current, list(map(sub, current, rotated))
     return previous, current
 
 
@@ -99,7 +107,7 @@ def _route(terms: Mapping[Word, int]) -> tuple[int, int] | None:
     k^n <= 2^n * len(terms): the k^n entries cost at most twice the support
     r can reach.  Always dense for two letters."""
     n = len(next(iter(terms)))
-    k = radix(terms)
+    k = max(2, 1 + max(map(max, terms)))
     return (n, k) if k**n <= len(terms) << n else None
 
 
@@ -112,7 +120,7 @@ def _right_nested(terms: Mapping[Word, int]) -> dict[Word, int]:
     if route is None:
         return _nest_packed(terms)
     n, k = route
-    return from_dense(_nest(dense(terms, n, k), k)[1], n, k)
+    return from_dense(_nest(dense(terms, n, range(k)), k)[1], n, range(k))
 
 
 def _is_lie(terms: Mapping[Word, int]) -> bool:
@@ -241,7 +249,7 @@ def _goldberg(n: int, k: int) -> tuple[NCPoly, tuple[int, ...]]:
     rows = [[c // g for c in row] for row in rows]
     vector = [c for s in level for c in rows[s]]
     nested, full = _nest(vector, k)
-    component = NCPoly._raw(default_alphabet(k), from_dense(vector, n, k), scale // g)
+    component = NCPoly._raw(default_alphabet(k), from_dense(vector, n, range(k)), scale // g)
     if full != [n * c for c in vector]:
         raise NotLieElementError(kernel_generator(component))
     return component, tuple(nested)

@@ -47,10 +47,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
 from math import factorial
 
-from .algebra import XY, Alphabet, NCPoly, concat, default_alphabet, letter_part, radix, substitute
+from .algebra import XY, Alphabet, NCPoly, concat, default_alphabet, letter_part, substitute
 from .idempotents import NotLieElementError, _goldberg, _is_lie, bch_component, dynkin
 from .idempotents import kernel_generator
 from .scalars import bernoulli
@@ -72,24 +71,19 @@ def _bernoulli_weights(order: int, sign: int = 1) -> list:
     return [sign * bernoulli(j) / factorial(j) for j in range(order + 1)]
 
 
-def _radix(base: NCPoly, s: GradedSeries) -> int:
-    """The dense radix of an operator on s: the letters present, not the alphabet."""
-    return radix(chain(base.numerators, *(p.numerators for p in s.parts)))
-
-
 def op_ad(base: NCPoly, s: GradedSeries) -> GradedSeries:
     """ad(base) applied componentwise; base must be homogeneous of degree 1."""
-    return _ad_sum(s.alphabet, _radix(base, s), s.order, [(base, (0, 1), s)])
+    return _ad_sum(s.alphabet, None, s.order, [(base, (0, 1), s)])
 
 
 def op_exp_ad_minus_one(base: NCPoly, s: GradedSeries) -> GradedSeries:
     """E(base) = exp(ad base) - 1, truncated at the series order."""
-    return _ad_sum(s.alphabet, _radix(base, s), s.order, [(base, _exp_weights(s.order), s)])
+    return _ad_sum(s.alphabet, None, s.order, [(base, _exp_weights(s.order), s)])
 
 
 def op_bernoulli(base: NCPoly, s: GradedSeries) -> GradedSeries:
     """Ber(base) = sum_k B_k ad(base)^k / k!, the inverse of E up to ad."""
-    return _ad_sum(s.alphabet, _radix(base, s), s.order, [(base, _bernoulli_weights(s.order), s)])
+    return _ad_sum(s.alphabet, None, s.order, [(base, _bernoulli_weights(s.order), s)])
 
 
 def _signed_letter(alphabet: Alphabet, i: int) -> NCPoly:
@@ -183,12 +177,12 @@ def _letter_nested(order: int, k: int, z: int) -> list:
     z indexes the letters from 0.  gamma(x_z (Phi_m)_z) = [x_z, b_{m-1}], and
     (-1)^i Ber((-1)^i x_i) b solves E((-1)^i x_i) F = ad(x_i) b.  No r pass
     runs here: b_d is block z of the level that the certification of
-    Z_{d+1} kept, with the sign (-1)^d of the reversed tail."""
+    Z_{d+1} kept, with the sign (-1)^d of the reversed tail in its scale."""
     parts: list = [None] * (order + 1)
     for d in range(1, order):
         component, nested = _goldberg(d + 1, k)
         size = k**d
-        parts[d] = (nested[z * size : (z + 1) * size], Fraction((-1) ** d, (d + 1) * component.scale))
+        parts[d] = (nested[z * size : (z + 1) * size], (-1) ** d * (d + 1) * component.scale)
     return parts
 
 

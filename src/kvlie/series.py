@@ -5,20 +5,24 @@ and never reads above its truncation order.  exp and log are the truncated
 formal exponential/logarithm used as the direct-expansion oracle for the
 Baker-Campbell-Hausdorff series.
 
-Products and weighted power sums run on the integer numerators of the
-components, accumulated in ``int`` over one common denominator per output
-degree.  ``_power_sum`` (sum_k w_k s^k), on word dicts, carries exp and log;
-``_ad_sum``, the one kernel of weighted ad powers, sums any number of terms
-sum_j w_j ad(b)^j s on the dense base-k vectors of :func:`kvlie.algebra.dense`:
-the operators ad, E and Ber, the particular solutions and every verifier.
+Every kernel works on one dense form: per degree d, None for zero or
+(vector, scale), the integer vector over all m^d words of the m letters
+present (:func:`kvlie.algebra.dense`, renumbered 0..m-1, so a high letter of
+a large alphabet costs no more than a low one) over a nonzero int scale.
+Each input component is made dense once and each output degree read back to
+words once.  ``_product`` carries series products, ``_power_sum`` (Horner's
+rule on ``_product``) exp and log, and ``_ad_sum``, the one kernel of weighted
+ad powers sum_j w_j ad(b)^j s, the operators ad, E and Ber, the particular
+solutions and every verifier.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import factorial, lcm
 from operator import add, sub
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import Alphabet, Frozen, NCPoly, Word, dense, from_dense, substitute, to_text
 from .algebra import weighted_sum
@@ -130,7 +134,10 @@ class GradedSeries(Frozen):
         if not isinstance(other, GradedSeries):
             return self.scaled(other)
         self._check_compatible(other)
-        return GradedSeries._raw(self.alphabet, self.order, _product(self.parts, other.parts))
+        letters = _letters(self.parts + other.parts)
+        left, right = _densify(self.parts, letters), _entries(_densify(other.parts, letters))
+        parts = [_product(left, right, n, len(letters)) for n in range(self.order + 1)]
+        return _series(self.alphabet, letters, parts)
 
     def __rmul__(self, scalar):
         return self.scaled(scalar)
@@ -161,96 +168,108 @@ class GradedSeries(Frozen):
                 yield d, word, coeff
 
 
-# -- the integer kernel ---------------------------------------------------------
+# -- the dense kernel ------------------------------------------------------------
 
 
-def _product(left: Sequence[NCPoly], right: Sequence[NCPoly]) -> list[NCPoly]:
-    """Truncated product of two component sequences, one lcm denominator per degree."""
-    out = []
-    for m in range(len(left)):
-        pairs = [(left[a], right[m - a]) for a in range(m + 1) if left[a] and right[m - a]]
-        common = lcm(*(a.scale * b.scale for a, b in pairs))
-        acc: dict[Word, int] = {}
-        for a, b in pairs:
-            factor = common // (a.scale * b.scale)
-            for wa, ca in a.numerators.items():
-                ca *= factor
-                for wb, cb in b.numerators.items():
-                    word = wa + wb
-                    acc[word] = acc.get(word, 0) + ca * cb
-        out.append(NCPoly._raw(left[0].alphabet, {w: c for w, c in acc.items() if c}, common))
-    return out
+def _letters(polys: Iterable[NCPoly]) -> tuple[int, ...]:
+    """The letters present in ``polys``, in alphabet order."""
+    return tuple(sorted({a for p in polys for w in p.numerators for a in w}))
+
+
+def _densify(parts: Sequence[NCPoly], letters: Sequence[int]) -> list:
+    """The dense form of the components ``parts`` over ``letters``."""
+    return [(dense(p.numerators, d, letters), p.scale) if p else None for d, p in enumerate(parts)]
+
+
+def _series(alphabet: Alphabet, letters: Sequence[int], parts: Sequence) -> GradedSeries:
+    """The series of dense parts with positive scales, read back once per degree."""
+    polys = [NCPoly._raw(alphabet, from_dense(vector, d, letters), scale)
+             for d, (vector, scale) in enumerate(part or ((), 1) for part in parts)]
+    return GradedSeries._raw(alphabet, len(parts) - 1, polys)
+
+
+def _entries(parts: Sequence) -> list:
+    """A right product operand by its nonzero entries: ([(index, value)], scale)."""
+    return [([(j, c) for j, c in enumerate(part[0]) if c], part[1]) if part else None for part in parts]
+
+
+def _product(left: Sequence, right: Sequence, n: int, k: int):
+    """Component n of left * right over k letters, one integer list over the
+    lcm of the pair scales.  Left word i times right word j of length b sits at
+    i k^b + j, so each entry j of ``right`` (:func:`_entries`) adds to j::k^b."""
+    pairs = [(left[a], right[n - a]) for a in range(n + 1) if left[a] and right[n - a]]
+    common = lcm(*(p * q for (_, p), (_, q) in pairs))
+    acc = [0] * k**n
+    for (vector, p), (entries, q) in pairs:
+        unit, stride = common // (p * q), k**n // len(vector)
+        for j, c in entries:
+            u = unit * c
+            acc[j::stride] = map(add, acc[j::stride], [u * x for x in vector])
+    return (acc, common) if pairs else None
 
 
 def _power_sum(s: GradedSeries, weights: Sequence) -> GradedSeries:
-    """sum_k weights[k] * s^k, truncated at the order of s (component 0 of s
-    must vanish, so s^k starts in degree k and k <= order suffices)."""
-    power = GradedSeries.one(s.alphabet, s.order).parts
-    terms: list[list] = [[] for _ in range(s.order + 1)]
-    for k, weight in enumerate(weights[: s.order + 1]):
-        if k:
-            power = _product(power, s.parts)
-        if not any(power):
-            break
-        for d, p in enumerate(power):
-            terms[d].append((weight, p))
-    return GradedSeries._raw(s.alphabet, s.order, [weighted_sum(s.alphabet, t) for t in terms])
+    """sum_j weights[j] u^j through the order of s, for u = s minus its
+    constant component, by Horner's rule: P = w_j + P u from the top weight
+    down.  u has no constant component, so P u leaves degree 0 to w_j."""
+    letters = _letters(s.parts[1:])
+    right = _entries([None] + _densify(s.parts, letters)[1:])
+    total: list = [None] * (s.order + 1)
+    for w in map(Fraction, reversed(weights[: s.order + 1])):
+        total = [([w.numerator], w.denominator) if w else None] + [
+            _product(total, right, n, len(letters)) for n in range(1, s.order + 1)]
+    return _series(s.alphabet, letters, total)
 
 
-def _ad_sum(alphabet: Alphabet, k: int, order: int, terms: Sequence) -> GradedSeries:
+def _ad_sum(alphabet: Alphabet, k: int | None, order: int, terms: Sequence) -> GradedSeries:
     """sum over terms (base, weights, b) of sum_j weights[j] ad(base)^j b
-    through degree ``order``, on the dense index of radix k.  ``base`` is
-    homogeneous of degree 1 (a rational combination of letters below k, zero
-    included); b is a series over its alphabet, or its dense form: b[d] is
-    None for zero, or (vector, factor) for the Fraction factor times the dense
-    degree-d vector of integers.
-
-    On the base-k index, ad(z) is two slice operations: left concatenation by
-    a letter a is the block at offset a k^d, right concatenation the stride-k
-    positions a::k.  Every ad(base)^j b stays in integers, with the base's
-    denominator in its factor.  Each output degree is one integer vector over
-    the lcm of the denominators that can reach it, found before any ad power.
+    through degree ``order``, for bases homogeneous of degree 1 (zero
+    included) and each b a series over the alphabet or, when k is given, dense
+    parts over the letters 0..k-1; with k None the index is over the letters
+    present.  On the dense index over m letters, left concatenation by a
+    letter a is the block at offset a m^d and right concatenation the stride-m
+    slice a::m, so ad(z) is two slice operations.  Each output degree is one
+    integer vector over the lcm of the denominators that can reach it, found
+    before any ad power.
     """
-    checked, common = [], [1] * (order + 1)
+    letters = range(k) if k else _letters(chain.from_iterable((z, *b.parts) for z, _, b in terms))
+    m, checked, common = len(letters), [], [1] * (order + 1)
     for base, weights, parts in terms:
         if base and (not base.is_homogeneous() or base.max_degree() != 1):
             raise ValueError("operator base must be homogeneous of degree 1")
         if isinstance(parts, GradedSeries):
             base._check_same_alphabet(parts.parts[0])
-            parts = [(dense(p.numerators, d, k), Fraction(1, p.scale)) if p else None
-                     for d, p in enumerate(parts.parts[: order + 1])]
+            parts = _densify(parts.parts[: order + 1], letters)
         parts = [(d, part) for d, part in enumerate(parts[: order + 1]) if part]
         checked.append((base, weights, parts))
-        for d, (_, factor) in parts:
+        for d, (_, scale) in parts:
             for j, weight in enumerate(weights[: order + 1 - d]):
-                common[d + j] = lcm(common[d + j], (weight * factor / base.scale**j).denominator)
+                common[d + j] = lcm(common[d + j], Fraction(weight, scale * base.scale**j).denominator)
     totals: list = [None] * (order + 1)
     for base, weights, parts in checked:
-        letters = [(w[0], c) for w, c in base.numerators.items()]
-        for d, (vector, factor) in parts:
+        coefficients = [(letters.index(w[0]), c) for w, c in base.numerators.items()]
+        for d, (vector, scale) in parts:
             for j, weight in enumerate(weights[: order + 1 - d]):
                 if j:
                     size = len(vector)
-                    out = [0] * (size * k)
-                    for a, b in letters:
+                    out = [0] * (size * m)
+                    for a, b in coefficients:
                         scaled = [b * c for c in vector]
                         left = slice(a * size, (a + 1) * size)
                         out[left] = map(add, out[left], scaled)
-                        out[a::k] = map(sub, out[a::k], scaled)
-                    vector, factor = out, factor / base.scale
+                        out[a::m] = map(sub, out[a::m], scaled)
+                    vector, scale = out, scale * base.scale
                     if not any(vector):
                         break
                 if weight:
                     n = d + j
-                    f = int(weight * factor * common[n])
+                    f = int(Fraction(weight * common[n], scale))
                     totals[n] = [t + f * c for t, c in zip(totals[n] or [0] * len(vector), vector)]
-    parts = [NCPoly._raw(alphabet, from_dense(t or (), n, k), c)
-             for n, (t, c) in enumerate(zip(totals, common))]
-    return GradedSeries._raw(alphabet, order, parts)
+    return _series(alphabet, letters, [(t, c) if t else None for t, c in zip(totals, common)])
 
 
 def series_exp(s: GradedSeries) -> GradedSeries:
-    """Truncated exponential sum_k s^k / k! on the integer kernel; requires a
+    """Truncated exponential sum_k s^k / k! on the dense kernel; requires a
     vanishing constant component."""
     if s.parts[0]:
         raise ValueError("series_exp requires component 0 to vanish")
@@ -258,9 +277,8 @@ def series_exp(s: GradedSeries) -> GradedSeries:
 
 
 def series_log(s: GradedSeries) -> GradedSeries:
-    """Truncated logarithm sum_k (-1)^(k-1) (s - 1)^k / k on the integer
+    """Truncated logarithm sum_k (-1)^(k-1) (s - 1)^k / k on the dense
     kernel; requires constant component equal to 1."""
     if s.parts[0] != NCPoly.unit(s.alphabet):
         raise ValueError("series_log requires component 0 equal to 1")
-    u = GradedSeries._raw(s.alphabet, s.order, (NCPoly.zero(s.alphabet),) + s.parts[1:])
-    return _power_sum(u, [0] + [Fraction((-1) ** (k - 1), k) for k in range(1, s.order + 1)])
+    return _power_sum(s, [0] + [Fraction((-1) ** (k - 1), k) for k in range(1, s.order + 1)])

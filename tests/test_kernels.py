@@ -5,6 +5,7 @@ words (by degree, by leading letter, by common denominator), so these tests
 draw dense polynomials of mixed degree with mixed denominators.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from kvlie.algebra import Alphabet, NCPoly, default_alphabet, dense, from_dense, letter_part
 from kvlie.algebra import parse_poly
-from kvlie.idempotents import NotLieElementError, _route, bch_component, dynkin, kernel_generator
+from kvlie.idempotents import NotLieElementError, _nest, _route, bch_component, dynkin
+from kvlie.idempotents import kernel_generator
 from kvlie.idempotents import psi
 from kvlie.kv import _certify_lie
 from kvlie.lyndon import (
@@ -116,11 +118,44 @@ def test_dense_index_is_the_base_k_value_of_the_word(k):
         words = list(product(range(k), repeat=n))
         assert [sum(a * k ** (n - 1 - i) for i, a in enumerate(w)) for w in words] == list(range(k**n))
         numerators = {w: i - 3 for i, w in enumerate(words) if i != 3 and i % 4}
-        vector = dense(numerators, n, k)
+        vector = dense(numerators, n, range(k))
         assert vector == [i - 3 if i % 4 else 0 for i in range(k**n)]
-        assert from_dense(vector, n, k) == numerators
+        assert from_dense(vector, n, range(k)) == numerators
         # the index order is the canonical order of the printed forms
         assert list(numerators) == [w for w, _ in NCPoly._raw(alphabet, numerators).sorted_terms()]
+
+
+def test_dense_index_over_the_letters_present():
+    # letters (1, 4, 6) are the digits 0, 1, 2 of a base-3 index
+    letters = (1, 4, 6)
+    numerators = {(4, 1): 5, (6, 6): -2, (1, 6): 7}
+    vector = dense(numerators, 2, letters)
+    assert vector == [0, 0, 7, 5, 0, 0, 0, 0, -2]
+    assert from_dense(vector, 2, letters) == numerators
+
+
+def nest_by_index_maps(vector, k):
+    """(level n-1, level n) of r with one source index map per level: the
+    perfect shuffle of each block of k^j spelled out word by word."""
+    size = len(vector)
+    previous = current = vector
+    width = k
+    while width < size:
+        step, width = width, width * k
+        block = [a * step + v for v in range(step) for a in range(k)]
+        source = [start + s for start in range(0, size, width) for s in block]
+        previous, current = current, [c - current[s] for c, s in zip(current, source)]
+    return previous, current
+
+
+@pytest.mark.parametrize("k, top", [(2, 13), (3, 8), (4, 6)])
+def test_nest_slices_equal_the_index_maps(k, top):
+    # early levels have more blocks than words v, late levels fewer: every
+    # degree from 1 up crosses both kinds of slice copy
+    rng = random.Random(k)
+    for n in range(1, top + 1):
+        vector = [rng.randint(-9, 9) for _ in range(k**n)]
+        assert _nest(vector, k) == nest_by_index_maps(vector, k)
 
 
 def test_packing_width_follows_the_largest_letter():

@@ -42,10 +42,12 @@ def test_truncate_and_components():
 def test_exp_examples():
     x = GradedSeries.generator(XY, "x", 2)
     assert series_exp(x).to_poly() == parse_poly(XY, "1 + x + 1/2*xx")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="series_exp requires component 0 to vanish"):
         series_exp(GradedSeries.one(XY, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="series_log requires component 0 equal to 1"):
         series_log(GradedSeries.generator(XY, "x", 2))
+    with pytest.raises(ValueError, match="series_log requires component 0 equal to 1"):
+        series_log(GradedSeries.one(XY, 2).scaled(2) + x)
 
 
 def test_exp_log_inverse_pair():

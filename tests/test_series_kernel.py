@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvlie import kv
+from kvlie import algebra, kv
 from kvlie import series as series_module
 from kvlie.algebra import XY, NCPoly, bracket, default_alphabet, parse_poly
 from kvlie.kv import KvSolutionPair, bch_eulerian, general_solution, op_ad, op_bernoulli
@@ -85,6 +85,49 @@ def test_log_inverts_exp(s):
     assert series_log(series_exp(s)) == s
     one = GradedSeries.one(s.alphabet, s.order)
     assert series_exp(series_log(one + s)) == one + s
+
+
+@st.composite
+def gapped_series(draw, k, letters, order):
+    """A series over default_alphabet(k) whose words use only ``letters``."""
+    alphabet = default_alphabet(k)
+    parts = []
+    for d in range(order + 1):
+        words = st.tuples(*[st.sampled_from(letters)] * d)
+        parts.append(NCPoly(alphabet, draw(st.dictionaries(words, COEFFS, max_size=6))))
+    return GradedSeries(alphabet, order, parts)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+@pytest.mark.parametrize("k, letters, order", [(3, (0, 2), 5), (14, (0, 13), 8), (14, (3, 9, 12), 4)])
+def test_products_over_gaps_in_the_letters(k, letters, order, data):
+    # the dense index runs over the letters present, renumbered and mapped back
+    s = data.draw(gapped_series(k, letters, order))
+    t = data.draw(gapped_series(k, letters[::-1][:2], order))
+    assert s * t == naive_product(s, t)
+    assert t * s == naive_product(t, s)
+    u = GradedSeries(s.alphabet, order, (NCPoly.zero(s.alphabet),) + s.parts[1:])
+    assert series_log(series_exp(u)) == u
+
+
+def test_log_reads_each_degree_back_once_and_builds_no_word_dict(monkeypatch):
+    alphabet = default_alphabet(3)
+    s = GradedSeries.one(alphabet, 6)
+    for letter in "xzy":
+        s = s * series_exp(GradedSeries.generator(alphabet, letter, 6))
+    calls = []
+    real = series_module.from_dense
+    monkeypatch.setattr(series_module, "from_dense", lambda *args: calls.append(args) or real(*args))
+
+    def forbidden(*args):
+        raise AssertionError("the dense kernel called a word-dict kernel")
+
+    for module, name in ((algebra, "weighted_sum"), (algebra, "concat"), (series_module, "weighted_sum")):
+        monkeypatch.setattr(module, name, forbidden)
+    log = series_log(s)
+    assert [degree for _, degree, _ in calls] == list(range(7))
+    assert log.component(2) == parse_poly(alphabet, "1/2*xz - 1/2*zx + 1/2*xy - 1/2*yx + 1/2*zy - 1/2*yz")
 
 
 @st.composite
@@ -175,27 +218,29 @@ def test_multilinear_defect_spelled_out(data):
     assert verify_multilinear(solutions, order) == expected
 
 
-def test_operators_densify_over_the_letters_present(monkeypatch):
-    # y + zu over 14 letters: the radix is that of the letters present (x, y,
-    # z, u), so order 8 builds 4^8 entries per degree, not 14^8
+@pytest.mark.parametrize("base, text, order, radix", [
+    ("x", "y + 1/2*zu", 8, 4),  # the letters present are x, y, z, u: 4^8 entries, not 14^8
+    ("h", "xyzu", 7, 5),  # h is letter 13: x, y, z, u, h are renumbered 0..4
+], ids=["low-letters", "high-letter"])
+def test_operators_densify_over_the_letters_present(monkeypatch, base, text, order, radix):
     alphabet = default_alphabet(14)
-    x = NCPoly.letter(alphabet, "x")
-    s = GradedSeries.from_poly(parse_poly(alphabet, "y + 1/2*zu"), 8)
+    z = NCPoly.letter(alphabet, base)
+    s = GradedSeries.from_poly(parse_poly(alphabet, text), order)
     radices = []
     real = series_module.dense
 
-    def spy(terms, degree, k):
-        assert k <= 4  # before the 14^degree entries are built
-        radices.append(k)
-        return real(terms, degree, k)
+    def spy(terms, degree, letters):
+        assert len(letters) <= radix  # before the 14^degree entries are built
+        radices.append(len(letters))
+        return real(terms, degree, letters)
 
     monkeypatch.setattr(series_module, "dense", spy)
-    result = op_exp_ad_minus_one(x, s)
-    assert op_exp_ad_minus_one(x, op_bernoulli(x, s)) == op_ad(x, s)
-    assert set(radices) == {4}
-    expected, power = GradedSeries.zero(alphabet, 8), s
-    for j in range(1, 9):
-        power = GradedSeries(alphabet, 8, [NCPoly.zero(alphabet)] + [bracket(x, p) for p in power.parts[:-1]])
+    result = op_exp_ad_minus_one(z, s)
+    assert op_exp_ad_minus_one(z, op_bernoulli(z, s)) == op_ad(z, s)
+    assert set(radices) == {radix}
+    expected, power = GradedSeries.zero(alphabet, order), s
+    for j in range(1, order + 1):
+        power = GradedSeries(alphabet, order, [NCPoly.zero(alphabet)] + [bracket(z, p) for p in power.parts[:-1]])
         expected = expected + power.scaled(Fraction(1, factorial(j)))
     assert result == expected and result
 
