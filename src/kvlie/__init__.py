@@ -11,13 +11,13 @@ Each object has one production construction: the BCH series is the Eulerian
 idempotent on power words (``bch_eulerian``), the Dynkin idempotent is the
 right-nested bracketing r on whole components (``dynkin``), and Lie
 membership is its fixed point r(p) = n p in degree n, which raises
-``NotLieElementError`` when it fails.  ``bch_oracle`` (log of a product of
-exponentials) is exported because ``kvlie bch`` prints it.  The other
-independent constructions that the tests play against production --
-permutation sums, descent classes, convolution, linear solves, the Lyndon
-elimination -- live in :mod:`kvlie.oracles` and its support modules
-(``permutations``, ``linalg``, ``lyndon``), which this package does not
-import.
+``NotLieElementError`` when it fails.  A ``GradedSeries`` stores each
+component as integers over all words of its letters, the form every kernel
+computes in; ``NCPoly``, the word dict, is built where a component is read.
+``bch_oracle`` (log of a product of exponentials) is exported because
+``kvlie bch`` prints it.  The independent constructions that the tests play
+against production live in :mod:`kvlie.oracles` and its support modules
+(``permutations``, ``linalg``, ``lyndon``), which this package does not import.
 """
 
 from .algebra import (

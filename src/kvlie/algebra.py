@@ -67,7 +67,7 @@ class Alphabet:
         return tuple(self.index(ch) for ch in text)
 
     def word_text(self, word: Word) -> str:
-        return "".join(self.letters[i] for i in word)
+        return "".join(map(self.letters.__getitem__, word))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Alphabet) and self.letters == other.letters
@@ -315,6 +315,16 @@ def letter_part(p: NCPoly, letter: str) -> NCPoly:
     return NCPoly._raw(p.alphabet, terms, p.scale)
 
 
+def substitution_table(alphabet: Alphabet, images: Mapping[str, str]) -> dict[int, tuple[int, int]]:
+    """letter -> (image letter, sign) for images written "y" or "-y"."""
+    table: dict[int, tuple[int, int]] = {}
+    for src, dst in images.items():
+        dst = dst.strip()
+        sign = -1 if dst.startswith("-") else 1
+        table[alphabet.index(src)] = (alphabet.index(dst[1:].strip() if sign < 0 else dst), sign)
+    return table
+
+
 def substitute(p: NCPoly, images: Mapping[str, str]) -> NCPoly:
     """Letter-wise signed substitution, extended multiplicatively.
 
@@ -322,23 +332,14 @@ def substitute(p: NCPoly, images: Mapping[str, str]) -> NCPoly:
     written "y" or "-y"; a word picks up -1 for each negated image.
     """
     alphabet = p.alphabet
-    table: dict[int, tuple[int, int]] = {}
-    for src, dst in images.items():
-        sign = 1
-        dst = dst.strip()
-        if dst.startswith("-"):
-            sign = -1
-            dst = dst[1:].strip()
-        table[alphabet.index(src)] = (alphabet.index(dst), sign)
+    table = substitution_table(alphabet, images)
     terms: dict[Word, int] = {}
     for word, coeff in p.numerators.items():
         sign = 1
         out = []
         for i in word:
             if i not in table:
-                raise ValueError(
-                    f"no image for letter {alphabet.letters[i]!r} in substitution"
-                )
+                raise ValueError(f"no image for letter {alphabet.letters[i]!r} in substitution")
             j, s = table[i]
             out.append(j)
             sign *= s

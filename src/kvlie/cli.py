@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 from .algebra import (
     XY,
@@ -77,12 +78,10 @@ def _check_degree(n: int, force: bool, what: str = "degree") -> None:
         )
 
 
-def _defect_lines(defect: GradedSeries) -> list[str]:
-    """Per-degree defect report, lowest degree first."""
-    return [
-        f"defect at degree {d}: {defect.alphabet.word_text(w)} coefficient {c}"
-        for d, w, c in defect.iter_terms()
-    ]
+def _defect_lines(defect: GradedSeries) -> Iterator[str]:
+    """Per-degree defect report, lowest degree first, formatted as read."""
+    for d, w, c in defect.iter_terms():
+        yield f"defect at degree {d}: {defect.alphabet.word_text(w)} coefficient {c}"
 
 
 def _check_vars(k: int) -> None:
@@ -120,8 +119,7 @@ def _cmd_bch(args) -> int:
         right = bch_oracle(args.degree, args.vars)
     if args.method == "both":
         diff = left.series - right.series
-        lines = _defect_lines(diff)
-        _emit("\n".join(lines), args.output)
+        _emit("\n".join(_defect_lines(diff)), args.output)
         return EXIT_OK if diff.is_zero() else EXIT_DEFECT
     series = left if args.method == "eulerian" else right
     _emit(_render_poly(series.component(args.degree), args.format), args.output)
@@ -172,8 +170,7 @@ def _cmd_verify(args) -> int:
             args.output,
         )
         return EXIT_OK
-    lines = _defect_lines(defect)
-    _emit(lines[0], args.output)
+    _emit(next(_defect_lines(defect)), args.output)
     return EXIT_DEFECT
 
 
@@ -194,8 +191,7 @@ def _cmd_solution(args) -> int:
         body = f"F = {render(pair.F.to_poly())}\nG = {render(pair.G.to_poly())}"
     _emit(body, args.output)
     if not defect.is_zero():
-        first = _defect_lines(defect)[0]
-        print(f"kvlie: self-verification failed: {first}", file=sys.stderr)
+        print(f"kvlie: self-verification failed: {next(_defect_lines(defect))}", file=sys.stderr)
         return EXIT_DEFECT
     return EXIT_OK
 

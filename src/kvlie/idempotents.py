@@ -11,26 +11,25 @@ Each projector onto the free Lie algebra has one production construction here:
   solutions only ever need e on power words, and e(x^i y^j) is i! j! times
   the bidegree-(i, j) part of Z_{i+j}.
 
-Both run on the dense form of a component: a list of the integer numerators
-of all k^n words of degree n over k letters, indexed by the base-k value of
-the word, first letter most significant (:func:`kvlie.algebra.dense`).  The
-Goldberg kernel reads each word's class in that order, and a level of r is one
-fixed permutation of the index.  r keeps a sparse route, each word packed
-into one int, for input whose k^n words are far more than r can reach from
-it (``_route``), such as a few words over many letters; every BCH
-component, every letter part of one and every two-letter input is dense.
+Both run on the dense form of a component: the integer numerators of all k^n
+words of degree n over k letters, indexed by the base-k value of the word,
+first letter most significant (:func:`kvlie.algebra.dense`), the form a
+:class:`kvlie.series.GradedSeries` stores.  The Goldberg kernel reads each
+word's class in that order, and a level of r is one fixed permutation of the
+index.  ``dynkin`` reads user polynomials, so r keeps a sparse route, each word
+packed into one int, for input whose k^n words are far more than r can reach
+from it (``_route``), such as a few words over many letters.
 
 ``kernel_generator``, ``psi`` and the Patras-Reutenauer elements gamma(a) a
 build the kernel of gamma from ``dynkin``.  The fixed point r(p) = n p is the
-production Lie-membership test: ``bch_component`` certifies each component
-with it once, keeping the level of that pass whose blocks are r((Z_n)_z),
-and :func:`kvlie.kv._certify_lie` any other BCH series; both raise
-``NotLieElementError``.  The independent constructions that the tests play
-against these (the descent-class Dynkin sum, the S_n and convolution
-Eulerian sums, the explicit kernel elements and a kernel basis, the Lyndon
-elimination) live in :mod:`kvlie.oracles` and its support modules.
-``bch_component`` is memoised per (degree, k), with the kept level, by
-``_goldberg``.
+production Lie-membership test: ``_goldberg`` certifies each BCH component
+once per (degree, k), memoised with its vector and the level of that pass
+whose blocks are r((Z_n)_z), and :func:`kvlie.kv._certify_lie` the stored
+vectors of any other BCH series; both raise ``NotLieElementError``.  The
+independent constructions that the tests play against these (the
+descent-class Dynkin sum, the S_n and convolution Eulerian sums, the explicit
+kernel elements and a kernel basis, the Lyndon elimination) live in
+:mod:`kvlie.oracles` and its support modules.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from operator import sub
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .algebra import NCPoly, Word, concat, default_alphabet, dense, from_dense, letter_part
 
@@ -46,7 +45,7 @@ from .algebra import NCPoly, Word, concat, default_alphabet, dense, from_dense, 
 # -- Dynkin idempotent --------------------------------------------------------
 
 
-def _nest(vector: list[int], k: int) -> tuple[list[int], list[int]]:
+def _nest(vector: Sequence[int], k: int) -> tuple[list[int], list[int]]:
     """(level n-1, level n) of r on a dense component p of degree n >= 1.
 
     Level j holds sum_u u r(p_u) over the prefixes u of length n - j (level 1
@@ -58,7 +57,7 @@ def _nest(vector: list[int], k: int) -> tuple[list[int], list[int]]:
     block, or per v when there are more blocks than v, and one subtraction.
     """
     size = len(vector)
-    previous = current = vector
+    previous = current = list(vector)
     width = k
     while width < size:
         step, width = width, width * k
@@ -100,33 +99,15 @@ def _nest_packed(terms: Mapping[Word, int]) -> dict[Word, int]:
     return {tuple([v >> s & mask for s in shifts]): c for v, c in nested.items()}
 
 
-def _route(terms: Mapping[Word, int]) -> tuple[int, int] | None:
-    """(n, k) when r runs on the dense vector of these degree-n terms over k
-    letters (one past the largest letter, at least 2), None for the sparse
-    route.  r of one word reaches at most 2^(n-1) words, so the rule is
-    k^n <= 2^n * len(terms): the k^n entries cost at most twice the support
-    r can reach.  Always dense for two letters."""
+def _route(terms: Mapping[Word, int]) -> int | None:
+    """k when r runs on the dense vector of these degree-n terms over k letters
+    (one past the largest letter, at least 2), None for the sparse route.  r of
+    one word reaches at most 2^(n-1) words, so the rule is k^n <= 2^n *
+    len(terms): the k^n entries cost at most twice the support r can reach.
+    Always dense for two letters."""
     n = len(next(iter(terms)))
     k = max(2, 1 + max(map(max, terms)))
-    return (n, k) if k**n <= len(terms) << n else None
-
-
-def _right_nested(terms: Mapping[Word, int]) -> dict[Word, int]:
-    """r(p) = sum_a [a, r(p_a)] for p = sum_a a * p_a homogeneous of degree >= 1,
-    with r the identity on letters."""
-    if not terms:
-        return {}
-    route = _route(terms)
-    if route is None:
-        return _nest_packed(terms)
-    n, k = route
-    return from_dense(_nest(dense(terms, n, range(k)), k)[1], n, range(k))
-
-
-def _is_lie(terms: Mapping[Word, int]) -> bool:
-    """r(p) = n p (Dynkin-Specht-Wever) for p homogeneous of degree n >= 1."""
-    n = len(next(iter(terms), ()))
-    return _right_nested(terms) == {w: n * c for w, c in terms.items()}
+    return k if k**n <= len(terms) << n else None
 
 
 def dynkin(p: NCPoly) -> NCPoly:
@@ -136,14 +117,18 @@ def dynkin(p: NCPoly) -> NCPoly:
     (Dynkin-Specht-Wever: p of degree n is Lie iff r(p) = n p), so applying it
     twice equals applying it once.
     On the degree-n numerators, over the scale D of p, gamma is r / (n * D)
-    with r the right-nested bracketing; every degree is put over D * lcm(n).
+    with r the right-nested bracketing, r(sum_a a p_a) = sum_a [a, r(p_a)];
+    every degree is put over D * lcm(n).
     """
     degrees = [n for n in p.degrees() if n]
     common = lcm(*degrees)
     numerators: dict[Word, int] = {}
     for n in degrees:
         part = {w: c for w, c in p.numerators.items() if len(w) == n}
-        numerators.update((w, c * (common // n)) for w, c in _right_nested(part).items())
+        k = _route(part)
+        nested = (_nest_packed(part) if k is None
+                  else from_dense(_nest(dense(part, n, range(k)), k)[1], n, range(k)))
+        numerators.update((w, c * (common // n)) for w, c in nested.items())
     return NCPoly._raw(p.alphabet, numerators, common * p.scale)
 
 
@@ -177,15 +162,17 @@ def bch_component(degree: int, k: int = 2) -> NCPoly:
     r_1, ..., r_m, with a ascending and d descending run boundaries, has the
     coefficient  int_0^1 t^a (t-1)^d prod_i G_{r_i}(t) dt,  where G_1 = 1 and
     G_s = (1/s) d/dt [t(t-1) G_{s-1}].  Built and certified Lie once per
-    (n, k), by ``_goldberg``.
+    (n, k), by ``_goldberg``; its word dict is built on each call.
     """
-    return _goldberg(degree, k)[0]
+    vector, scale, _ = _goldberg(degree, k)
+    return NCPoly._raw(default_alphabet(k), from_dense(vector, degree, range(k)), scale)
 
 
 @lru_cache(maxsize=None)
-def _goldberg(n: int, k: int) -> tuple[NCPoly, tuple[int, ...]]:
-    """(Z_n, level n-1 of r on its numerators): block z of that level, the
-    k^(n-1) entries from z k^(n-1) on, is r((Z_n)_z) over the scale of Z_n.
+def _goldberg(n: int, k: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """(vector, scale, level): Z_n as its dense numerators over k letters and
+    their scale, and level n-1 of r on them, whose block z, the k^(n-1)
+    entries from z k^(n-1) on, is r((Z_n)_z) over the same scale.
 
     The kernel holds H_s = s! G_s as integer coefficient lists and integrates
     over L = lcm(1..n): L * int_0^1 t^u (t-1)^d dt is the integer
@@ -249,10 +236,10 @@ def _goldberg(n: int, k: int) -> tuple[NCPoly, tuple[int, ...]]:
     rows = [[c // g for c in row] for row in rows]
     vector = [c for s in level for c in rows[s]]
     nested, full = _nest(vector, k)
-    component = NCPoly._raw(default_alphabet(k), from_dense(vector, n, range(k)), scale // g)
     if full != [n * c for c in vector]:
+        component = NCPoly._raw(default_alphabet(k), from_dense(vector, n, range(k)), scale // g)
         raise NotLieElementError(kernel_generator(component))
-    return component, tuple(nested)
+    return tuple(vector), scale // g, tuple(nested)
 
 
 # -- kernel of the Dynkin idempotent -------------------------------------------

@@ -14,31 +14,24 @@ idempotent, and the multilinear generalisation
 
 whose case k = 2 with (F_1, F_2) = (F, -G) is the equation above.
 
-The production BCH series is ``bch_eulerian``: the Eulerian idempotent on
-power words in Goldberg's closed form (:func:`kvlie.idempotents.bch_component`),
-whose components are certified Lie once each; no verifier takes a BCH
-series as an argument.  The two-variable objects are the k = 2 case of the
-multilinear ones.  One letter-nested series b_{n-1} = r((Phi_n)_z) / n gives
-both the z-leading Dynkin share gamma(z (Phi_n)_z) = [z, b_{n-1}] and, on the
-reversed BCH tail, F_i = (-1)^i Ber((-1)^i x_i) b (``multilinear_f0``; ``f0``
-is its case i = 1, k = 2).  It costs no r pass of its own: the certification
-of Z_n keeps the level of r whose block z is r((Z_n)_z), and b is read from
-those blocks as dense base-k vectors (see :mod:`kvlie.idempotents`).  Each
-operator, particular solution and verifier is one :func:`kvlie.series._ad_sum`
-call; a verifier's terms are its target (the reversed tail, or ad(x) b for the
-split equation) and -E((-1)^i x_i) F_i for each i, all summed at once.
-``bch_oracle`` (log of a product of exponentials) stays here because
-``kvlie bch --method oracle|both`` prints it.  The other oracles -- BCH
-through the S_n permutation sum, the particular solution by exact linear
-solves, and the dimension counts of the solution space -- live in
-:mod:`kvlie.oracles`.
-
-Argument-order discipline: a ``BchSeries`` is certified Lie.  Reversed
-orders, such as the recurring (y, x), are never re-derived:
-log(e^x_k ... e^x_1) = -Z(-x_1, ..., -x_k), so component n of the reversed
-series is (-1)^(n+1) Z_n, held once per series as ``reversed_tail``.
-Identity checks return full graded defect series so that a failure is
-diagnosable term by term.
+Every series here is a :class:`kvlie.series.GradedSeries` in its stored dense
+form, built with no word dict: ``bch_eulerian`` stores the Goldberg vectors of
+:func:`kvlie.idempotents.bch_component`, certified Lie once each, and
+``reversed_tail`` (log(e^x_k ... e^x_1) = -Z(-x_1, ..., -x_k), so component n
+is (-1)^(n+1) Z_n) negates the even ones.  The letter-nested series
+b_{n-1} = r((Phi_n)_z) / n is block z of the level of r that the
+certification of Z_n kept, so it costs no r pass; it gives both the z-leading
+Dynkin share gamma(z (Phi_n)_z) = [z, b_{n-1}] and, on the reversed tail,
+F_i = (-1)^i Ber((-1)^i x_i) b (``multilinear_f0``; ``f0`` is its case i = 1,
+k = 2).  Each operator, particular solution and verifier is one
+:func:`kvlie.series._ad_sum` call; a verifier sums its target (the reversed
+tail, or ad(x) b for the split) and -E((-1)^i x_i) F_i for each i.  No
+verifier takes a BCH series as an argument, and reversed argument orders are
+never re-derived.  ``bch_oracle`` (log of a product of exponentials, which
+``BchSeries`` certifies with r on its stored vectors) stays here because
+``kvlie bch --method oracle|both`` prints it; the other oracles live in
+:mod:`kvlie.oracles`.  Identity checks return full graded defect series, so
+that a failure is diagnosable term by term.
 """
 
 from __future__ import annotations
@@ -50,10 +43,9 @@ from functools import cached_property, lru_cache
 from math import factorial
 
 from .algebra import XY, Alphabet, NCPoly, concat, default_alphabet, letter_part, substitute
-from .idempotents import NotLieElementError, _goldberg, _is_lie, bch_component, dynkin
-from .idempotents import kernel_generator
+from .idempotents import NotLieElementError, _goldberg, _nest, dynkin, kernel_generator
 from .scalars import bernoulli
-from .series import GradedSeries, _ad_sum
+from .series import GradedSeries, _ad_sum, series_exp, series_log
 
 NEGATE_SWAP = {"x": "-y", "y": "-x"}
 
@@ -73,17 +65,17 @@ def _bernoulli_weights(order: int, sign: int = 1) -> list:
 
 def op_ad(base: NCPoly, s: GradedSeries) -> GradedSeries:
     """ad(base) applied componentwise; base must be homogeneous of degree 1."""
-    return _ad_sum(s.alphabet, None, s.order, [(base, (0, 1), s)])
+    return _ad_sum(s.order, [(base, (0, 1), s)])
 
 
 def op_exp_ad_minus_one(base: NCPoly, s: GradedSeries) -> GradedSeries:
     """E(base) = exp(ad base) - 1, truncated at the series order."""
-    return _ad_sum(s.alphabet, None, s.order, [(base, _exp_weights(s.order), s)])
+    return _ad_sum(s.order, [(base, _exp_weights(s.order), s)])
 
 
 def op_bernoulli(base: NCPoly, s: GradedSeries) -> GradedSeries:
     """Ber(base) = sum_k B_k ad(base)^k / k!, the inverse of E up to ad."""
-    return _ad_sum(s.alphabet, None, s.order, [(base, _bernoulli_weights(s.order), s)])
+    return _ad_sum(s.order, [(base, _bernoulli_weights(s.order), s)])
 
 
 def _signed_letter(alphabet: Alphabet, i: int) -> NCPoly:
@@ -98,7 +90,7 @@ def _signed_letter(alphabet: Alphabet, i: int) -> NCPoly:
 @dataclass(frozen=True)
 class BchSeries:
     """A BCH series, certified Lie on construction.  ``_raw`` skips the check
-    for ``bch_eulerian``, whose components ``bch_component`` has certified."""
+    for ``bch_eulerian``, whose components ``_goldberg`` has certified."""
 
     series: GradedSeries
 
@@ -121,44 +113,40 @@ class BchSeries:
 
     @cached_property
     def reversed_tail(self) -> GradedSeries:
-        """sum_{n>=2} Phi_n(x_k, ..., x_1): log(e^x_k ... e^x_1) is
-        -Z(-x_1, ..., -x_k), so component n is (-1)^(n+1) Z_n.  Computed once
-        per BchSeries and shared, as every GradedSeries is immutable."""
+        """sum_{n>=2} Phi_n(x_k, ..., x_1), component n (-1)^(n+1) Z_n; built
+        once per BchSeries and shared, as every GradedSeries is immutable."""
         s = self.series
-        zero = NCPoly.zero(s.alphabet)
-        tail = [p if n % 2 else -p for n, p in enumerate(s.parts[2:], 2)]
-        return GradedSeries._raw(s.alphabet, s.order, [zero, zero][: s.order + 1] + tail)
+        tail = [part if n % 2 or not part else (tuple(-c for c in part[0]), part[1])
+                for n, part in enumerate(s.dense[2:], 2)]
+        return GradedSeries._raw(s.alphabet, s.letters, [None, None][: s.order + 1] + tail)
 
 
 def _certify_lie(series: GradedSeries) -> None:
     """Raise NotLieElementError(p - gamma(p)) unless each component p of degree
-    n >= 1 passes the Dynkin-Specht-Wever test r(p) = n p, in integers."""
-    for p in series.parts[1:]:
-        if not _is_lie(p.numerators):
-            raise NotLieElementError(kernel_generator(p))
+    n >= 1 passes the Dynkin-Specht-Wever test r(p) = n p, on its stored vector."""
+    for n, part in enumerate(series.dense):
+        if n and part and _nest(part[0], len(series.letters))[1] != [n * c for c in part[0]]:
+            raise NotLieElementError(kernel_generator(series.component(n)))
 
 
 @lru_cache(maxsize=None)
 def bch_eulerian(order: int, k: int = 2) -> BchSeries:
     """BCH series from the Eulerian idempotent on power words, for any k.
 
-    This is the production construction: component m is
+    This is the production construction: component m is the dense vector of
     :func:`kvlie.idempotents.bch_component`, Goldberg's closed form of
     sum e(x_1^i_1 ... x_k^i_k) / (i_1! ... i_k!) over the power words of
     degree m, which certifies it to be a Lie element.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    alphabet = default_alphabet(k)
-    parts = [NCPoly.zero(alphabet)] + [bch_component(m, k) for m in range(1, order + 1)]
-    return BchSeries._raw(GradedSeries._raw(alphabet, order, parts))
+    parts = [None] + [_goldberg(m, k)[:2] for m in range(1, order + 1)]
+    return BchSeries._raw(GradedSeries._raw(default_alphabet(k), range(k), parts))
 
 
 @lru_cache(maxsize=None)
 def bch_oracle(order: int, k: int = 2) -> BchSeries:
     """Ground-truth BCH series: log of the ordered product of exponentials."""
-    from .series import series_exp, series_log
-
     if order < 1:
         raise ValueError("order must be >= 1")
     alphabet = default_alphabet(k)
@@ -171,19 +159,16 @@ def bch_oracle(order: int, k: int = 2) -> BchSeries:
 # -- the split of the BCH series ----------------------------------------------
 
 
-def _letter_nested(order: int, k: int, z: int) -> list:
+def _letter_nested(order: int, k: int, z: int) -> GradedSeries:
     """b with b_d = r((Phi_{d+1}(x_k, ..., x_1))_z) / (d+1) for 1 <= d < order,
-    None elsewhere, in the dense form that :func:`kvlie.series._ad_sum` reads;
-    z indexes the letters from 0.  gamma(x_z (Phi_m)_z) = [x_z, b_{m-1}], and
-    (-1)^i Ber((-1)^i x_i) b solves E((-1)^i x_i) F = ad(x_i) b.  No r pass
-    runs here: b_d is block z of the level that the certification of
-    Z_{d+1} kept, with the sign (-1)^d of the reversed tail in its scale."""
+    zero elsewhere, z counted from 0: block z of the level of r that the
+    certification of Z_{d+1} kept, times the sign (-1)^d of the reversed tail."""
     parts: list = [None] * (order + 1)
     for d in range(1, order):
-        component, nested = _goldberg(d + 1, k)
-        size = k**d
-        parts[d] = (nested[z * size : (z + 1) * size], (-1) ** d * (d + 1) * component.scale)
-    return parts
+        _, scale, nested = _goldberg(d + 1, k)
+        block = nested[z * k**d : (z + 1) * k**d]
+        parts[d] = ([-c for c in block] if d % 2 else block, (d + 1) * scale)
+    return GradedSeries._raw(default_alphabet(k), range(k), parts)
 
 
 def phi_split(phi: BchSeries) -> tuple[GradedSeries, GradedSeries]:
@@ -191,9 +176,7 @@ def phi_split(phi: BchSeries) -> tuple[GradedSeries, GradedSeries]:
 
     Returns (plus, minus) with plus_n = gamma(x * (Phi_n)_x) and
     minus_n = gamma(y * (Phi_n)_y) for n >= 2; their sum restores Phi_n.
-    Any certified series is split, so gamma runs on its components; the
-    verifiers read the same shares of the cached BCH series from
-    ``_letter_nested``.
+    Any certified series is split, so gamma runs on its components.
     """
     s = phi.series
     if s.alphabet.size != 2:
@@ -203,7 +186,7 @@ def phi_split(phi: BchSeries) -> tuple[GradedSeries, GradedSeries]:
         letter = NCPoly.letter(s.alphabet, z)
         parts = [dynkin(concat(letter, letter_part(p, z))) if n > 1 else NCPoly.zero(s.alphabet)
                  for n, p in enumerate(s.parts)]
-        return GradedSeries._raw(s.alphabet, s.order, parts)
+        return GradedSeries(s.alphabet, s.order, parts)
 
     return share("x"), share("y")
 
@@ -212,16 +195,10 @@ def phi_split(phi: BchSeries) -> tuple[GradedSeries, GradedSeries]:
 
 
 def multilinear_f0(index: int, k: int, order: int) -> GradedSeries:
-    """The i-th component of the particular solution of the multilinear equation.
-
-    With b the letter-nested series of the reversed BCH tail
-    sum_m Phi_m(x_k..x_1) at the letter x_i,
-
-        b_d = r((Phi_{d+1}(x_k..x_1))_{x_i}) / (d+1),
-        F_{i,0} = (-1)^i Ber((-1)^i x_i) b,
-
-    which solves E((-1)^i x_i) F_i = ad(x_i) b = gamma(x_i (Phi_m(x_k..x_1))_{x_i})
-    summed over m, the x_i-leading share of the reversed BCH tail.
+    """The i-th component F_{i,0} = (-1)^i Ber((-1)^i x_i) b of the particular
+    solution of the multilinear equation, for b the letter-nested series of
+    the reversed BCH tail at x_i (``_letter_nested``): it solves
+    E((-1)^i x_i) F_i = ad(x_i) b, the x_i-leading share of that tail.
     """
     if k < 2:
         raise ValueError("the multilinear equation needs at least two variables")
@@ -230,7 +207,7 @@ def multilinear_f0(index: int, k: int, order: int) -> GradedSeries:
     alphabet = default_alphabet(k)
     b = _letter_nested(order + 1, k, index - 1)
     weights = _bernoulli_weights(order, (-1) ** index)
-    return _ad_sum(alphabet, k, order, [(_signed_letter(alphabet, index), weights, b)])
+    return _ad_sum(order, [(_signed_letter(alphabet, index), weights, b)])
 
 
 def multilinear_particular_solution(k: int, order: int) -> list[GradedSeries]:
@@ -298,7 +275,7 @@ def verify_multilinear(solutions: list[GradedSeries], order: int | None = None) 
     order = _checked_order(order, min(F.order for F in solutions), "solution tuple")
     alphabet = default_alphabet(k)
     target = (NCPoly.zero(alphabet), (1,), bch_eulerian(order, k).reversed_tail)
-    return _ad_sum(alphabet, k, order, [target, *_operator_terms(alphabet, solutions, order)])
+    return _ad_sum(order, [target, *_operator_terms(alphabet, solutions, order)])
 
 
 def verify_kv1(pair: KvSolutionPair, order: int | None = None) -> GradedSeries:
@@ -315,7 +292,7 @@ def verify_homogeneous(pair: KvSolutionPair, order: int | None = None) -> Graded
     """Defect of the homogeneous equation E(-x) F = E(y) G: the operator sum
     on (F, -G)."""
     order = _checked_order(order, min(pair.F.order, pair.G.order), "pair (F, G)")
-    return _ad_sum(XY, 2, order, _operator_terms(XY, [pair.F, -pair.G], order, 1))
+    return _ad_sum(order, _operator_terms(XY, [pair.F, -pair.G], order, 1))
 
 
 def verify_split(F: GradedSeries, order: int | None = None) -> GradedSeries:
@@ -323,7 +300,7 @@ def verify_split(F: GradedSeries, order: int | None = None) -> GradedSeries:
     = ad(x) b is the x-leading share of the reversed BCH tail."""
     order = _checked_order(order, F.order, "series F")
     share = (NCPoly.letter(XY, "x"), (0, 1), _letter_nested(order, 2, 0))
-    return _ad_sum(XY, 2, order, [share, *_operator_terms(XY, [F], order)])
+    return _ad_sum(order, [share, *_operator_terms(XY, [F], order)])
 
 
 # -- symmetrisation and the solution space ----------------------------------------

@@ -294,7 +294,7 @@ def bch_permutation_oracle(order: int) -> BchSeries:
             weight = Fraction(1, factorial(i) * factorial(m - i))
             items.append((weight, value))
         parts.append(weighted_sum(XY, items))
-    return BchSeries(GradedSeries._raw(XY, order, parts))
+    return BchSeries(GradedSeries(XY, order, parts))
 
 
 # -- linear-solve oracle for the split equation ---------------------------------

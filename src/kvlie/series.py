@@ -1,66 +1,66 @@
 """Graded formal series: degree-indexed families of homogeneous polynomials.
 
-A :class:`GradedSeries` holds one homogeneous polynomial per degree 0..order
-and never reads above its truncation order.  exp and log are the truncated
-formal exponential/logarithm used as the direct-expansion oracle for the
-Baker-Campbell-Hausdorff series.
-
-Every kernel works on one dense form: per degree d, None for zero or
-(vector, scale), the integer vector over all m^d words of the m letters
-present (:func:`kvlie.algebra.dense`, renumbered 0..m-1, so a high letter of
-a large alphabet costs no more than a low one) over a nonzero int scale.
-Each input component is made dense once and each output degree read back to
-words once.  ``_product`` carries series products, ``_power_sum`` (Horner's
+A :class:`GradedSeries` truncated at ``order`` is stored in the dense form
+every kernel computes in: ``letters``, the sorted letters of its index, and
+per degree d, ``dense[d]``: None for zero, or an immutable int tuple over all
+m^d words of those m letters (:func:`kvlie.algebra.dense`, renumbered 0..m-1)
+and a positive scale, reduced by their gcd.  The public constructor densifies
+its polynomial components once; ``parts`` and ``component`` build the
+word-dict :class:`NCPoly` on access.  Series over different letters meet on
+the union of their letters, re-indexed in one place (``_over``, which also
+substitutes letters).  ``_product`` carries products, ``_power_sum`` (Horner's
 rule on ``_product``) exp and log, and ``_ad_sum``, the one kernel of weighted
-ad powers sum_j w_j ad(b)^j s, the operators ad, E and Ber, the particular
-solutions and every verifier.
+ad powers sum_j w_j ad(b)^j s, sums, scalings, the operators ad, E and Ber,
+the particular solutions and every verifier.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import factorial, lcm
+from itertools import chain, compress, product
+from math import factorial, gcd, lcm
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebra import Alphabet, Frozen, NCPoly, Word, dense, from_dense, substitute, to_text
-from .algebra import weighted_sum
+from .algebra import Alphabet, Frozen, NCPoly, Word, dense, from_dense, substitute
+from .algebra import substitution_table, to_text, weighted_sum
 
 
 class GradedSeries(Frozen):
-    """A series truncated at ``order``: components[d] is homogeneous of degree d."""
+    """A series truncated at ``order``: component d is homogeneous of degree d,
+    stored as ``dense[d]`` over the words of ``letters``."""
 
-    __slots__ = ("alphabet", "order", "parts")
+    __slots__ = ("alphabet", "order", "letters", "dense")
 
     def __init__(self, alphabet: Alphabet, order: int, parts: Sequence[NCPoly] | None = None):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        zero = NCPoly.zero(alphabet)
-        built = [zero] * (order + 1)
-        if parts is not None:
-            if len(parts) > order + 1:
-                raise ValueError("more components than the truncation order allows")
-            for d, p in enumerate(parts):
-                if p.alphabet != alphabet:
-                    raise ValueError("alphabet mismatch in series component")
-                if p and (not p.is_homogeneous() or p.max_degree() != d):
-                    raise ValueError(f"component {d} is not homogeneous of degree {d}")
-                built[d] = p
-        self._fill(alphabet, order, built)
+        parts = list(parts or ())
+        if len(parts) > order + 1:
+            raise ValueError("more components than the truncation order allows")
+        for d, p in enumerate(parts):
+            if p.alphabet != alphabet:
+                raise ValueError("alphabet mismatch in series component")
+            if p and (not p.is_homogeneous() or p.max_degree() != d):
+                raise ValueError(f"component {d} is not homogeneous of degree {d}")
+        letters = _letters(*(chain.from_iterable(p.numerators) for p in parts))
+        stored = [(dense(p.numerators, d, letters), p.scale) if p else None for d, p in enumerate(parts)]
+        self._fill(alphabet, letters, stored + [None] * (order + 1 - len(parts)))
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def _raw(cls, alphabet: Alphabet, order: int, parts: Sequence[NCPoly]) -> "GradedSeries":
-        """Trusted constructor for components built degree by degree: parts[d]
-        must already be homogeneous of degree d, for d = 0..order."""
-        return cls.__new__(cls)._fill(alphabet, order, parts)
+    def _raw(cls, alphabet: Alphabet, letters: Iterable[int], parts: Sequence) -> "GradedSeries":
+        """Trusted constructor through order len(parts) - 1: parts[d] is None or
+        (vector, scale), the vector over the m^d words of the sorted ``letters``
+        and scale > 0; each is reduced here by its gcd."""
+        return cls.__new__(cls)._fill(alphabet, letters, parts)
 
-    def _fill(self, alphabet: Alphabet, order: int, parts: Sequence[NCPoly]) -> "GradedSeries":
+    def _fill(self, alphabet: Alphabet, letters: Iterable[int], parts: Sequence) -> "GradedSeries":
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "parts", tuple(parts))
+        object.__setattr__(self, "order", len(parts) - 1)
+        object.__setattr__(self, "letters", tuple(letters))
+        object.__setattr__(self, "dense", tuple(map(_reduced, parts)))
         return self
 
     @classmethod
@@ -86,7 +86,14 @@ class GradedSeries(Frozen):
     def component(self, degree: int) -> NCPoly:
         if degree > self.order:
             raise ValueError(f"degree {degree} above truncation order {self.order}")
-        return self.parts[degree]
+        part = self.dense[degree]
+        if not part:
+            return NCPoly.zero(self.alphabet)
+        return NCPoly._raw(self.alphabet, from_dense(part[0], degree, self.letters), part[1])
+
+    @property
+    def parts(self) -> tuple[NCPoly, ...]:
+        return tuple(map(self.component, range(self.order + 1)))
 
     def __reduce__(self):
         return GradedSeries, (self.alphabet, self.order, self.parts)
@@ -94,14 +101,13 @@ class GradedSeries(Frozen):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedSeries):
             return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.order == other.order
-            and self.parts == other.parts
-        )
+        if (self.alphabet, self.order) != (other.alphabet, other.order):
+            return False
+        letters = _letters(self.letters, other.letters)
+        return _over(self, letters).dense == _over(other, letters).dense
 
     def __bool__(self) -> bool:
-        return any(self.parts)
+        return any(self.dense)
 
     def __repr__(self) -> str:
         return f"GradedSeries(order={self.order}, {to_text(self.to_poly())!r})"
@@ -112,32 +118,33 @@ class GradedSeries(Frozen):
         if self.order != other.order:
             raise ValueError("truncation order mismatch between series")
 
+    def _sum(self, *items) -> "GradedSeries":
+        """sum of w s over the (w, s) items: one ``_ad_sum`` with zero bases."""
+        zero = NCPoly.zero(self.alphabet)
+        return _ad_sum(self.order, [(zero, (w,), s) for w, s in items])
+
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
         self._check_compatible(other)
-        return GradedSeries._raw(
-            self.alphabet, self.order, [a + b for a, b in zip(self.parts, other.parts)]
-        )
+        return self._sum((1, self), (1, other))
 
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
         self._check_compatible(other)
-        return GradedSeries._raw(
-            self.alphabet, self.order, [a - b for a, b in zip(self.parts, other.parts)]
-        )
+        return self._sum((1, self), (-1, other))
 
     def __neg__(self) -> "GradedSeries":
-        return GradedSeries._raw(self.alphabet, self.order, [-p for p in self.parts])
+        return self._sum((-1, self))
 
     def scaled(self, scalar) -> "GradedSeries":
-        return GradedSeries._raw(self.alphabet, self.order, [p.scaled(scalar) for p in self.parts])
+        return self._sum((scalar, self))
 
     def __mul__(self, other):
         if not isinstance(other, GradedSeries):
             return self.scaled(other)
         self._check_compatible(other)
-        letters = _letters(self.parts + other.parts)
-        left, right = _densify(self.parts, letters), _entries(_densify(other.parts, letters))
+        letters = _letters(self.letters, other.letters)
+        left, right = _over(self, letters).dense, _entries(_over(other, letters).dense)
         parts = [_product(left, right, n, len(letters)) for n in range(self.order + 1)]
-        return _series(self.alphabet, letters, parts)
+        return GradedSeries._raw(self.alphabet, letters, parts)
 
     def __rmul__(self, scalar):
         return self.scaled(scalar)
@@ -148,44 +155,70 @@ class GradedSeries(Frozen):
         """Discard all components above ``order`` (or zero-pad up to it)."""
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        parts = self.parts[: order + 1] + (NCPoly.zero(self.alphabet),) * (order - self.order)
-        return GradedSeries._raw(self.alphabet, order, parts)
+        parts = self.dense[: order + 1] + (None,) * (order - self.order)
+        return GradedSeries._raw(self.alphabet, self.letters, parts)
 
     def substitute(self, images: Mapping[str, str]) -> "GradedSeries":
-        return GradedSeries._raw(
-            self.alphabet, self.order, [substitute(p, images) for p in self.parts]
-        )
+        """:func:`kvlie.algebra.substitute` on every component."""
+        table = substitution_table(self.alphabet, images)
+        if not table.keys() >= set(self.letters):  # refused only where a word has the letter
+            return GradedSeries(self.alphabet, self.order, [substitute(p, images) for p in self.parts])
+        return _over(self, _letters(table[a][0] for a in self.letters), table)
 
     def to_poly(self) -> NCPoly:
         return weighted_sum(self.alphabet, [(1, p) for p in self.parts])
 
     def is_zero(self) -> bool:
-        return not any(self.parts)
+        return not any(self.dense)
 
     def iter_terms(self) -> Iterator[tuple[int, Word, Fraction]]:
-        for d, p in enumerate(self.parts):
-            for word, coeff in p.sorted_terms():
-                yield d, word, coeff
+        """(degree, word, coefficient) of each term, in the index order, which
+        is the canonical one: by degree, then lexicographically."""
+        for d, part in enumerate(self.dense):
+            if part:
+                vector, scale = part
+                for word, c in compress(zip(product(self.letters, repeat=d), vector), vector):
+                    yield d, word, Fraction(c, scale)
 
 
 # -- the dense kernel ------------------------------------------------------------
 
 
-def _letters(polys: Iterable[NCPoly]) -> tuple[int, ...]:
-    """The letters present in ``polys``, in alphabet order."""
-    return tuple(sorted({a for p in polys for w in p.numerators for a in w}))
+def _reduced(part):
+    """A part as stored: None for zero, else its int tuple and scale over their gcd."""
+    if not part or not any(part[0]):
+        return None
+    g = gcd(part[1], *part[0])
+    return tuple(c // g for c in part[0]) if g > 1 else tuple(part[0]), part[1] // g
 
 
-def _densify(parts: Sequence[NCPoly], letters: Sequence[int]) -> list:
-    """The dense form of the components ``parts`` over ``letters``."""
-    return [(dense(p.numerators, d, letters), p.scale) if p else None for d, p in enumerate(parts)]
+def _letters(*groups: Iterable[int]) -> tuple[int, ...]:
+    """The sorted union of the letter groups: the index of a series over them."""
+    return tuple(sorted(set().union(*groups)))
 
 
-def _series(alphabet: Alphabet, letters: Sequence[int], parts: Sequence) -> GradedSeries:
-    """The series of dense parts with positive scales, read back once per degree."""
-    polys = [NCPoly._raw(alphabet, from_dense(vector, d, letters), scale)
-             for d, (vector, scale) in enumerate(part or ((), 1) for part in parts)]
-    return GradedSeries._raw(alphabet, len(parts) - 1, polys)
+def _over(s: GradedSeries, letters: tuple[int, ...], images: Mapping | None = None) -> GradedSeries:
+    """s on the index over ``letters``, each letter a of s sent to images[a] =
+    (letter, sign), itself by default: a word goes to the word of the images
+    of its letters, times the product of their signs, and words that meet add."""
+    if images is None:
+        if s.letters == letters:
+            return s
+        images = {a: (a, 1) for a in s.letters}
+    m = len(letters)
+    digits = [(letters.index(images[a][0]), images[a][1]) for a in s.letters]
+    index, signs, parts = [0], [1], []
+    for d, part in enumerate(s.dense):
+        if d:
+            index = [i * m + j for i in index for j, _ in digits]
+            signs = [t * u for t in signs for _, u in digits]
+        if part:
+            acc = [0] * m**d
+            for i, t, c in zip(index, signs, part[0]):
+                acc[i] += t * c
+            part = (acc, part[1])
+        parts.append(part)
+    return GradedSeries._raw(s.alphabet, letters, parts)
 
 
 def _entries(parts: Sequence) -> list:
@@ -212,35 +245,31 @@ def _power_sum(s: GradedSeries, weights: Sequence) -> GradedSeries:
     """sum_j weights[j] u^j through the order of s, for u = s minus its
     constant component, by Horner's rule: P = w_j + P u from the top weight
     down.  u has no constant component, so P u leaves degree 0 to w_j."""
-    letters = _letters(s.parts[1:])
-    right = _entries([None] + _densify(s.parts, letters)[1:])
+    right = _entries((None, *s.dense[1:]))
     total: list = [None] * (s.order + 1)
     for w in map(Fraction, reversed(weights[: s.order + 1])):
         total = [([w.numerator], w.denominator) if w else None] + [
-            _product(total, right, n, len(letters)) for n in range(1, s.order + 1)]
-    return _series(s.alphabet, letters, total)
+            _product(total, right, n, len(s.letters)) for n in range(1, s.order + 1)]
+    return GradedSeries._raw(s.alphabet, s.letters, total)
 
 
-def _ad_sum(alphabet: Alphabet, k: int | None, order: int, terms: Sequence) -> GradedSeries:
-    """sum over terms (base, weights, b) of sum_j weights[j] ad(base)^j b
-    through degree ``order``, for bases homogeneous of degree 1 (zero
-    included) and each b a series over the alphabet or, when k is given, dense
-    parts over the letters 0..k-1; with k None the index is over the letters
-    present.  On the dense index over m letters, left concatenation by a
-    letter a is the block at offset a m^d and right concatenation the stride-m
-    slice a::m, so ad(z) is two slice operations.  Each output degree is one
-    integer vector over the lcm of the denominators that can reach it, found
-    before any ad power.
-    """
-    letters = range(k) if k else _letters(chain.from_iterable((z, *b.parts) for z, _, b in terms))
+def _ad_sum(order: int, terms: Sequence) -> GradedSeries:
+    """sum over terms (base, weights, s) of sum_j weights[j] ad(base)^j s
+    through degree ``order``, for bases homogeneous of degree 1 (zero included)
+    and series s over one alphabet, on the index over all their m letters.
+    There left concatenation by a letter a is the block at offset a m^d and
+    right concatenation the stride-m slice a::m, so ad(z) is two slice
+    operations.  Each output degree is one integer vector over the lcm of the
+    denominators that can reach it, found before any ad power."""
+    alphabet = terms[0][2].alphabet
+    letters = _letters(*(chain(s.letters, *base.numerators) for base, _, s in terms))
     m, checked, common = len(letters), [], [1] * (order + 1)
-    for base, weights, parts in terms:
+    for base, weights, s in terms:
         if base and (not base.is_homogeneous() or base.max_degree() != 1):
             raise ValueError("operator base must be homogeneous of degree 1")
-        if isinstance(parts, GradedSeries):
-            base._check_same_alphabet(parts.parts[0])
-            parts = _densify(parts.parts[: order + 1], letters)
-        parts = [(d, part) for d, part in enumerate(parts[: order + 1]) if part]
+        if {base.alphabet, s.alphabet} != {alphabet}:
+            raise ValueError("alphabet mismatch between series")
+        parts = [(d, part) for d, part in enumerate(_over(s, letters).dense[: order + 1]) if part]
         checked.append((base, weights, parts))
         for d, (_, scale) in parts:
             for j, weight in enumerate(weights[: order + 1 - d]):
@@ -265,13 +294,13 @@ def _ad_sum(alphabet: Alphabet, k: int | None, order: int, terms: Sequence) -> G
                     n = d + j
                     f = int(Fraction(weight * common[n], scale))
                     totals[n] = [t + f * c for t, c in zip(totals[n] or [0] * len(vector), vector)]
-    return _series(alphabet, letters, [(t, c) if t else None for t, c in zip(totals, common)])
+    return GradedSeries._raw(alphabet, letters, [(t, c) if t else None for t, c in zip(totals, common)])
 
 
 def series_exp(s: GradedSeries) -> GradedSeries:
     """Truncated exponential sum_k s^k / k! on the dense kernel; requires a
     vanishing constant component."""
-    if s.parts[0]:
+    if s.dense[0]:
         raise ValueError("series_exp requires component 0 to vanish")
     return _power_sum(s, [Fraction(1, factorial(k)) for k in range(s.order + 1)])
 
@@ -279,6 +308,6 @@ def series_exp(s: GradedSeries) -> GradedSeries:
 def series_log(s: GradedSeries) -> GradedSeries:
     """Truncated logarithm sum_k (-1)^(k-1) (s - 1)^k / k on the dense
     kernel; requires constant component equal to 1."""
-    if s.parts[0] != NCPoly.unit(s.alphabet):
+    if s.dense[0] != ((1,), 1):
         raise ValueError("series_log requires component 0 equal to 1")
     return _power_sum(s, [0] + [Fraction((-1) ** (k - 1), k) for k in range(1, s.order + 1)])

@@ -12,6 +12,7 @@ from kvlie.algebra import (
     bracket,
     concat,
     default_alphabet,
+    from_dense,
     letter_part,
     parse_poly,
     substitute,
@@ -207,16 +208,18 @@ def count_r_passes(monkeypatch) -> dict[str, int]:
 def test_goldberg_components_are_certified_once(monkeypatch, fresh_caches):
     passes = count_r_passes(monkeypatch)
     series_checks = []
-    monkeypatch.setattr(kv, "_is_lie", lambda terms: series_checks.append(terms) or idempotents._is_lie(terms))
+    real = kv._nest
+    monkeypatch.setattr(kv, "_nest", lambda *args: series_checks.append(args) or real(*args))
     assert verify_kv1(particular_solution(6), 6).is_zero()
     assert verify_split(f0(6), 6).is_zero()
     assert passes == {"dense": 7, "sparse": 0} and not series_checks
-    # a BchSeries built from outside bch_eulerian is certified on construction
+    # a BchSeries built from outside bch_eulerian is certified on construction,
+    # one r pass per stored component
     bch_oracle(3)
     with pytest.raises(NotLieElementError):
         BchSeries(GradedSeries(XY, 2, [NCPoly.zero(XY), X, parse_poly(XY, "xy")]))
     # five checks, and gamma of the one that fails for the residual it reports
-    assert passes == {"dense": 13, "sparse": 0} and len(series_checks) == 5
+    assert passes == {"dense": 8, "sparse": 0} and len(series_checks) == 5
 
 
 @pytest.mark.parametrize("n", [1, 8])
@@ -501,9 +504,19 @@ def test_cached_results_are_read_only():
     multilinear_particular_solution(3, 3)
     assert bch_eulerian(4, 3).reversed_tail is reversed_phi
     assert [dict(p.terms) for p in reversed_phi.parts] == reversed_snapshot
-    # the Goldberg table: the component and the level of r its certification kept
-    component, nested = table = idempotents._goldberg(4, 3)
-    assert type(table) is tuple and type(nested) is tuple and component is bch_component(4, 3)
+    # the stored vectors of the cached series are tuples, and their slots stay bound
+    for s in (f0(4), bch_eulerian(4, 3).series, reversed_phi):
+        assert type(s.dense) is tuple and all(type(part[0]) is tuple for part in s.dense if part)
+        for name in ("dense", "letters"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, ())
+    with pytest.raises(TypeError):
+        f0(4).dense[2][0][0] = 1
+    # the Goldberg table: the component's vector and scale, and the level of r
+    # its certification kept
+    vector, scale, nested = table = idempotents._goldberg(4, 3)
+    assert type(table) is tuple and type(vector) is tuple and type(nested) is tuple
+    assert bch_component(4, 3) == NCPoly._raw(default_alphabet(3), from_dense(vector, 4, range(3)), scale)
     with pytest.raises(TypeError):
         nested[0] = 1
     assert idempotents._goldberg(4, 3) is table

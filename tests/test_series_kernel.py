@@ -6,6 +6,8 @@ are dense or non-Lie, and check the products, exp/log and the operator sums
 built on it, and the defect series every verifier returns for such input.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 from math import factorial
 
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from kvlie import algebra, kv
 from kvlie import series as series_module
-from kvlie.algebra import XY, NCPoly, bracket, default_alphabet, parse_poly
+from kvlie.algebra import XY, NCPoly, bracket, default_alphabet, parse_poly, substitute
 from kvlie.kv import KvSolutionPair, bch_eulerian, general_solution, op_ad, op_bernoulli
 from kvlie.kv import multilinear_f0, multilinear_particular_solution, particular_solution
 from kvlie.kv import op_exp_ad_minus_one, phi_split, verify_homogeneous, verify_kv1
@@ -111,7 +113,52 @@ def test_products_over_gaps_in_the_letters(k, letters, order, data):
     assert series_log(series_exp(u)) == u
 
 
-def test_log_reads_each_degree_back_once_and_builds_no_word_dict(monkeypatch):
+@st.composite
+def lettered_parts(draw, letters, order):
+    """Components 0..order over default_alphabet(3) whose words use only
+    ``letters``: any of them may be zero, so the degrees present may skip."""
+    alphabet = default_alphabet(3)
+    parts = []
+    for d in range(order + 1):
+        words = st.tuples(*[st.sampled_from(letters)] * d)
+        parts.append(NCPoly(alphabet, draw(st.dictionaries(words, COEFFS, max_size=4))))
+    return parts
+
+
+LETTER_SETS = [(0,), (1, 2), (0, 1, 2)]  # x only, {y, z} (a gap at x), all three
+IMAGES = st.fixed_dictionaries({a: st.sampled_from(["x", "-x", "y", "-y", "z", "-z"]) for a in "xyz"})
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_series_over_different_letters_match_the_component_reference(data):
+    # each series is stored on the index over its own letters; every operation
+    # re-indexes onto the union and must agree with NCPoly arithmetic per degree
+    alphabet, order = default_alphabet(3), data.draw(st.integers(0, 4))
+    p, q = (data.draw(st.sampled_from(LETTER_SETS).flatmap(lambda ls: lettered_parts(ls, order)))
+            for _ in range(2))
+    s, t = GradedSeries(alphabet, order, p), GradedSeries(alphabet, order, q)
+    zero = NCPoly.zero(alphabet)
+    assert list(s.parts) == p and GradedSeries(alphabet, order, s.parts) == s
+    assert list((s + t).parts) == [a + b for a, b in zip(p, q)]
+    assert list((s - t).parts) == [a - b for a, b in zip(p, q)]
+    assert list((-s).parts) == [-a for a in p]
+    w = data.draw(RATIONALS)
+    assert list(s.scaled(w).parts) == [a.scaled(w) for a in p]
+    assert (s == t) == (p == q) and (s - t) + t == s and s + t - s == t
+    low = data.draw(st.integers(0, order + 2))
+    assert list(s.truncate(low).parts) == (p + [zero] * 2)[: low + 1]
+    images = data.draw(IMAGES)
+    assert list(s.substitute(images).parts) == [substitute(a, images) for a in p]
+    # images for the letters of s only: also for a sum whose index has more
+    own = {a: images[a] for a in {alphabet.letters[i] for part in p for word in part.numerators for i in word}}
+    assert (s + t - t).substitute(own) == s.substitute(own)
+    for duplicate in (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))):
+        twin = duplicate(s)
+        assert twin == s and list(twin.parts) == p and twin.dense == s.dense
+
+
+def test_log_reads_back_at_most_degree_0_and_builds_no_word_dict(monkeypatch):
     alphabet = default_alphabet(3)
     s = GradedSeries.one(alphabet, 6)
     for letter in "xzy":
@@ -126,7 +173,7 @@ def test_log_reads_each_degree_back_once_and_builds_no_word_dict(monkeypatch):
     for module, name in ((algebra, "weighted_sum"), (algebra, "concat"), (series_module, "weighted_sum")):
         monkeypatch.setattr(module, name, forbidden)
     log = series_log(s)
-    assert [degree for _, degree, _ in calls] == list(range(7))
+    assert all(degree == 0 for _, degree, _ in calls)
     assert log.component(2) == parse_poly(alphabet, "1/2*xz - 1/2*zx + 1/2*xy - 1/2*yx + 1/2*zy - 1/2*yz")
 
 
@@ -227,17 +274,17 @@ def test_operators_densify_over_the_letters_present(monkeypatch, base, text, ord
     z = NCPoly.letter(alphabet, base)
     s = GradedSeries.from_poly(parse_poly(alphabet, text), order)
     radices = []
-    real = series_module.dense
+    real = series_module._over
 
-    def spy(terms, degree, letters):
+    def spy(series, letters, images=None):
         assert len(letters) <= radix  # before the 14^degree entries are built
         radices.append(len(letters))
-        return real(terms, degree, letters)
+        return real(series, letters, images)
 
-    monkeypatch.setattr(series_module, "dense", spy)
+    monkeypatch.setattr(series_module, "_over", spy)
     result = op_exp_ad_minus_one(z, s)
     assert op_exp_ad_minus_one(z, op_bernoulli(z, s)) == op_ad(z, s)
-    assert set(radices) == {radix}
+    assert set(radices) == {radix} and len(result.letters) == radix
     expected, power = GradedSeries.zero(alphabet, order), s
     for j in range(1, order + 1):
         power = GradedSeries(alphabet, order, [NCPoly.zero(alphabet)] + [bracket(z, p) for p in power.parts[:-1]])
