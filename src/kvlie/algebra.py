@@ -23,9 +23,12 @@ from fractions import Fraction
 from itertools import compress, product, repeat
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .scalars import parse_rational
+
+if TYPE_CHECKING:
+    from .series import GradedSeries
 
 Word = tuple[int, ...]
 
@@ -262,9 +265,13 @@ class NCPoly(Frozen):
     def degrees(self) -> list[int]:
         return sorted({len(w) for w in self.numerators})
 
-    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
-        """Terms in the canonical order: by degree, then lexicographically."""
-        return [(word, Fraction(num, den)) for word, num, den in _reduced_terms(self)]
+    def reduced_terms(self) -> Iterator[tuple[Word, int, int]]:
+        """(word, numerator, denominator) of each coefficient in lowest terms, in
+        print order: by degree, then lexicographically; one gcd per word."""
+        scale = self.scale
+        for word, c in sorted(self.numerators.items(), key=lambda item: (len(item[0]), item[0])):
+            g = gcd(c, scale)
+            yield word, c // g, scale // g
 
 
 _ZERO = Fraction(0)
@@ -364,24 +371,15 @@ def weighted_sum(alphabet: Alphabet, items) -> NCPoly:
 # -- text, JSON and LaTeX forms ----------------------------------------------
 
 
-def _reduced_terms(p: NCPoly) -> Iterator[tuple[Word, int, int]]:
-    """(word, numerator, denominator) of each coefficient in lowest terms, in
-    the canonical order: by degree, then lexicographically; one gcd per word."""
-    scale = p.scale
-    for word, c in sorted(p.numerators.items(), key=lambda item: (len(item[0]), item[0])):
-        g = gcd(c, scale)
-        yield word, c // g, scale // g
-
-
 def _ratio_text(num: int, den: int) -> str:
     """num/den in lowest terms, written as ``str`` writes a ``Fraction``."""
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _signed_terms(p: NCPoly, body) -> str:
-    """The canonical terms of p joined with signs; body(|num|, den, word) renders one."""
+def _signed_terms(p: NCPoly | GradedSeries, body) -> str:
+    """The terms of p in print order joined with signs; body(|num|, den, word) renders one."""
     pieces: list[str] = []
-    for k, (word, num, den) in enumerate(_reduced_terms(p)):
+    for k, (word, num, den) in enumerate(p.reduced_terms()):
         sign = ("-" if num < 0 else "") if k == 0 else ("- " if num < 0 else "+ ")
         pieces.append(sign + body(abs(num), den, p.alphabet.word_text(word)))
     return " ".join(pieces) or "0"
@@ -393,15 +391,16 @@ def _text_body(num: int, den: int, wtext: str) -> str:
     return wtext if num == den == 1 else f"{_ratio_text(num, den)}*{wtext}"
 
 
-def to_text(p: NCPoly) -> str:
-    """Canonical text form, e.g. "1/4*y + 1/24*xy - 1/24*yx"."""
+def to_text(p: NCPoly | GradedSeries) -> str:
+    """Canonical text form of an NCPoly or a GradedSeries, e.g. "1/4*y + 1/24*xy - 1/24*yx"."""
     return _signed_terms(p, _text_body)
 
 
-def to_json_terms(p: NCPoly) -> list[dict[str, str]]:
+def to_json_terms(p: NCPoly | GradedSeries) -> list[dict[str, str]]:
+    """The terms of an NCPoly or a GradedSeries in print order, as {"word", "coeff"} items."""
     return [
         {"word": p.alphabet.word_text(word), "coeff": _ratio_text(num, den)}
-        for word, num, den in _reduced_terms(p)
+        for word, num, den in p.reduced_terms()
     ]
 
 
@@ -421,7 +420,8 @@ def _latex_body(num: int, den: int, wtext: str) -> str:
     return (ctext + wtext) or "1"
 
 
-def to_latex(p: NCPoly) -> str:
+def to_latex(p: NCPoly | GradedSeries) -> str:
+    """LaTeX form of an NCPoly or a GradedSeries, e.g. "\\frac{1}{2}xy - \\frac{1}{2}yx"."""
     return _signed_terms(p, _latex_body)
 
 

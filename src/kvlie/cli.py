@@ -18,6 +18,7 @@ from .algebra import (
     XY,
     NCPoly,
     PolyParseError,
+    _ratio_text,
     default_alphabet,
     parse_poly,
     to_json_terms,
@@ -47,7 +48,7 @@ EXIT_DEFECT = 1
 EXIT_USAGE = 2
 
 
-def _render_poly(p: NCPoly, fmt: str) -> str:
+def _render_poly(p: NCPoly | GradedSeries, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(to_json_terms(p), separators=(",", ":"))
     if fmt == "latex":
@@ -78,10 +79,11 @@ def _check_degree(n: int, force: bool, what: str = "degree") -> None:
         )
 
 
-def _defect_lines(defect: GradedSeries) -> Iterator[str]:
-    """Per-degree defect report, lowest degree first, formatted as read."""
-    for d, w, c in defect.iter_terms():
-        yield f"defect at degree {d}: {defect.alphabet.word_text(w)} coefficient {c}"
+def _defect_lines(check: str, defect: GradedSeries) -> Iterator[str]:
+    """Per-term defect report naming the check, lowest degree first, formatted as read."""
+    for word, num, den in defect.reduced_terms():
+        text = defect.alphabet.word_text(word)
+        yield f"{check} defect at degree {len(word)}: {text} coefficient {_ratio_text(num, den)}"
 
 
 def _check_vars(k: int) -> None:
@@ -119,7 +121,7 @@ def _cmd_bch(args) -> int:
         right = bch_oracle(args.degree, args.vars)
     if args.method == "both":
         diff = left.series - right.series
-        _emit("\n".join(_defect_lines(diff)), args.output)
+        _emit("\n".join(_defect_lines("eulerian-vs-oracle", diff)), args.output)
         return EXIT_OK if diff.is_zero() else EXIT_DEFECT
     series = left if args.method == "eulerian" else right
     _emit(_render_poly(series.component(args.degree), args.format), args.output)
@@ -127,7 +129,7 @@ def _cmd_bch(args) -> int:
 
 
 def _cmd_f0(args) -> int:
-    _emit(_render_poly(f0(args.degree).to_poly(), args.format), args.output)
+    _emit(_render_poly(f0(args.degree), args.format), args.output)
     return EXIT_OK
 
 
@@ -170,7 +172,7 @@ def _cmd_verify(args) -> int:
             args.output,
         )
         return EXIT_OK
-    _emit(next(_defect_lines(defect)), args.output)
+    _emit(next(_defect_lines(args.equation, defect)), args.output)
     return EXIT_DEFECT
 
 
@@ -180,18 +182,11 @@ def _cmd_solution(args) -> int:
     lam2 = _parse_rational_flag("--lambda2", args.lambda2)
     pair = general_solution(p, lam1, lam2, args.degree)
     defect = verify_kv1(pair, args.degree)
-    if args.format == "json":
-        payload = {
-            "F": to_json_terms(pair.F.to_poly()),
-            "G": to_json_terms(pair.G.to_poly()),
-        }
-        body = json.dumps(payload, separators=(",", ":"))
-    else:
-        render = to_latex if args.format == "latex" else to_text
-        body = f"F = {render(pair.F.to_poly())}\nG = {render(pair.G.to_poly())}"
-    _emit(body, args.output)
+    F, G = (_render_poly(s, args.format) for s in (pair.F, pair.G))
+    # in json, F and G are JSON arrays already: the object is written around them
+    _emit(f'{{"F":{F},"G":{G}}}' if args.format == "json" else f"F = {F}\nG = {G}", args.output)
     if not defect.is_zero():
-        print(f"kvlie: self-verification failed: {next(_defect_lines(defect))}", file=sys.stderr)
+        print(f"kvlie: self-verification failed: {next(_defect_lines('kv1', defect))}", file=sys.stderr)
         return EXIT_DEFECT
     return EXIT_OK
 

@@ -6,8 +6,9 @@ per degree d, ``dense[d]``: None for zero, or an immutable int tuple over all
 m^d words of those m letters (:func:`kvlie.algebra.dense`, renumbered 0..m-1)
 and a positive scale, reduced by their gcd.  The public constructor densifies
 its polynomial components once; ``parts`` and ``component`` build the
-word-dict :class:`NCPoly` on access.  Series over different letters meet on
-the union of their letters, re-indexed in one place (``_over``, which also
+word-dict :class:`NCPoly` on access; printing walks the stored index, which is
+in print order (``reduced_terms``).  Series over different letters meet on the
+union of their letters, re-indexed in one place (``_over``, which also
 substitutes letters).  ``_product`` carries products, ``_power_sum`` (Horner's
 rule on ``_product``) exp and log, and ``_ad_sum``, the one kernel of weighted
 ad powers sum_j w_j ad(b)^j s, sums, scalings, the operators ad, E and Ber,
@@ -23,7 +24,7 @@ from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import Alphabet, Frozen, NCPoly, Word, dense, from_dense, substitute
-from .algebra import substitution_table, to_text, weighted_sum
+from .algebra import substitution_table, to_text
 
 
 class GradedSeries(Frozen):
@@ -110,7 +111,7 @@ class GradedSeries(Frozen):
         return any(self.dense)
 
     def __repr__(self) -> str:
-        return f"GradedSeries(order={self.order}, {to_text(self.to_poly())!r})"
+        return f"GradedSeries(order={self.order}, {to_text(self)!r})"
 
     def _check_compatible(self, other: "GradedSeries") -> None:
         if self.alphabet != other.alphabet:
@@ -165,20 +166,22 @@ class GradedSeries(Frozen):
             return GradedSeries(self.alphabet, self.order, [substitute(p, images) for p in self.parts])
         return _over(self, _letters(table[a][0] for a in self.letters), table)
 
-    def to_poly(self) -> NCPoly:
-        return weighted_sum(self.alphabet, [(1, p) for p in self.parts])
-
     def is_zero(self) -> bool:
         return not any(self.dense)
 
-    def iter_terms(self) -> Iterator[tuple[int, Word, Fraction]]:
-        """(degree, word, coefficient) of each term, in the index order, which
-        is the canonical one: by degree, then lexicographically."""
+    def reduced_terms(self) -> Iterator[tuple[Word, int, int]]:
+        """(word, numerator, denominator) of each term in lowest terms, in the
+        index order, which is print order: by degree, then lexicographically."""
         for d, part in enumerate(self.dense):
             if part:
                 vector, scale = part
                 for word, c in compress(zip(product(self.letters, repeat=d), vector), vector):
-                    yield d, word, Fraction(c, scale)
+                    g = gcd(c, scale)
+                    yield word, c // g, scale // g
+
+    def iter_terms(self) -> Iterator[tuple[int, Word, Fraction]]:
+        """(degree, word, coefficient) of each term, in print order."""
+        return ((len(word), word, Fraction(num, den)) for word, num, den in self.reduced_terms())
 
 
 # -- the dense kernel ------------------------------------------------------------

@@ -56,10 +56,11 @@ def test_f0_series(capsys):
 def test_emitted_text_reparses(capsys):
     from kvlie.algebra import XY, parse_poly
     from kvlie.kv import f0
+    from kvlie.series import GradedSeries
 
     code, out, _ = run(capsys, "f0", "--degree", "5")
     assert code == 0
-    assert parse_poly(XY, out.strip()) == f0(5).to_poly()
+    assert GradedSeries.from_poly(parse_poly(XY, out.strip()), 5) == f0(5)
 
 
 def test_verify_kv1(capsys):
@@ -358,3 +359,77 @@ def test_closed_stdout_pipe_exits_2_with_one_line():
     assert proc.returncode == 2
     assert err.startswith("kvlie: cannot write stdout: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+def _perturbed(s, text="1/7*xxy"):
+    """s plus the polynomial ``text``, over the alphabet and order of s."""
+    from kvlie.algebra import parse_poly
+    from kvlie.series import GradedSeries
+
+    return s + GradedSeries.from_poly(parse_poly(s.alphabet, text), s.order)
+
+
+def test_verify_prints_the_first_defect_naming_its_check(capsys, monkeypatch):
+    import kvlie.cli as cli
+    from kvlie.kv import KvSolutionPair, f0, g0, multilinear_particular_solution
+
+    monkeypatch.setattr(cli, "f0", lambda n: _perturbed(f0(n)))
+    monkeypatch.setattr(cli, "particular_solution", lambda n: KvSolutionPair(_perturbed(f0(n)), g0(n)))
+    monkeypatch.setattr(cli, "multilinear_particular_solution", lambda k, n: [
+        _perturbed(F) if i == 0 else F for i, F in enumerate(multilinear_particular_solution(k, n))])
+    for equation in ("kv1", "split", "multilinear"):
+        # -E(-x) on 1/7*xxy starts with ad(x) of it, 1/7*xxxy - 1/7*xxyx
+        assert run(capsys, "verify", "--equation", equation, "--degree", "5") == (
+            1, f"{equation} defect at degree 4: xxxy coefficient 1/7\n", "")
+
+
+def test_solution_prints_the_pair_before_its_defect(capsys, monkeypatch):
+    import kvlie.cli as cli
+    from kvlie.algebra import XY, parse_poly
+    from kvlie.kv import KvSolutionPair, f0, g0, general_solution
+    from kvlie.series import GradedSeries
+
+    monkeypatch.setattr(cli, "general_solution", lambda *args: KvSolutionPair(
+        _perturbed(general_solution(*args).F), general_solution(*args).G))
+    code, out, err = run(capsys, "solution", "--degree", "5")
+    assert code == 1
+    F, G = (GradedSeries.from_poly(parse_poly(XY, line[4:]), 5) for line in out.splitlines())
+    assert (F, G) == (_perturbed(f0(5)), g0(5))
+    assert err == "kvlie: self-verification failed: kv1 defect at degree 4: xxxy coefficient 1/7\n"
+
+
+def test_bch_both_prints_one_line_per_differing_term(capsys, monkeypatch):
+    import kvlie.cli as cli
+    from kvlie.kv import BchSeries, bch_oracle
+
+    monkeypatch.setattr(cli, "bch_oracle", lambda n, k: BchSeries._raw(
+        _perturbed(bch_oracle(n, k).series, "1/7*xxy - 2*yx")))
+    assert run(capsys, "bch", "--method", "both", "--degree", "4") == (1, (
+        "eulerian-vs-oracle defect at degree 2: yx coefficient 2\n"
+        "eulerian-vs-oracle defect at degree 3: xxy coefficient -1/7\n"), "")
+
+
+def test_f0_and_solution_print_from_the_stored_index(capsys, monkeypatch):
+    # rendering walks each series' stored index: it builds and merges no word dict
+    import kvlie.cli as cli
+    from kvlie import algebra
+    from kvlie.algebra import XY, NCPoly
+    from kvlie.kv import f0, general_solution, verify_kv1
+
+    f0(8)
+    pair = general_solution(NCPoly.zero(XY), order=6)
+    defect = verify_kv1(pair, 6)
+    monkeypatch.setattr(cli, "general_solution", lambda *args: pair)
+    monkeypatch.setattr(cli, "verify_kv1", lambda *args: defect)
+
+    def forbidden(*args):
+        raise AssertionError("rendering built or merged a word dict")
+
+    for name in ("from_dense", "weighted_sum"):
+        real = getattr(algebra, name)
+        for module in [m for key, m in sys.modules.items() if key.startswith("kvlie")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, forbidden)
+    for fmt in ("text", "json", "latex"):
+        assert run(capsys, "f0", "--degree", "8", "--format", fmt)[0] == 0
+        assert run(capsys, "solution", "--degree", "6", "--format", fmt)[0] == 0

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kvlie.algebra import XY, NCPoly, parse_poly
+from kvlie.algebra import XY, NCPoly, parse_poly, to_text
 from kvlie.lyndon import lyndon_words, standard_bracketing
 from kvlie.series import GradedSeries, series_exp, series_log
 
@@ -33,15 +33,15 @@ def test_truncate_and_components():
     s = GradedSeries.from_poly(parse_poly(XY, "1 + x + xx"), 2)
     t = s.truncate(1)
     assert t.order == 1
-    assert t.to_poly() == parse_poly(XY, "1 + x")
+    assert t == GradedSeries.from_poly(parse_poly(XY, "1 + x"), 1)
     widened = t.truncate(3)
     assert widened.order == 3
-    assert widened.to_poly() == parse_poly(XY, "1 + x")
+    assert widened == GradedSeries.from_poly(parse_poly(XY, "1 + x"), 3)
 
 
 def test_exp_examples():
     x = GradedSeries.generator(XY, "x", 2)
-    assert series_exp(x).to_poly() == parse_poly(XY, "1 + x + 1/2*xx")
+    assert to_text(series_exp(x)) == "1 + x + 1/2*xx"
     with pytest.raises(ValueError, match="series_exp requires component 0 to vanish"):
         series_exp(GradedSeries.one(XY, 2))
     with pytest.raises(ValueError, match="series_log requires component 0 equal to 1"):
@@ -87,4 +87,4 @@ def test_first_nonzero_and_iter():
 def test_substitute_series():
     s = GradedSeries.from_poly(parse_poly(XY, "x + xy"), 2)
     swapped = s.substitute({"x": "-y", "y": "-x"})
-    assert swapped.to_poly() == parse_poly(XY, "-y + yx")
+    assert swapped == GradedSeries.from_poly(parse_poly(XY, "-y + yx"), 2)
