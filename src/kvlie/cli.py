@@ -73,10 +73,8 @@ def _emit(text: str, output: str | None) -> None:
 
 def _check_degree(n: int, force: bool, what: str = "degree") -> None:
     if n > MAX_UNFORCED_DEGREE and not force:
-        raise SystemExit(
-            f"kvlie: {what} {n} exceeds {MAX_UNFORCED_DEGREE}; the cost grows about 2x "
-            "per degree (verify kv1 takes about 0.3 s at degree 12), pass --force to proceed"
-        )
+        raise SystemExit(f"kvlie: {what} {n} exceeds {MAX_UNFORCED_DEGREE}; the cost grows "
+                         "about 2x per degree, pass --force to proceed")
 
 
 def _defect_lines(check: str, defect: GradedSeries) -> Iterator[str]:

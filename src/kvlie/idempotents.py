@@ -11,25 +11,26 @@ Each projector onto the free Lie algebra has one production construction here:
   solutions only ever need e on power words, and e(x^i y^j) is i! j! times
   the bidegree-(i, j) part of Z_{i+j}.
 
-Both run on the dense form of a component: the integer numerators of all k^n
-words of degree n over k letters, indexed by the base-k value of the word,
-first letter most significant (:func:`kvlie.algebra.dense`), the form a
-:class:`kvlie.series.GradedSeries` stores.  The Goldberg kernel reads each
-word's class in that order, and a level of r is one fixed permutation of the
-index.  ``dynkin`` reads user polynomials, so r keeps a sparse route, each word
-packed into one int, for input whose k^n words are far more than r can reach
-from it (``_route``), such as a few words over many letters.
+r runs in two forms.  On a stored component (``_nest``) it reads the dense
+form: the integer numerators of all k^n words of degree n over k letters,
+indexed by the base-k value of the word, first letter most significant
+(:func:`kvlie.algebra.dense`), the form a :class:`kvlie.series.GradedSeries`
+stores, where a level of r is one fixed permutation of the index.  ``dynkin``
+reads word dicts only (user input, Psi, kernel generators and residuals), so
+it runs r over the words present, each packed into one int (``_nest_packed``).
+The Goldberg kernel reads each word's class in the dense index order.
 
 ``kernel_generator``, ``psi`` and the Patras-Reutenauer elements gamma(a) a
 build the kernel of gamma from ``dynkin``.  The fixed point r(p) = n p is the
-production Lie-membership test: ``_goldberg`` certifies each BCH component
-once per (degree, k), memoised with its vector and the level of that pass
-whose blocks are r((Z_n)_z), and :func:`kvlie.kv._certify_lie` the stored
-vectors of any other BCH series; both raise ``NotLieElementError``.  The
-independent constructions that the tests play against these (the
-descent-class Dynkin sum, the S_n and convolution Eulerian sums, the explicit
-kernel elements and a kernel basis, the Lyndon elimination) live in
-:mod:`kvlie.oracles` and its support modules.
+production Lie-membership test, written once (``_lie_level``): one pass of r
+on a stored component, which raises ``NotLieElementError`` or returns the
+level whose block z is r(p_z).  ``_goldberg`` certifies each BCH component
+with it once per (degree, k) and memoises that level with the vector, and
+:func:`kvlie.kv._certify_lie` certifies the stored vectors of any other BCH
+series with it.  The independent constructions that the tests play against
+these (the descent-class Dynkin sum, the S_n and convolution Eulerian sums,
+the explicit kernel elements and a kernel basis, the Lyndon elimination) live
+in :mod:`kvlie.oracles` and its support modules.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from math import comb, factorial, gcd, lcm
 from operator import sub
 from typing import Mapping, Sequence
 
-from .algebra import NCPoly, Word, concat, default_alphabet, dense, from_dense, letter_part
+from .algebra import Alphabet, NCPoly, Word, concat, default_alphabet, from_dense, letter_part
 
 
 # -- Dynkin idempotent --------------------------------------------------------
@@ -74,9 +75,9 @@ def _nest(vector: Sequence[int], k: int) -> tuple[list[int], list[int]]:
 
 
 def _nest_packed(terms: Mapping[Word, int]) -> dict[Word, int]:
-    """r(p) on the sparse route, level by level as in ``_nest`` but over the
-    words present only, each word one int of n ``width``-bit fields (first
-    letter highest; width from the largest letter)."""
+    """r(p) on a word dict, level by level as in ``_nest`` but over the words
+    present only, each word one int of n ``width``-bit fields (first letter
+    highest; width from the largest letter)."""
     width = max(max(w) for w in terms).bit_length() or 1
     mask = (1 << width) - 1
     nested: dict[int, int] = {}
@@ -99,17 +100,6 @@ def _nest_packed(terms: Mapping[Word, int]) -> dict[Word, int]:
     return {tuple([v >> s & mask for s in shifts]): c for v, c in nested.items()}
 
 
-def _route(terms: Mapping[Word, int]) -> int | None:
-    """k when r runs on the dense vector of these degree-n terms over k letters
-    (one past the largest letter, at least 2), None for the sparse route.  r of
-    one word reaches at most 2^(n-1) words, so the rule is k^n <= 2^n *
-    len(terms): the k^n entries cost at most twice the support r can reach.
-    Always dense for two letters."""
-    n = len(next(iter(terms)))
-    k = max(2, 1 + max(map(max, terms)))
-    return k if k**n <= len(terms) << n else None
-
-
 def dynkin(p: NCPoly) -> NCPoly:
     """The Dynkin idempotent gamma; projects T(V) onto the free Lie algebra.
 
@@ -124,10 +114,7 @@ def dynkin(p: NCPoly) -> NCPoly:
     common = lcm(*degrees)
     numerators: dict[Word, int] = {}
     for n in degrees:
-        part = {w: c for w, c in p.numerators.items() if len(w) == n}
-        k = _route(part)
-        nested = (_nest_packed(part) if k is None
-                  else from_dense(_nest(dense(part, n, range(k)), k)[1], n, range(k)))
+        nested = _nest_packed({w: c for w, c in p.numerators.items() if len(w) == n})
         numerators.update((w, c * (common // n)) for w, c in nested.items())
     return NCPoly._raw(p.alphabet, numerators, common * p.scale)
 
@@ -139,6 +126,19 @@ class NotLieElementError(ValueError):
     def __init__(self, residual: NCPoly):
         super().__init__(f"not a Lie element; residual {residual!r}")
         self.residual = residual
+
+
+def _lie_level(alphabet: Alphabet, letters: Sequence[int], n: int, part: tuple) -> tuple[int, ...]:
+    """Level n-1 of r on a stored part (vector, scale) of degree n >= 1 over
+    the sorted ``letters``, whose block z is r(p_z): the one r pass that
+    certifies p Lie by the Dynkin-Specht-Wever test r(p) = n p, or raises
+    NotLieElementError(p - gamma(p))."""
+    vector, scale = part
+    nested, full = _nest(vector, len(letters))
+    if full != [n * c for c in vector]:
+        p = NCPoly._raw(alphabet, from_dense(vector, n, letters), scale)
+        raise NotLieElementError(kernel_generator(p))
+    return tuple(nested)
 
 
 # -- Eulerian idempotent on power words: Goldberg's closed form ---------------
@@ -234,12 +234,8 @@ def _goldberg(n: int, k: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     scale = common * top
     g = gcd(scale, *(c for row in rows for c in row))
     rows = [[c // g for c in row] for row in rows]
-    vector = [c for s in level for c in rows[s]]
-    nested, full = _nest(vector, k)
-    if full != [n * c for c in vector]:
-        component = NCPoly._raw(default_alphabet(k), from_dense(vector, n, range(k)), scale // g)
-        raise NotLieElementError(kernel_generator(component))
-    return tuple(vector), scale // g, tuple(nested)
+    part = tuple(c for s in level for c in rows[s]), scale // g
+    return (*part, _lie_level(default_alphabet(k), range(k), n, part))
 
 
 # -- kernel of the Dynkin idempotent -------------------------------------------

@@ -15,35 +15,33 @@ idempotent, and the multilinear generalisation
 whose case k = 2 with (F_1, F_2) = (F, -G) is the equation above.
 
 Every series here is a :class:`kvlie.series.GradedSeries` in its stored dense
-form, built with no word dict: ``bch_eulerian`` stores the Goldberg vectors of
-:func:`kvlie.idempotents.bch_component`, certified Lie once each, and
-``reversed_tail`` (log(e^x_k ... e^x_1) = -Z(-x_1, ..., -x_k), so component n
-is (-1)^(n+1) Z_n) negates the even ones.  The letter-nested series
-b_{n-1} = r((Phi_n)_z) / n is block z of the level of r that the
-certification of Z_n kept, so it costs no r pass; it gives both the z-leading
-Dynkin share gamma(z (Phi_n)_z) = [z, b_{n-1}] and, on the reversed tail,
-F_i = (-1)^i Ber((-1)^i x_i) b (``multilinear_f0``; ``f0`` is its case i = 1,
-k = 2).  Each operator, particular solution and verifier is one
+form, built with no word dict.  A ``BchSeries`` keeps the level of the one r
+pass that certified each component: ``bch_eulerian`` the Goldberg vectors of
+:func:`kvlie.idempotents.bch_component` with the levels memoised with them,
+``bch_oracle`` (log of a product of exponentials, which ``kvlie bch --method
+oracle|both`` prints) those of the public constructor's certification.  The
+letter-nested series b_{n-1} = r((Phi_n)_z) / n is block z of level n-1
+(``_letter_nested``), so it costs no r pass.  It gives the split
+gamma(z (Phi_n)_z) = [z, b_{n-1}] (``phi_split``) and, on the reversed tail
+log(e^x_k ... e^x_1), whose component n is (-1)^(n+1) Z_n, the particular
+solutions F_i = (-1)^i Ber((-1)^i x_i) b (``multilinear_f0``; ``f0`` is its
+case i = 1, k = 2).  Each operator, particular solution and verifier is one
 :func:`kvlie.series._ad_sum` call; a verifier sums its target (the reversed
-tail, or ad(x) b for the split) and -E((-1)^i x_i) F_i for each i.  No
-verifier takes a BCH series as an argument, and reversed argument orders are
-never re-derived.  ``bch_oracle`` (log of a product of exponentials, which
-``BchSeries`` certifies with r on its stored vectors) stays here because
-``kvlie bch --method oracle|both`` prints it; the other oracles live in
-:mod:`kvlie.oracles`.  Identity checks return full graded defect series, so
-that a failure is diagnosable term by term.
+tail, or ad(x) b for the split) and -E((-1)^i x_i) F_i for each i.  The other
+oracles live in :mod:`kvlie.oracles`.  Identity checks return full graded
+defect series, so that a failure is diagnosable term by term.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
+from typing import NamedTuple
 
-from .algebra import XY, Alphabet, NCPoly, concat, default_alphabet, letter_part, substitute
-from .idempotents import NotLieElementError, _goldberg, _nest, dynkin, kernel_generator
+from .algebra import XY, Alphabet, Frozen, NCPoly, concat, default_alphabet, letter_part, substitute
+from .idempotents import _goldberg, _lie_level, dynkin, kernel_generator
 from .scalars import bernoulli
 from .series import GradedSeries, _ad_sum, series_exp, series_log
 
@@ -87,22 +85,32 @@ def _signed_letter(alphabet: Alphabet, i: int) -> NCPoly:
 # -- Baker-Campbell-Hausdorff series -----------------------------------------
 
 
-@dataclass(frozen=True)
-class BchSeries:
-    """A BCH series, certified Lie on construction.  ``_raw`` skips the check
-    for ``bch_eulerian``, whose components ``_goldberg`` has certified."""
+class BchSeries(Frozen):
+    """A BCH series, certified Lie on construction; ``levels[n]`` is level n-1
+    of the r pass that certified component n (None where it is zero).  ``_raw``
+    skips the check for ``bch_eulerian``, whose levels ``_goldberg`` kept.
+    Values compare on ``series``; copies and unpickling re-certify."""
 
-    series: GradedSeries
+    __slots__ = ("series", "levels", "__dict__")  # __dict__ holds reversed_tail
 
-    def __post_init__(self) -> None:
-        _certify_lie(self.series)
+    def __init__(self, series: GradedSeries):
+        self._fill(series, _certify_lie(series))
 
     @classmethod
-    def _raw(cls, series: GradedSeries) -> "BchSeries":
+    def _raw(cls, series: GradedSeries, levels: tuple) -> "BchSeries":
         """Trusted constructor for a series whose components are certified."""
-        phi = cls.__new__(cls)
-        object.__setattr__(phi, "series", series)
-        return phi
+        return cls.__new__(cls)._fill(series, levels)
+
+    def _fill(self, series: GradedSeries, levels: tuple) -> "BchSeries":
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "levels", levels)
+        return self
+
+    def __reduce__(self):
+        return BchSeries, (self.series,)
+
+    def __eq__(self, other: object) -> bool:
+        return self.series == other.series if isinstance(other, BchSeries) else NotImplemented
 
     @property
     def order(self) -> int:
@@ -121,12 +129,11 @@ class BchSeries:
         return GradedSeries._raw(s.alphabet, s.letters, [None, None][: s.order + 1] + tail)
 
 
-def _certify_lie(series: GradedSeries) -> None:
-    """Raise NotLieElementError(p - gamma(p)) unless each component p of degree
-    n >= 1 passes the Dynkin-Specht-Wever test r(p) = n p, on its stored vector."""
-    for n, part in enumerate(series.dense):
-        if n and part and _nest(part[0], len(series.letters))[1] != [n * c for c in part[0]]:
-            raise NotLieElementError(kernel_generator(series.component(n)))
+def _certify_lie(series: GradedSeries) -> tuple:
+    """The levels of a ``BchSeries``: one r pass per stored component of degree
+    n >= 1, which raises NotLieElementError(p - gamma(p)) unless r(p) = n p."""
+    return tuple(_lie_level(series.alphabet, series.letters, n, part) if n and part else None
+                 for n, part in enumerate(series.dense))
 
 
 @lru_cache(maxsize=None)
@@ -140,8 +147,9 @@ def bch_eulerian(order: int, k: int = 2) -> BchSeries:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    parts = [None] + [_goldberg(m, k)[:2] for m in range(1, order + 1)]
-    return BchSeries._raw(GradedSeries._raw(default_alphabet(k), range(k), parts))
+    tables = [_goldberg(m, k) for m in range(1, order + 1)]
+    series = GradedSeries._raw(default_alphabet(k), range(k), [None] + [t[:2] for t in tables])
+    return BchSeries._raw(series, (None, *(t[2] for t in tables)))
 
 
 @lru_cache(maxsize=None)
@@ -159,36 +167,32 @@ def bch_oracle(order: int, k: int = 2) -> BchSeries:
 # -- the split of the BCH series ----------------------------------------------
 
 
-def _letter_nested(order: int, k: int, z: int) -> GradedSeries:
-    """b with b_d = r((Phi_{d+1}(x_k, ..., x_1))_z) / (d+1) for 1 <= d < order,
-    zero elsewhere, z counted from 0: block z of the level of r that the
-    certification of Z_{d+1} kept, times the sign (-1)^d of the reversed tail."""
-    parts: list = [None] * (order + 1)
-    for d in range(1, order):
-        _, scale, nested = _goldberg(d + 1, k)
-        block = nested[z * k**d : (z + 1) * k**d]
-        parts[d] = ([-c for c in block] if d % 2 else block, (d + 1) * scale)
-    return GradedSeries._raw(default_alphabet(k), range(k), parts)
+def _letter_nested(phi: BchSeries, z: int, sign: int = 1) -> GradedSeries:
+    """b with b_d = sign^d r((Phi_{d+1})_z) / (d+1) for 1 <= d < order, zero
+    elsewhere, z the index of the letter: block z of the level of r that
+    certified Phi_{d+1}.  sign = -1 gives b of the reversed tail, whose
+    component n is (-1)^(n+1) Phi_n."""
+    s, parts = phi.series, [None] * (phi.order + 1)
+    for d in range(1, s.order):
+        if s.dense[d + 1] and z in s.letters:
+            i, size = s.letters.index(z), len(s.letters) ** d
+            block = phi.levels[d + 1][i * size : (i + 1) * size]
+            parts[d] = ([-c for c in block] if sign < 0 and d % 2 else block, (d + 1) * s.dense[d + 1][1])
+    return GradedSeries._raw(s.alphabet, s.letters, parts)
 
 
 def phi_split(phi: BchSeries) -> tuple[GradedSeries, GradedSeries]:
     """Dynkin images of the leading-letter halves of the BCH tail.
 
-    Returns (plus, minus) with plus_n = gamma(x * (Phi_n)_x) and
-    minus_n = gamma(y * (Phi_n)_y) for n >= 2; their sum restores Phi_n.
-    Any certified series is split, so gamma runs on its components.
+    Returns (plus, minus) with plus_n = gamma(x * (Phi_n)_x) = [x, b_{n-1}]
+    and minus_n = gamma(y * (Phi_n)_y) for n >= 2, b the letter-nested series
+    of each letter; their sum restores Phi_n.
     """
-    s = phi.series
-    if s.alphabet.size != 2:
+    alphabet = phi.series.alphabet
+    if alphabet.size != 2:
         raise ValueError("the split is defined for two variables")
-
-    def share(z: str) -> GradedSeries:
-        letter = NCPoly.letter(s.alphabet, z)
-        parts = [dynkin(concat(letter, letter_part(p, z))) if n > 1 else NCPoly.zero(s.alphabet)
-                 for n, p in enumerate(s.parts)]
-        return GradedSeries(s.alphabet, s.order, parts)
-
-    return share("x"), share("y")
+    return tuple(op_ad(NCPoly.letter(alphabet, z), _letter_nested(phi, i))
+                 for i, z in enumerate(alphabet.letters))
 
 
 # -- the particular solution ----------------------------------------------------
@@ -205,7 +209,7 @@ def multilinear_f0(index: int, k: int, order: int) -> GradedSeries:
     if not 1 <= index <= k:
         raise ValueError(f"variable index {index} out of range for {k} variables")
     alphabet = default_alphabet(k)
-    b = _letter_nested(order + 1, k, index - 1)
+    b = _letter_nested(bch_eulerian(order + 1, k), index - 1, -1)
     weights = _bernoulli_weights(order, (-1) ** index)
     return _ad_sum(order, [(_signed_letter(alphabet, index), weights, b)])
 
@@ -227,8 +231,7 @@ def g0(order: int) -> GradedSeries:
     return f0(order).substitute(NEGATE_SWAP)
 
 
-@dataclass(frozen=True)
-class KvSolutionPair:
+class KvSolutionPair(NamedTuple):
     """A candidate (F, G) pair for the first Kashiwara-Vergne equation."""
 
     F: GradedSeries
@@ -299,7 +302,7 @@ def verify_split(F: GradedSeries, order: int | None = None) -> GradedSeries:
     """Defect of the split equation: Phi^-(y, x) - E(-x) F, where Phi^-(y, x)
     = ad(x) b is the x-leading share of the reversed BCH tail."""
     order = _checked_order(order, F.order, "series F")
-    share = (NCPoly.letter(XY, "x"), (0, 1), _letter_nested(order, 2, 0))
+    share = (NCPoly.letter(XY, "x"), (0, 1), _letter_nested(bch_eulerian(order), 0, -1))
     return _ad_sum(order, [share, *_operator_terms(XY, [F], order)])
 
 

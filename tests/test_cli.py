@@ -255,6 +255,30 @@ def test_bad_input_exits_2_with_one_line(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["f0", "--degree", "12"],
+    ["verify", "--equation", "kv1", "--degree", "12"],
+    ["bch", "--method", "oracle", "--degree", "12"],
+    ["solution", "--degree", "12"],
+    ["psi", "--var", "x", "--poly", "xyxyxyxyxyxy"],
+])
+def test_degree_guard_exits_2_before_any_construction(capsys, monkeypatch, argv):
+    import kvlie.cli as cli
+    from kvlie import idempotents
+
+    def forbidden(*args):
+        raise AssertionError("a construction ran before the degree guard")
+
+    real = idempotents._goldberg
+    for module in [m for key, m in sys.modules.items() if key.startswith("kvlie")]:
+        if getattr(module, "_goldberg", None) is real:
+            monkeypatch.setattr(module, "_goldberg", forbidden)
+    monkeypatch.setattr(cli, "bch_oracle", forbidden)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "--force" in err
+
+
 def test_verify_multilinear_builds_the_bch_series_once(capsys, monkeypatch):
     # each component of the order-(n+1) series is built and certified once,
     # by one r pass that also gives its letter-nested shares; the check reads
@@ -335,7 +359,7 @@ from kvlie.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in {PRODUCTION_COMMANDS!r}]
 loaded = sorted(m for m in ("kvlie.oracles", "kvlie.permutations", "kvlie.linalg",
-                           "kvlie.lyndon") if m in sys.modules)
+                           "kvlie.lyndon", "dataclasses") if m in sys.modules)
 print(codes, loaded)
 """
     src = str(Path(kvlie.__file__).parents[1])
@@ -403,7 +427,7 @@ def test_bch_both_prints_one_line_per_differing_term(capsys, monkeypatch):
     from kvlie.kv import BchSeries, bch_oracle
 
     monkeypatch.setattr(cli, "bch_oracle", lambda n, k: BchSeries._raw(
-        _perturbed(bch_oracle(n, k).series, "1/7*xxy - 2*yx")))
+        _perturbed(bch_oracle(n, k).series, "1/7*xxy - 2*yx"), bch_oracle(n, k).levels))
     assert run(capsys, "bch", "--method", "both", "--degree", "4") == (1, (
         "eulerian-vs-oracle defect at degree 2: yx coefficient 2\n"
         "eulerian-vs-oracle defect at degree 3: xxy coefficient -1/7\n"), "")

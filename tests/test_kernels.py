@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from kvlie.algebra import Alphabet, NCPoly, default_alphabet, dense, from_dense, letter_part
 from kvlie.algebra import parse_poly
-from kvlie.idempotents import NotLieElementError, _nest, _route, bch_component, dynkin
+from kvlie.idempotents import NotLieElementError, _nest, bch_component, dynkin
 from kvlie.idempotents import kernel_generator
 from kvlie.idempotents import psi
 from kvlie.kv import _certify_lie
@@ -87,11 +87,12 @@ def test_dynkin_equals_descent_oracle_on_fourteen_letters(p):
 @st.composite
 def near_the_dense_rule(draw):
     """A polynomial over 2 to 4 letters with one to three components, each
-    within two words of the size at which r turns dense, on either side."""
+    within two words of k^d / 2^d on either side: sparse over four letters,
+    all or most of the words over two."""
     k = draw(st.sampled_from([2, 3, 4]))
     terms = {}
     for d in draw(st.lists(st.integers(1, 7 - k // 2), min_size=1, max_size=3, unique=True)):
-        threshold = -(-(k**d) // 2**d)  # the fewest words of degree d that go dense
+        threshold = -(-(k**d) // 2**d)
         size = draw(st.integers(max(threshold - 2, 1), min(threshold + 2, k**d)))
         words = st.sets(st.tuples(*[st.integers(0, k - 1)] * d), min_size=size, max_size=size)
         for w in draw(words.filter(lambda ws: any(k - 1 in w for w in ws))):
@@ -102,10 +103,6 @@ def near_the_dense_rule(draw):
 @settings(deadline=None, max_examples=150)
 @given(near_the_dense_rule())
 def test_dynkin_equals_descent_oracle_on_both_sides_of_the_dense_rule(p):
-    k = p.alphabet.size
-    for d in p.degrees():
-        part = p.homogeneous_component(d).numerators
-        assert (_route(part) is not None) == (k**d <= len(part) * 2**d)
     q = dynkin(p)
     assert q == dynkin_via_descents(p)
     assert passes_fixed_point_test(q)
@@ -163,7 +160,6 @@ def test_packing_width_follows_the_largest_letter():
     # into the neighbouring letter
     alphabet = Alphabet("abcdefghijklmnopq")
     p = parse_poly(alphabet, "qaq - 2/3*aqpq + 1/5*qqba + pqqp - 7*cqaq + qa")
-    assert all(_route(p.homogeneous_component(d).numerators) is None for d in p.degrees())
     assert dynkin(p) == dynkin_via_descents(p)
     assert passes_fixed_point_test(dynkin(p)) and not passes_fixed_point_test(p)
 

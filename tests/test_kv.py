@@ -207,29 +207,29 @@ def count_r_passes(monkeypatch) -> dict[str, int]:
 
 def test_goldberg_components_are_certified_once(monkeypatch, fresh_caches):
     passes = count_r_passes(monkeypatch)
-    series_checks = []
-    real = kv._nest
-    monkeypatch.setattr(kv, "_nest", lambda *args: series_checks.append(args) or real(*args))
+    # Z_1, ..., Z_7 once each: f0(6) reads bch_eulerian(7), the verifiers bch_eulerian(6)
     assert verify_kv1(particular_solution(6), 6).is_zero()
     assert verify_split(f0(6), 6).is_zero()
-    assert passes == {"dense": 7, "sparse": 0} and not series_checks
+    assert passes == {"dense": 7, "sparse": 0}
     # a BchSeries built from outside bch_eulerian is certified on construction,
     # one r pass per stored component
     bch_oracle(3)
+    assert passes == {"dense": 10, "sparse": 0}
     with pytest.raises(NotLieElementError):
         BchSeries(GradedSeries(XY, 2, [NCPoly.zero(XY), X, parse_poly(XY, "xy")]))
-    # five checks, and gamma of the one that fails for the residual it reports
-    assert passes == {"dense": 8, "sparse": 0} and len(series_checks) == 5
+    # two checks, and gamma of the one that fails, on its word dict, for the residual it reports
+    assert passes == {"dense": 12, "sparse": 1}
 
 
 @pytest.mark.parametrize("n", [1, 8])
 def test_f0_runs_one_r_pass_per_bch_component(monkeypatch, fresh_caches, n):
-    # the particular solution reads the letter-nested shares from the level
-    # that the certification of each component Z_2, ..., Z_{n+1} kept
+    # the particular solution reads the letter-nested shares from the levels
+    # that the certification of each component Z_1, ..., Z_{n+1} of
+    # bch_eulerian(n + 1) kept
     passes = count_r_passes(monkeypatch)
     f0(n)
-    assert passes == {"dense": n, "sparse": 0}
-    assert idempotents._goldberg.cache_info().currsize == n
+    assert passes == {"dense": n + 1, "sparse": 0}
+    assert idempotents._goldberg.cache_info().currsize == n + 1
 
 
 def test_certify_lie_reports_the_kernel_projection_as_residual():
@@ -269,6 +269,39 @@ def test_phi_split_matches_the_descent_class_dynkin_map():
         for n in range(2, 10):
             leading = concat(letter, letter_part(phi.component(n), z))
             assert share.component(n) == oracles.dynkin_via_descents(leading)
+
+
+def test_phi_split_reads_the_levels_of_either_construction(monkeypatch):
+    # the oracle's levels come from the public constructor's certification,
+    # the Eulerian ones from _goldberg; the split runs no r pass of its own
+    from kvlie import algebra, series
+
+    oracle, eulerian = bch_oracle(8), bch_eulerian(8)
+    words = NCPoly(XY, {w: Fraction(i % 5 - 2, i % 3 + 1)
+                        for i, w in enumerate(product(range(2), repeat=6))})
+    expected = oracles.dynkin_via_descents(words)
+
+    def forbidden(*args):
+        raise AssertionError("an r pass or a densification ran")
+
+    for module, name in ((kv, "dynkin"), (kv, "letter_part"), (idempotents, "_nest")):
+        monkeypatch.setattr(module, name, forbidden)
+    for module in (algebra, idempotents, kv, series):
+        if getattr(module, "dense", None) is algebra.dense:
+            monkeypatch.setattr(module, "dense", forbidden)
+    assert phi_split(oracle) == phi_split(eulerian)
+    # dynkin reads word dicts only: all 64 words of degree 6 over two letters
+    # stay in the packed route, with no dense vector
+    assert dynkin(words) == expected
+
+
+def test_unpickling_a_bch_series_recertifies_it():
+    series = GradedSeries(XY, 2, [NCPoly.zero(XY), X, parse_poly(XY, "xy")])
+    data = pickle.dumps(BchSeries._raw(series, (None, None, None)))
+    with pytest.raises(NotLieElementError):
+        pickle.loads(data)
+    phi = pickle.loads(pickle.dumps(bch_oracle(5)))
+    assert phi == bch_eulerian(5) and phi.levels == bch_eulerian(5).levels
 
 
 def test_phi_split_symmetry():
