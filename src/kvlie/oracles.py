@@ -17,9 +17,11 @@ here share no kernel with it, so agreement term by term is evidence for both:
 * ``bch_permutation_oracle`` -- the BCH series with e on each power word
   through the S_n sum, against :func:`kvlie.kv.bch_eulerian` (the exp/log
   oracle :func:`kvlie.kv.bch_oracle` stays in ``kv`` because the CLI prints it);
-* ``solve_split_chain`` -- the particular solution by exact linear solves,
-  against :func:`kvlie.kv.f0`, with its right-hand side Phi^- built by
-  ``dynkin_via_descents``, not read from production;
+* ``solve_split_chain`` -- the particular solution by inverting ad(x) on
+  words degree by degree (``ad_inverse``, a triangular recursion checked
+  exactly and certified Lie), against :func:`kvlie.kv.f0`, with its
+  right-hand side Phi^- built by ``dynkin_via_descents``, not read from
+  production;
 * ``operator_nullity``, ``leading_pair_nullity`` and
   ``kernel_parameterized_leading_dim`` -- dimension counts of the solution
   space;
@@ -38,6 +40,7 @@ or ``lyndon``, which only the oracles and the tests use.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -47,8 +50,8 @@ from .algebra import XY, Alphabet, NCPoly, Word, bracket, letter_part, weighted_
 from .idempotents import dynkin, kernel_generator
 from .kv import BchSeries, bch_eulerian
 from .kv import op_exp_ad_minus_one
-from .linalg import independent_subset, nullspace_dimension, rank, solve_affine
-from .lyndon import lyndon_words, standard_bracketing, to_lie_coordinates
+from .linalg import independent_subset, nullspace_dimension, rank
+from .lyndon import is_lie_element, lyndon_words, standard_bracketing, to_lie_coordinates
 from .permutations import descent_class_images, sn_with_descents
 from .series import GradedSeries
 
@@ -297,17 +300,40 @@ def bch_permutation_oracle(order: int) -> BchSeries:
     return BchSeries(GradedSeries(XY, order, parts))
 
 
-# -- linear-solve oracle for the split equation ---------------------------------
+# -- triangular oracle for the split equation -----------------------------------
+
+
+def ad_inverse(letter: str, R: NCPoly, d: int) -> NCPoly:
+    """The u of degree d with [z, u] = R and no z^d term, z = ``letter``.
+
+    At the word zs, [z, u] = R reads u_s = R_(zs) + [s = s'z] u_(zs'), a
+    recursion on the trailing z's of s: each word zs of R adds its coefficient
+    at s and again after each move of a leading z of s to its end.  Raises
+    ``ValueError`` unless [z, u] = R exactly and u is a Lie element.
+    """
+    z = R.alphabet.index(letter)
+    power = (z,) * d  # ker ad(z) in degree d
+    coeffs: dict[Word, int] = defaultdict(int)
+    for w, c in R.numerators.items():
+        s = w[1:]
+        if len(w) == d + 1 and w[0] == z and s != power:
+            coeffs[s] += c
+            while s[0] == z:
+                s = s[1:] + (z,)
+                coeffs[s] += c
+    u = NCPoly._raw(R.alphabet, {s: c for s, c in coeffs.items() if c}, R.scale)
+    if bracket(NCPoly.letter(R.alphabet, letter), u) != R or not is_lie_element(u):
+        raise ValueError(f"{R} is not ad({letter}) of a degree-{d} Lie element")
+    return u
 
 
 def solve_split_chain(max_degree: int) -> GradedSeries:
-    """Solve E(-x) F = Phi^-(y, x) degree by degree as exact linear systems.
+    """Solve E(-x) F = Phi^-(y, x) degree by degree by inverting ad(x) on words.
 
-    Independent oracle for the particular solution: at each degree the
-    unknown component is found in Lyndon coordinates, taking the pure-x
-    coordinate to be zero at degree 1 (the kernel of E(-x) there).
-    Inconsistency of any system would falsify the image description of the
-    operator and raises.
+    Independent oracle for the particular solution: at degree d + 1 the
+    unknown F_d enters only as -[x, F_d], so F_d is :func:`ad_inverse` of the
+    rest, with a zero x coordinate at d = 1 (the kernel of E(-x)).  It reads
+    no production operator, Bernoulli weight or letter-nested series.
     """
     phi = bch_eulerian(max_degree + 1)
     # Phi^-(x, y): the y-leading shares gamma(y (Phi_n)_y) by descent classes
@@ -317,38 +343,15 @@ def solve_split_chain(max_degree: int) -> GradedSeries:
     parts = [NCPoly.zero(XY)]
     for d in range(1, max_degree + 1):
         m = d + 1  # output degree of the constraint fixing component d
-        rhs_poly = target.component(m)
+        rhs = target.component(m)
         for k in range(2, m):
             lower = parts[m - k]
             if lower:
                 term = lower
                 for _ in range(k):
                     term = bracket(MINUS_X, term)
-                rhs_poly = rhs_poly - term.scaled(Fraction(1, factorial(k)))
-        basis_words = [lw.word for lw in lyndon_words(XY, d)]
-        images = [bracket(MINUS_X, standard_bracketing(XY, w)) for w in basis_words]
-        row_words = sorted(
-            set().union(*[set(img.terms) for img in images], set(rhs_poly.terms))
-        )
-        matrix = [[img.coefficient(w) for img in images] for w in row_words]
-        rhs = [rhs_poly.coefficient(w) for w in row_words]
-        particular, null_basis = solve_affine(matrix, rhs)
-        if d == 1:
-            if len(null_basis) != 1:
-                raise AssertionError("degree-1 split system should have a line of solutions")
-            x_index = basis_words.index((0,))
-            direction = null_basis[0]
-            particular = [
-                v - particular[x_index] / direction[x_index] * direction[i]
-                for i, v in enumerate(particular)
-            ]
-        elif null_basis:
-            raise AssertionError(f"split system at degree {d} is not determined")
-        comp = NCPoly.zero(XY)
-        for coeff, w in zip(particular, basis_words):
-            if coeff:
-                comp = comp + standard_bracketing(XY, w).scaled(coeff)
-        parts.append(comp)
+                rhs = rhs - term.scaled(Fraction(1, factorial(k)))
+        parts.append(ad_inverse("x", -rhs, d))
     return GradedSeries(XY, max_degree, parts)
 
 

@@ -134,7 +134,7 @@ def test_criterion_04_split_uniqueness():
     from kvlie.kv import verify_split
 
     assert verify_split(shifted, 6).is_zero()
-    print("criterion 4 PASS: linear solve matches F0 at degrees 1-6 (x line at 1)")
+    print("criterion 4 PASS: ad(x) inversion matches F0 at degrees 1-6 (x line at 1)")
 
 
 def test_criterion_05_idempotent_laws():

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -55,6 +56,7 @@ from kvlie.linalg import nullspace_dimension, rank
 from kvlie.lyndon import is_lie_element, lyndon_words, standard_bracketing, to_lie_coordinates
 from kvlie.oracles import (
     SWAP,
+    ad_inverse,
     bch_permutation_oracle,
     dynkin_kernel_basis,
     kernel_parameterized_leading_dim,
@@ -321,14 +323,8 @@ def test_plus_split_lands_in_image_of_ad_y():
     plus, _ = phi_split(bch_eulerian(5))
     target = plus.substitute(SWAP)
     for n in range(2, 6):
-        basis = [standard_bracketing(XY, lw) for lw in lyndon_words(XY, n - 1)]
-        images = [bracket(Y, b) for b in basis]
-        words = [w for w in product(range(2), repeat=n)]
-        matrix = [[img.coefficient(w) for img in images] for w in words]
-        rhs = [target.component(n).coefficient(w) for w in words]
-        from kvlie.linalg import solve_affine
-
-        solve_affine(matrix, rhs)  # raises if inconsistent
+        u = ad_inverse("y", target.component(n), n - 1)
+        assert bracket(Y, u) == target.component(n) and is_lie_element(u)
 
 
 # -- operators ----------------------------------------------------------------------
@@ -604,13 +600,51 @@ def test_kv1_against_conjugation_arithmetic():
     assert (lhs - rhs).is_zero()
 
 
-def test_solve_split_linear():
+@pytest.mark.parametrize("top", [5, 10])
+def test_solve_split_linear(top):
     assert solve_split_chain(1).component(1) == parse_poly(XY, "1/4*y")
     assert solve_split_chain(2).component(2) == parse_poly(XY, "1/24*xy - 1/24*yx")
-    chain = solve_split_chain(5)
-    F = f0(5)
-    for d in range(1, 6):
+    chain = solve_split_chain(top)
+    F = f0(top)
+    for d in range(1, top + 1):
         assert chain.component(d) == F.component(d)
+
+
+def test_ad_inverse_rejects_what_is_not_ad_of_a_lie_element():
+    with pytest.raises(ValueError):
+        ad_inverse("x", parse_poly(XY, "xy"), 1)  # [x, .] reaches only xy - yx
+    with pytest.raises(ValueError):
+        ad_inverse("x", parse_poly(XY, "xxy - xyx"), 2)  # the word solution xy
+    with pytest.raises(ValueError):
+        ad_inverse("x", parse_poly(XY, "xx"), 1)  # no degree-1 u has [x, u] = xx
+    assert ad_inverse("x", parse_poly(XY, "xy - yx"), 1) == Y
+    assert ad_inverse("y", parse_poly(XY, "yx - xy"), 1) == X
+    xy = bracket(X, Y)
+    assert ad_inverse("y", bracket(Y, xy), 2) == xy
+    abc = default_alphabet(3)
+    a, b, c = (NCPoly.letter(abc, t) for t in abc.letters)
+    u = bracket(a, bracket(b, c)) - bracket(c, bracket(c, a)).scaled(Fraction(2, 3))
+    assert ad_inverse(abc.letters[1], bracket(b, u), 3) == u
+
+
+def test_split_oracle_reads_no_production_operator(monkeypatch):
+    F = f0(6)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the split oracle reached a production construction")
+
+    for module_name, name in (
+        ("series", "_ad_sum"),
+        ("kv", "_letter_nested"),
+        ("kv", "phi_split"),
+        ("kv", "f0"),
+        ("scalars", "bernoulli"),
+    ):
+        real = getattr(sys.modules["kvlie." + module_name], name)
+        for module in [m for key, m in sys.modules.items() if key.startswith("kvlie")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, forbidden)
+    assert solve_split_chain(6) == F
 
 
 # -- symmetrisation ---------------------------------------------------------------------
