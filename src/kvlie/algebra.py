@@ -7,7 +7,8 @@ nonzero rationals, stored as integer numerators over one positive denominator
 in lowest terms: the form every kernel computes in, so ``Fraction``
 coefficients are built only where terms are read, printed or parsed.  The
 concatenation product, the Lie bracket, letter-part extraction, signed letter
-substitution, weighted sums, and the text, JSON and LaTeX forms all live here,
+substitution, weighted sums, and the text, JSON and LaTeX forms all live here
+(each reads one term stream, ``reduced_terms()``, which yields word texts),
 with the dense form the kernels work in: a homogeneous degree-n component
 over k letters as a list of k^n integer numerators, indexed by the base-k
 value of each word, first letter most significant (``dense`` and
@@ -265,13 +266,14 @@ class NCPoly(Frozen):
     def degrees(self) -> list[int]:
         return sorted({len(w) for w in self.numerators})
 
-    def reduced_terms(self) -> Iterator[tuple[Word, int, int]]:
-        """(word, numerator, denominator) of each coefficient in lowest terms, in
-        print order: by degree, then lexicographically; one gcd per word."""
-        scale = self.scale
+    def reduced_terms(self) -> Iterator[tuple[str, int, int]]:
+        """(word text, numerator, denominator) of each coefficient in lowest
+        terms, in print order: by degree, then lexicographically on the tuple
+        words (the letter order, not string order); one gcd per word."""
+        scale, word_text = self.scale, self.alphabet.word_text
         for word, c in sorted(self.numerators.items(), key=lambda item: (len(item[0]), item[0])):
             g = gcd(c, scale)
-            yield word, c // g, scale // g
+            yield word_text(word), c // g, scale // g
 
 
 _ZERO = Fraction(0)
@@ -377,11 +379,12 @@ def _ratio_text(num: int, den: int) -> str:
 
 
 def _signed_terms(p: NCPoly | GradedSeries, body) -> str:
-    """The terms of p in print order joined with signs; body(|num|, den, word) renders one."""
+    """The terms of p in print order joined with signs; body(|num|, den, word
+    text) renders one.  Every form reads the one stream ``p.reduced_terms()``."""
     pieces: list[str] = []
-    for k, (word, num, den) in enumerate(p.reduced_terms()):
+    for k, (wtext, num, den) in enumerate(p.reduced_terms()):
         sign = ("-" if num < 0 else "") if k == 0 else ("- " if num < 0 else "+ ")
-        pieces.append(sign + body(abs(num), den, p.alphabet.word_text(word)))
+        pieces.append(sign + body(abs(num), den, wtext))
     return " ".join(pieces) or "0"
 
 
@@ -398,10 +401,7 @@ def to_text(p: NCPoly | GradedSeries) -> str:
 
 def to_json_terms(p: NCPoly | GradedSeries) -> list[dict[str, str]]:
     """The terms of an NCPoly or a GradedSeries in print order, as {"word", "coeff"} items."""
-    return [
-        {"word": p.alphabet.word_text(word), "coeff": _ratio_text(num, den)}
-        for word, num, den in p.reduced_terms()
-    ]
+    return [{"word": wtext, "coeff": _ratio_text(num, den)} for wtext, num, den in p.reduced_terms()]
 
 
 def from_json_terms(alphabet: Alphabet, items: Iterable[Mapping[str, str]]) -> NCPoly:

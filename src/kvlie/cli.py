@@ -79,9 +79,8 @@ def _check_degree(n: int, force: bool, what: str = "degree") -> None:
 
 def _defect_lines(check: str, defect: GradedSeries) -> Iterator[str]:
     """Per-term defect report naming the check, lowest degree first, formatted as read."""
-    for word, num, den in defect.reduced_terms():
-        text = defect.alphabet.word_text(word)
-        yield f"{check} defect at degree {len(word)}: {text} coefficient {_ratio_text(num, den)}"
+    for text, num, den in defect.reduced_terms():  # letters are single characters
+        yield f"{check} defect at degree {len(text)}: {text} coefficient {_ratio_text(num, den)}"
 
 
 def _check_vars(k: int) -> None:
@@ -121,8 +120,9 @@ def _cmd_bch(args) -> int:
         diff = left.series - right.series
         _emit("\n".join(_defect_lines("eulerian-vs-oracle", diff)), args.output)
         return EXIT_OK if diff.is_zero() else EXIT_DEFECT
-    series = left if args.method == "eulerian" else right
-    _emit(_render_poly(series.component(args.degree), args.format), args.output)
+    s, n = (left if args.method == "eulerian" else right).series, args.degree
+    top = GradedSeries._raw(s.alphabet, s.letters, (None,) * n + s.dense[n:])  # component n, no word dict
+    _emit(_render_poly(top, args.format), args.output)
     return EXIT_OK
 
 

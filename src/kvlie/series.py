@@ -7,12 +7,14 @@ m^d words of those m letters (:func:`kvlie.algebra.dense`, renumbered 0..m-1)
 and a positive scale, reduced by their gcd.  The public constructor densifies
 its polynomial components once; ``parts`` and ``component`` build the
 word-dict :class:`NCPoly` on access; printing walks the stored index, which is
-in print order (``reduced_terms``).  Series over different letters meet on the
-union of their letters, re-indexed in one place (``_over``, which also
-substitutes letters).  ``_product`` carries products, ``_power_sum`` (Horner's
-rule on ``_product``) exp and log, and ``_ad_sum``, the one kernel of weighted
-ad powers sum_j w_j ad(b)^j s, sums, scalings, the operators ad, E and Ber,
-the particular solutions and every verifier.
+in print order, with each degree's word texts joined once from the letter
+texts (``reduced_terms``).  Series over different letters meet on the union of
+their letters, re-indexed in one place (``_over``, which also substitutes
+letters).  ``_product`` carries products, ``_power_sum`` (Horner's rule on
+``_product``, each step only through the degrees the sum reads) exp and log,
+and ``_ad_sum``, the one kernel of weighted ad powers sum_j w_j ad(b)^j s,
+sums, scalings, the operators ad, E and Ber, the particular solutions and
+every verifier.
 """
 
 from __future__ import annotations
@@ -169,19 +171,23 @@ class GradedSeries(Frozen):
     def is_zero(self) -> bool:
         return not any(self.dense)
 
-    def reduced_terms(self) -> Iterator[tuple[Word, int, int]]:
-        """(word, numerator, denominator) of each term in lowest terms, in the
-        index order, which is print order: by degree, then lexicographically."""
+    def reduced_terms(self) -> Iterator[tuple[str, int, int]]:
+        """(word text, numerator, denominator) of each term in lowest terms, in
+        the index order, which is print order: by degree, then lexicographically.
+        The word texts of a degree are joined once from the letter texts, in
+        index order, with no tuple words."""
+        texts = [self.alphabet.letters[a] for a in self.letters]
         for d, part in enumerate(self.dense):
             if part:
                 vector, scale = part
-                for word, c in compress(zip(product(self.letters, repeat=d), vector), vector):
+                for text, c in compress(zip(map("".join, product(texts, repeat=d)), vector), vector):
                     g = gcd(c, scale)
-                    yield word, c // g, scale // g
+                    yield text, c // g, scale // g
 
     def iter_terms(self) -> Iterator[tuple[int, Word, Fraction]]:
         """(degree, word, coefficient) of each term, in print order."""
-        return ((len(word), word, Fraction(num, den)) for word, num, den in self.reduced_terms())
+        word = self.alphabet.word
+        return ((len(text), word(text), Fraction(num, den)) for text, num, den in self.reduced_terms())
 
 
 # -- the dense kernel ------------------------------------------------------------
@@ -246,13 +252,15 @@ def _product(left: Sequence, right: Sequence, n: int, k: int):
 
 def _power_sum(s: GradedSeries, weights: Sequence) -> GradedSeries:
     """sum_j weights[j] u^j through the order of s, for u = s minus its
-    constant component, by Horner's rule: P = w_j + P u from the top weight
-    down.  u has no constant component, so P u leaves degree 0 to w_j."""
-    right = _entries((None, *s.dense[1:]))
-    total: list = [None] * (s.order + 1)
-    for w in map(Fraction, reversed(weights[: s.order + 1])):
+    constant component, by Horner's rule: P_j = w_j + P_(j+1) u from the top
+    weight down.  u has no constant component, so P_(j+1) u leaves degree 0 to
+    w_j, and the sum reads P_j only at degrees <= order - j: step j computes
+    those and pads the rest with None, order (order + 1) / 2 products in all."""
+    right, order = _entries((None, *s.dense[1:])), s.order
+    total: list = [None] * (order + 1)
+    for j, w in reversed(list(enumerate(map(Fraction, weights[: order + 1])))):
         total = [([w.numerator], w.denominator) if w else None] + [
-            _product(total, right, n, len(s.letters)) for n in range(1, s.order + 1)]
+            _product(total, right, n, len(s.letters)) for n in range(1, order - j + 1)] + [None] * j
     return GradedSeries._raw(s.alphabet, s.letters, total)
 
 

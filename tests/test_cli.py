@@ -457,3 +457,34 @@ def test_f0_and_solution_print_from_the_stored_index(capsys, monkeypatch):
     for fmt in ("text", "json", "latex"):
         assert run(capsys, "f0", "--degree", "8", "--format", fmt)[0] == 0
         assert run(capsys, "solution", "--degree", "6", "--format", fmt)[0] == 0
+
+
+def test_series_print_word_texts_joined_per_degree(capsys, monkeypatch):
+    # a series joins its word texts once per degree from the letter texts, in
+    # letter order (x, y, z, u), not string order; bch prints component n from
+    # its stored part, so no command here calls word_text or builds a word dict
+    from kvlie import algebra
+    from kvlie.algebra import Alphabet, to_json_terms
+    from kvlie.kv import bch_oracle
+
+    reference = {fmt: run(capsys, "bch", "--vars", "4", "--degree", "5", "--format", fmt)[1]
+                 for fmt in ("text", "json", "latex")}
+
+    def forbidden(*args):
+        raise AssertionError("rendering a series read a tuple word")
+
+    monkeypatch.setattr(Alphabet, "word_text", forbidden)
+    real = algebra.from_dense
+    for module in [m for key, m in sys.modules.items() if key.startswith("kvlie")]:
+        if getattr(module, "from_dense", None) is real:
+            monkeypatch.setattr(module, "from_dense", forbidden)
+    code, out, _ = run(capsys, "bch", "--vars", "4", "--degree", "2", "--format", "json")
+    assert code == 0 and [t["word"] for t in json.loads(out)] == [a + b for a in "xyzu" for b in "xyzu" if a != b]
+    for fmt in ("text", "json", "latex"):
+        assert run(capsys, "f0", "--degree", "6", "--format", fmt)[0] == 0
+        for method in ("eulerian", "oracle"):
+            code, out, _ = run(capsys, "bch", "--vars", "4", "--degree", "5", "--method", method, "--format", fmt)
+            assert (code, out) == (0, reference[fmt])
+    monkeypatch.undo()
+    assert [t["word"] for t in to_json_terms(bch_oracle(2, 4).component(2))] == [
+        a + b for a in "xyzu" for b in "xyzu" if a != b]

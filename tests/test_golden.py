@@ -70,6 +70,16 @@ GOLDEN = [
      "cf524fea8d1e5d70b3fede8847253f95915e9e6fceae87f7d0ab711d34586cd9"),
     ("f0 --degree 11", 0,
      "0abf03bd936199fcb4f8c5f48bfd3bb03669539f480a428f94cd3fb0fd3ed7ff"),
+    # the two commands of the series-d12 benchmark workload, with its digests
+    ("f0 --degree 12 --force", 0,
+     "2dbe2185a36d9a590faead0cbdcfe058cc19eb9a1b1e087c98b33b888c409c8f"),
+    ("bch --method oracle --degree 12 --force --format json", 0,
+     "c9524a3952922381630269f0c2ef1bea1afb83d612753d53ab7ca9f39b937bee"),
+    # print order x, y, z, u is the letter order, not string order
+    ("bch --vars 4 --degree 5 --format json", 0,
+     "b410707b464e1e6751e248c26874c2740b75ca0941dee7c8551cd393add3f4b1"),
+    ("bch --vars 4 --degree 5 --format latex", 0,
+     "641aeb6161044f6d1443c9ae9a0c9e2b36e70a6abe2b2aa27d36fe0a4373fa1e"),
 ]
 
 

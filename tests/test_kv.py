@@ -105,7 +105,7 @@ def test_bch_power_word_route_equals_permutation_oracle():
         assert bch_eulerian(n).series == bch_permutation_oracle(n).series, n
 
 
-@pytest.mark.parametrize("k, top", [(2, 12), (3, 7), (4, 5), (3, 8), (4, 6), (5, 5)])
+@pytest.mark.parametrize("k, top", [(2, 12), (3, 7), (4, 5), (3, 8), (4, 6), (5, 5), (2, 14), (3, 9)])
 def test_goldberg_kernel_equals_exp_log_on_every_word(k, top):
     oracle = bch_oracle(top, k)
     for n in range(1, top + 1):

@@ -180,6 +180,24 @@ def test_log_reads_back_at_most_degree_0_and_builds_no_word_dict(monkeypatch):
     assert log.component(2) == parse_poly(alphabet, "1/2*xz - 1/2*zx + 1/2*xy - 1/2*yx + 1/2*zy - 1/2*yz")
 
 
+@pytest.mark.parametrize("k, order", [(2, 1), (2, 7), (3, 5)])
+def test_power_sums_compute_only_the_degrees_the_sum_reads(monkeypatch, k, order):
+    # Horner's step j is read only at degrees <= order - j, so the steps from
+    # the top weight down ask for degrees 1..0, 1..1, ..., 1..order: order (order + 1) / 2 products
+    alphabet = default_alphabet(k)
+    s = GradedSeries.from_poly(parse_poly(alphabet, "x - 1/2*y + 1/3*xy - 2*yxy"), order)
+    one_plus_s = GradedSeries.one(alphabet, order) + s
+    calls = []
+    real = series_module._product
+    monkeypatch.setattr(series_module, "_product", lambda *args: calls.append(args[2]) or real(*args))
+    expected = [n for top in range(1, order + 1) for n in range(1, top + 1)]
+    for power_sum, arg in ((series_exp, s), (series_log, one_plus_s)):
+        calls.clear()
+        power_sum(arg)
+        assert calls == expected and len(calls) == order * (order + 1) // 2
+    assert series_log(series_exp(s)) == s and series_exp(series_log(one_plus_s)) == one_plus_s
+
+
 @st.composite
 def degree_one_bases(draw, alphabet):
     """Rational combinations of the letters; all-zero weights give the zero base."""
