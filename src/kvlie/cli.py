@@ -8,7 +8,6 @@ Identical flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -25,7 +24,7 @@ from .algebra import (
     to_latex,
     to_text,
 )
-from .idempotents import psi
+from .idempotents import _goldberg, psi
 from .kv import (
     bch_eulerian,
     bch_oracle,
@@ -50,6 +49,8 @@ EXIT_USAGE = 2
 
 def _render_poly(p: NCPoly | GradedSeries, fmt: str) -> str:
     if fmt == "json":
+        import json  # here only: the other formats skip its import
+
         return json.dumps(to_json_terms(p), separators=(",", ":"))
     if fmt == "latex":
         return to_latex(p)
@@ -112,17 +113,16 @@ def _cmd_bch(args) -> int:
     _check_vars(args.vars)
     if args.method == "both" and args.format != "text":
         raise SystemExit("kvlie: bch --method both prints difference lines and has no json or latex form")
-    if args.method in ("eulerian", "both"):
-        left = bch_eulerian(args.degree, args.vars)
-    if args.method in ("oracle", "both"):
-        right = bch_oracle(args.degree, args.vars)
+    n, k = args.degree, args.vars
     if args.method == "both":
-        diff = left.series - right.series
+        diff = bch_eulerian(n, k).series - bch_oracle(n, k).series
         _emit("\n".join(_defect_lines("eulerian-vs-oracle", diff)), args.output)
         return EXIT_OK if diff.is_zero() else EXIT_DEFECT
-    s, n = (left if args.method == "eulerian" else right).series, args.degree
-    top = GradedSeries._raw(s.alphabet, s.letters, (None,) * n + s.dense[n:])  # component n, no word dict
-    _emit(_render_poly(top, args.format), args.output)
+    # component n alone, as a series holding only that part: no word dict, and
+    # the Eulerian method builds no lower component
+    top = _goldberg(n, k)[:2] if args.method == "eulerian" else bch_oracle(n, k).series.dense[n]
+    _emit(_render_poly(GradedSeries._raw(default_alphabet(k), range(k), (None,) * n + (top,)), args.format),
+          args.output)
     return EXIT_OK
 
 
@@ -196,6 +196,8 @@ def _cmd_witt(args) -> int:
     # Witt's formula counts both columns without enumerating the words.
     rows = [(n, witt_dimension(args.vars, n)) for n in range(1, args.degree + 1)]
     if args.format == "json":
+        import json
+
         body = json.dumps(
             [{"degree": n, "dimension": dim, "lyndon_words": dim} for n, dim in rows],
             separators=(",", ":"),

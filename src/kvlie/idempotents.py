@@ -23,21 +23,23 @@ The Goldberg kernel reads each word's class in the dense index order.
 ``kernel_generator``, ``psi`` and the Patras-Reutenauer elements gamma(a) a
 build the kernel of gamma from ``dynkin``.  The fixed point r(p) = n p is the
 production Lie-membership test, written once (``_lie_level``): one pass of r
-on a stored component, which raises ``NotLieElementError`` or returns the
-level whose block z is r(p_z).  ``_goldberg`` certifies each BCH component
-with it once per (degree, k) and memoises that level with the vector, and
-:func:`kvlie.kv._certify_lie` certifies the stored vectors of any other BCH
-series with it.  The independent constructions that the tests play against
-these (the descent-class Dynkin sum, the S_n and convolution Eulerian sums,
-the explicit kernel elements and a kernel basis, the Lyndon elimination) live
-in :mod:`kvlie.oracles` and its support modules.
+on a stored component, ``_nest`` per leading-letter block, a block that
+mirrors another (the antipodal symmetry of BCH components) read from it; it
+raises ``NotLieElementError`` or returns the level whose block z is r(p_z).
+``_goldberg`` certifies each BCH component with it once per (degree, k) and
+memoises that level, and :func:`kvlie.kv._certify_lie` certifies any other
+BCH series with it.  The independent constructions that the tests play
+against these (the descent-class Dynkin sum, the S_n and convolution Eulerian
+sums, the kernel elements and basis, the Lyndon elimination) live in
+:mod:`kvlie.oracles` and its support modules.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from math import comb, factorial, gcd, lcm
-from operator import sub
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .algebra import Alphabet, NCPoly, Word, concat, default_alphabet, from_dense, letter_part
@@ -132,9 +134,27 @@ def _lie_level(alphabet: Alphabet, letters: Sequence[int], n: int, part: tuple) 
     """Level n-1 of r on a stored part (vector, scale) of degree n >= 1 over
     the sorted ``letters``, whose block z is r(p_z): the one r pass that
     certifies p Lie by the Dynkin-Specht-Wever test r(p) = n p, or raises
-    NotLieElementError(p - gamma(p))."""
-    vector, scale = part
-    nested, full = _nest(vector, len(letters))
+    NotLieElementError(p - gamma(p)).  Above degree 1 it runs ``_nest`` per
+    block; reversing the letters reverses the index and commutes with r, so
+    where block k-1-z of p is (-1)^(n+1) block z reversed, as in every BCH
+    component, r(p_(k-1-z)) is r(p_z) mirrored alike.  r(p) = sum_z (z r(p_z)
+    - r(p_z) z) is the blocks joined minus each r(p_z) written to z::k."""
+    (vector, scale), k = part, len(letters)
+    if n == 1:
+        nested, full = _nest(vector, k)
+    else:  # match(block, twin reversed) vanishes where the block is sign times that
+        size, sign, match = k ** (n - 1), (-1) ** (n + 1), sub if n % 2 else add
+        blocks: list = []
+        for z in range(k):
+            block, twin = vector[z * size : (z + 1) * size], k - 1 - z
+            if twin < z and not any(map(match, block, reversed(vector[twin * size : (twin + 1) * size]))):
+                blocks.append([sign * c for c in reversed(blocks[twin])])
+            else:
+                blocks.append(_nest(block, k)[1])
+        nested, right = list(chain.from_iterable(blocks)), [0] * (k * size)
+        for z, block in enumerate(blocks):
+            right[z::k] = block
+        full = list(map(sub, nested, right))
     if full != [n * c for c in vector]:
         p = NCPoly._raw(alphabet, from_dense(vector, n, letters), scale)
         raise NotLieElementError(kernel_generator(p))

@@ -26,10 +26,12 @@ gamma(z (Phi_n)_z) = [z, b_{n-1}] (``phi_split``) and, on the reversed tail
 log(e^x_k ... e^x_1), whose component n is (-1)^(n+1) Z_n, the particular
 solutions F_i = (-1)^i Ber((-1)^i x_i) b (``multilinear_f0``; ``f0`` is its
 case i = 1, k = 2).  Each operator, particular solution and verifier is one
-:func:`kvlie.series._ad_sum` call; a verifier sums its target (the reversed
-tail, or ad(x) b for the split) and -E((-1)^i x_i) F_i for each i.  The other
-oracles live in :mod:`kvlie.oracles`.  Identity checks return full graded
-defect series, so that a failure is diagnosable term by term.
+:func:`kvlie.series._ad_sum` call, which places the binomial terms of each ad
+power as slices and builds none; a verifier sums its target (the reversed
+tail, or ad(x) b for the split) and -E((-1)^i x_i) F_i for each i.  G0 and
+the symmetrisation read F(-y, -x) as each vector reversed and signed
+(``_negate_swap``).  The other oracles live in :mod:`kvlie.oracles`.  Identity
+checks return full graded defect series, so a failure is diagnosable term by term.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import NamedTuple
 from .algebra import XY, Alphabet, Frozen, NCPoly, concat, default_alphabet, letter_part, substitute
 from .idempotents import _goldberg, _lie_level, dynkin, kernel_generator
 from .scalars import bernoulli
-from .series import GradedSeries, _ad_sum, series_exp, series_log
+from .series import GradedSeries, _ad_sum, _over, series_exp, series_log
 
 NEGATE_SWAP = {"x": "-y", "y": "-x"}
 
@@ -228,7 +230,16 @@ def f0(order: int) -> GradedSeries:
 @lru_cache(maxsize=None)
 def g0(order: int) -> GradedSeries:
     """G0(x, y) = F0(-y, -x)."""
-    return f0(order).substitute(NEGATE_SWAP)
+    return _negate_swap(f0(order))
+
+
+def _negate_swap(s: GradedSeries) -> GradedSeries:
+    """s(-y, -x) for s over x and y: the swap reverses the index over both
+    letters, so component d is (-1)^d times its vector reversed (a series over
+    one letter is put on that index first)."""
+    s = _over(s, (0, 1))
+    parts = [part and ([(-1) ** d * c for c in reversed(part[0])], part[1]) for d, part in enumerate(s.dense)]
+    return GradedSeries._raw(s.alphabet, s.letters, parts)
 
 
 class KvSolutionPair(NamedTuple):
@@ -321,8 +332,8 @@ def symmetrize(pair: KvSolutionPair, lam: Fraction = Fraction(0)) -> KvSolutionP
     half = Fraction(1, 2)
     x_series = GradedSeries.generator(XY, "x", order)
     y_series = GradedSeries.generator(XY, "y", order)
-    F1 = (pair.F + pair.G.substitute(NEGATE_SWAP)).scaled(half) + x_series.scaled(lam)
-    G1 = (pair.G + pair.F.substitute(NEGATE_SWAP)).scaled(half) - y_series.scaled(lam)
+    F1 = (pair.F + _negate_swap(pair.G)).scaled(half) + x_series.scaled(lam)
+    G1 = (pair.G + _negate_swap(pair.F)).scaled(half) - y_series.scaled(lam)
     return KvSolutionPair(F1, G1)
 
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress, product
-from math import factorial, gcd, lcm
-from operator import add, sub
+from math import comb, factorial, gcd, lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import Alphabet, Frozen, NCPoly, Word, dense, from_dense, substitute
@@ -268,10 +268,13 @@ def _ad_sum(order: int, terms: Sequence) -> GradedSeries:
     """sum over terms (base, weights, s) of sum_j weights[j] ad(base)^j s
     through degree ``order``, for bases homogeneous of degree 1 (zero included)
     and series s over one alphabet, on the index over all their m letters.
-    There left concatenation by a letter a is the block at offset a m^d and
-    right concatenation the stride-m slice a::m, so ad(z) is two slice
-    operations.  Each output degree is one integer vector over the lcm of the
-    denominators that can reach it, found before any ad power."""
+    Left and right multiplication by the base b commute, so ad(b)^j =
+    sum_i C(j, i) L_b^i (-R_b)^(j-i), and no ad power is built: each entry u
+    of b^i and w of b^(j-i) places u s_d w, the m^d entries of s_d, at the
+    stride-m^(j-i) slice from u m^(d+j-i) + w, one slice-add per pair (one per
+    i for a signed letter, none for j > 0 and a zero base).  Each output
+    degree is one integer vector over the lcm of the denominators that can
+    reach it, found before any placement."""
     alphabet = terms[0][2].alphabet
     letters = _letters(*(chain(s.letters, *base.numerators) for base, _, s in terms))
     m, checked, common = len(letters), [], [1] * (order + 1)
@@ -287,24 +290,21 @@ def _ad_sum(order: int, terms: Sequence) -> GradedSeries:
                 common[d + j] = lcm(common[d + j], Fraction(weight, scale * base.scale**j).denominator)
     totals: list = [None] * (order + 1)
     for base, weights, parts in checked:
-        coefficients = [(letters.index(w[0]), c) for w, c in base.numerators.items()]
+        powers = [[(0, 1)]]  # the nonzero (index, numerator) entries of base^i over the m letters
+        for _ in range(min(order, len(weights) - 1)):
+            powers.append([(u * m + letters.index(w[0]), c * b) for u, c in powers[-1]
+                           for w, b in base.numerators.items()])
         for d, (vector, scale) in parts:
+            size = len(vector)
             for j, weight in enumerate(weights[: order + 1 - d]):
-                if j:
-                    size = len(vector)
-                    out = [0] * (size * m)
-                    for a, b in coefficients:
-                        scaled = [b * c for c in vector]
-                        left = slice(a * size, (a + 1) * size)
-                        out[left] = map(add, out[left], scaled)
-                        out[a::m] = map(sub, out[a::m], scaled)
-                    vector, scale = out, scale * base.scale
-                    if not any(vector):
-                        break
                 if weight:
-                    n = d + j
-                    f = int(Fraction(weight * common[n], scale))
-                    totals[n] = [t + f * c for t, c in zip(totals[n] or [0] * len(vector), vector)]
+                    f = int(Fraction(weight * common[d + j], scale * base.scale**j))
+                    acc = totals[d + j] = totals[d + j] or [0] * (size * m**j)
+                    for i in range(j + 1):
+                        stride, g = m ** (j - i), f * comb(j, i) * (-1) ** (j - i)
+                        for (u, a), (w, b) in product(powers[i], powers[j - i]):
+                            at, t = slice(u * stride * size + w, (u + 1) * stride * size, stride), g * a * b
+                            acc[at] = map(add, acc[at], [t * c for c in vector])
     return GradedSeries._raw(alphabet, letters, [(t, c) if t else None for t, c in zip(totals, common)])
 
 

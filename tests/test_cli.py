@@ -287,14 +287,31 @@ def test_verify_multilinear_builds_the_bch_series_once(capsys, monkeypatch):
     from kvlie.kv import clear_caches
 
     passes = []
-    real = idempotents._nest
-    monkeypatch.setattr(idempotents, "_nest", lambda *args: passes.append(args) or real(*args))
+    real = idempotents._lie_level
+    monkeypatch.setattr(idempotents, "_lie_level", lambda *args: passes.append(args) or real(*args))
     monkeypatch.setattr(idempotents, "_nest_packed", None)  # the sparse route must not run
     clear_caches()
     code, out, _ = run(capsys, "verify", "--equation", "multilinear", "--vars", "3", "--degree", "5")
     assert code == 0 and out.startswith("verified:")
     assert idempotents._goldberg.cache_info().misses == 5 + 1
     assert len(passes) == 5 + 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+def test_bch_eulerian_builds_only_the_component_it_prints(capsys, monkeypatch, fmt):
+    # the printed component is read from its one Goldberg table: no lower
+    # degree is built, and the whole series is never asked for
+    import kvlie.cli as cli
+    from kvlie import idempotents
+    from kvlie.kv import bch_eulerian, clear_caches
+
+    clear_caches()
+    monkeypatch.setattr(cli, "bch_eulerian", None)
+    code, out, _ = run(capsys, "bch", "--vars", "3", "--degree", "6", "--format", fmt)
+    info = idempotents._goldberg.cache_info()
+    assert code == 0 and (info.misses, info.currsize) == (1, 1)
+    assert out == cli._render_poly(bch_eulerian(6, 3).component(6), fmt) + "\n"
+    clear_caches()
 
 
 def test_witt_counts_without_enumerating_lyndon_words(capsys):
@@ -355,11 +372,12 @@ PRODUCTION_COMMANDS = [
 def test_cli_commands_load_no_oracle_module():
     script = f"""
 import contextlib, io, sys
+watched = ["kvlie.oracles", "kvlie.permutations", "kvlie.linalg", "kvlie.lyndon", "dataclasses"]
+watched += [] if "json" in sys.modules else ["json"]  # unless the bare interpreter loads it
 from kvlie.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in {PRODUCTION_COMMANDS!r}]
-loaded = sorted(m for m in ("kvlie.oracles", "kvlie.permutations", "kvlie.linalg",
-                           "kvlie.lyndon", "dataclasses") if m in sys.modules)
+loaded = sorted(m for m in watched if m in sys.modules)
 print(codes, loaded)
 """
     src = str(Path(kvlie.__file__).parents[1])

@@ -245,3 +245,57 @@ def test_elimination_oracle_accepts_the_certified_bch_components(k, top):
     # the degrees that production certifies in the benchmark workloads
     for n in range(1, top + 1):
         to_lie_coordinates(bch_component(n, k))
+
+
+def count_nests(monkeypatch) -> list:
+    from kvlie import idempotents
+
+    calls, real = [], idempotents._nest
+    monkeypatch.setattr(idempotents, "_nest", lambda vector, k: calls.append(len(vector)) or real(vector, k))
+    return calls
+
+
+@pytest.mark.parametrize("k, n", [(2, 2), (2, 9), (3, 6), (4, 5)])
+def test_lie_level_mirrors_the_bch_blocks(monkeypatch, k, n):
+    # Z_n is (-1)^(n+1) times its letter reversal: r runs on the blocks
+    # z < k/2 and the middle one only, and the level is that of r on the
+    # whole vector
+    from kvlie.idempotents import _goldberg, _lie_level
+
+    vector, scale, level = _goldberg(n, k)
+    calls = count_nests(monkeypatch)
+    assert _lie_level(default_alphabet(k), range(k), n, (vector, scale)) == level
+    assert level == tuple(_nest(vector, k)[0])
+    assert calls == [k ** (n - 1)] * ((k + 1) // 2)
+
+
+@pytest.mark.parametrize("letters, text", [("xy", "xxy - 2*xyx + yxx"), ("xyz", "xyz - xzy - yzx + zyx"),
+                                           ("xy", "xxxy - 3*xxyx + 3*xyxx - yxxx")])
+def test_lie_level_computes_every_block_without_the_mirror(monkeypatch, letters, text):
+    # [x,[x,y]], [x,[y,z]] and [x,[x,[x,y]]] show no mirror relation between
+    # their blocks, so each block is nested on its own
+    from kvlie.idempotents import _lie_level
+
+    p = parse_poly(Alphabet(letters), text)
+    assert dynkin(p) == p
+    n, s = max(p.degrees()), GradedSeries.from_poly(p, max(p.degrees()))
+    k = len(s.letters)
+    calls = count_nests(monkeypatch)
+    assert _lie_level(p.alphabet, s.letters, n, s.dense[n]) == tuple(_nest(s.dense[n][0], k)[0])
+    assert calls == [k ** (n - 1)] * k
+
+
+@pytest.mark.parametrize("letters, text, nests", [("xy", "xxy + yyx", 1), ("xy", "xx - yy", 1),
+                                                  ("xyz", "xy - zy", 2), ("xy", "3/2*xyxy - 3/2*yxyx", 1)])
+def test_lie_level_mirrored_blocks_still_certify(letters, text, nests, monkeypatch):
+    # the y block mirrors the x block, so r(p_y) is read from r(p_x); the
+    # check r(p) = n p on the whole vector still refuses p with p - gamma(p)
+    from kvlie.idempotents import _lie_level
+
+    p = parse_poly(Alphabet(letters), text)
+    n, s = max(p.degrees()), GradedSeries.from_poly(p, max(p.degrees()))
+    calls = count_nests(monkeypatch)
+    with pytest.raises(NotLieElementError) as err:
+        _lie_level(p.alphabet, s.letters, n, s.dense[n])
+    assert err.value.residual == kernel_generator(p) and err.value.residual
+    assert len(calls) == nests

@@ -192,7 +192,8 @@ def test_bch_component_certifies_the_goldberg_kernel(monkeypatch, fresh_caches):
 
 
 def count_r_passes(monkeypatch) -> dict[str, int]:
-    """Count the dense and the sparse passes of r from here on."""
+    """Count the dense (one ``_lie_level`` call each, however many blocks it
+    nests) and the sparse passes of r from here on."""
     calls = {"dense": 0, "sparse": 0}
 
     def counting(key, real):
@@ -202,7 +203,9 @@ def count_r_passes(monkeypatch) -> dict[str, int]:
 
         return wrapped
 
-    monkeypatch.setattr(idempotents, "_nest", counting("dense", idempotents._nest))
+    dense = counting("dense", idempotents._lie_level)
+    monkeypatch.setattr(idempotents, "_lie_level", dense)
+    monkeypatch.setattr(kv, "_lie_level", dense)
     monkeypatch.setattr(idempotents, "_nest_packed", counting("sparse", idempotents._nest_packed))
     return calls
 
@@ -901,6 +904,17 @@ def test_multilinear_zero_tuple_defect():
     reversed_phi = bch_eulerian(4, 3).reversed_tail
     for m in range(2, 5):
         assert defect.component(m) == reversed_phi.component(m)
+
+
+def test_g0_is_the_negated_swap_by_reversal():
+    # component d of F(-y, -x) is (-1)^d times the reversed vector on the
+    # index over x and y; a series over one letter is put on that index first
+    for n in range(1, 13):
+        assert g0(n) == f0(n).substitute(NEGATE_SWAP)
+    for text in ("-1/5 + 2/3*x + xxx - 7*xxxx", "3/4*y - yy"):
+        s = GradedSeries.from_poly(parse_poly(XY, text), 5)
+        assert len(s.letters) == 1
+        assert kv._negate_swap(s) == s.substitute(NEGATE_SWAP)
 
 
 @pytest.mark.parametrize("n", [4, 8, 11])

@@ -229,6 +229,45 @@ def test_operator_bases():
             op_exp_ad_minus_one(parse_poly(XY, bad), s)
 
 
+def ad_by_slices(base: NCPoly, vector: list) -> list:
+    """ad(base) on a dense component over the letters 0..m-1 of the index,
+    as two slice operations per letter a: left concatenation by a is the block
+    from a m^d, right concatenation the stride-m slice a::m."""
+    m = base.alphabet.size
+    size, out = len(vector), [Fraction(0)] * (len(vector) * m)
+    for (a,), c in base.terms.items():
+        out[a * size : (a + 1) * size] = [o + c * v for o, v in zip(out[a * size : (a + 1) * size], vector)]
+        out[a::m] = [o - c * v for o, v in zip(out[a::m], vector)]
+    return out
+
+
+@pytest.mark.parametrize("k, order", [(2, 7), (3, 5), (4, 4)])
+def test_ad_sum_placements_equal_ad_applied_j_times(k, order):
+    # the binomial placements of every base, zero and a signed letter included,
+    # against ad(b) applied j times as two slice operations, on a series over
+    # all k letters with mixed denominators and a zero weight among the weights
+    alphabet = default_alphabet(k)
+    letters = alphabet.letters
+    s = GradedSeries(alphabet, order, [NCPoly(alphabet, {w: Fraction((sum(w) + d) % 7 - 3 or 5, d % 4 + 1)
+                                                         for w in _all_words(k, d)}) for d in range(order + 1)])
+    weights = [Fraction(j % 3 - 1, j + 2) for j in range(order + 1)]
+    bases = ["0", f"5/3*{letters[-1]}", f"-5/3*{letters[0]}", f"2/3*{letters[0]} - 5/7*{letters[-1]}"]
+    if k > 2:
+        bases.append(f"1/2*{letters[0]} + 3/4*{letters[1]} - 2/5*{letters[2]}")
+    for text in bases:
+        base = parse_poly(alphabet, text)
+        expected = [[Fraction(0)] * k**n for n in range(order + 1)]
+        for d, part in enumerate(s.parts):
+            vector = [part.terms.get(w, Fraction(0)) for w in _all_words(k, d)]
+            for j, weight in enumerate(weights[: order + 1 - d]):
+                vector = ad_by_slices(base, vector) if j else vector
+                expected[d + j] = [e + weight * v for e, v in zip(expected[d + j], vector)]
+        got = series_module._ad_sum(order, [(base, weights, s)])
+        assert got.letters == tuple(range(k))
+        assert [[Fraction(c, part[1]) for c in part[0]] if part else [0] * k**n
+                for n, part in enumerate(got.dense)] == expected, text
+
+
 @st.composite
 def xy_polynomials(draw, max_degree):
     words = st.lists(st.integers(0, 1), min_size=1, max_size=max_degree).map(tuple)
