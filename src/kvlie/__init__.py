@@ -63,7 +63,7 @@ from .kv import (
     verify_multilinear,
     verify_split,
 )
-from .scalars import Rational, bernoulli, moebius, witt_dimension
+from .scalars import bernoulli, moebius, witt_dimension
 from .series import GradedSeries, series_exp, series_log
 
 __version__ = "0.1.0"

@@ -26,14 +26,10 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .scalars import parse_rational
-
 if TYPE_CHECKING:
     from .series import GradedSeries
 
 Word = tuple[int, ...]
-
-EMPTY_WORD: Word = ()
 
 
 class Alphabet:
@@ -175,7 +171,7 @@ class NCPoly(Frozen):
 
     @classmethod
     def unit(cls, alphabet: Alphabet) -> "NCPoly":
-        return cls._raw(alphabet, {EMPTY_WORD: 1})
+        return cls._raw(alphabet, {(): 1})
 
     @classmethod
     def letter(cls, alphabet: Alphabet, symbol: str) -> "NCPoly":
@@ -324,16 +320,6 @@ def letter_part(p: NCPoly, letter: str) -> NCPoly:
     return NCPoly._raw(p.alphabet, terms, p.scale)
 
 
-def substitution_table(alphabet: Alphabet, images: Mapping[str, str]) -> dict[int, tuple[int, int]]:
-    """letter -> (image letter, sign) for images written "y" or "-y"."""
-    table: dict[int, tuple[int, int]] = {}
-    for src, dst in images.items():
-        dst = dst.strip()
-        sign = -1 if dst.startswith("-") else 1
-        table[alphabet.index(src)] = (alphabet.index(dst[1:].strip() if sign < 0 else dst), sign)
-    return table
-
-
 def substitute(p: NCPoly, images: Mapping[str, str]) -> NCPoly:
     """Letter-wise signed substitution, extended multiplicatively.
 
@@ -341,7 +327,11 @@ def substitute(p: NCPoly, images: Mapping[str, str]) -> NCPoly:
     written "y" or "-y"; a word picks up -1 for each negated image.
     """
     alphabet = p.alphabet
-    table = substitution_table(alphabet, images)
+    table: dict[int, tuple[int, int]] = {}  # letter -> (image letter, sign)
+    for src, dst in images.items():
+        dst = dst.strip()
+        sign = -1 if dst.startswith("-") else 1
+        table[alphabet.index(src)] = (alphabet.index(dst[1:].strip() if sign < 0 else dst), sign)
     terms: dict[Word, int] = {}
     for word, coeff in p.numerators.items():
         sign = 1
@@ -402,14 +392,6 @@ def to_text(p: NCPoly | GradedSeries) -> str:
 def to_json_terms(p: NCPoly | GradedSeries) -> list[dict[str, str]]:
     """The terms of an NCPoly or a GradedSeries in print order, as {"word", "coeff"} items."""
     return [{"word": wtext, "coeff": _ratio_text(num, den)} for wtext, num, den in p.reduced_terms()]
-
-
-def from_json_terms(alphabet: Alphabet, items: Iterable[Mapping[str, str]]) -> NCPoly:
-    terms: dict[Word, Fraction] = {}
-    for item in items:
-        word = alphabet.word(item["word"])
-        terms[word] = terms.get(word, _ZERO) + parse_rational(item["coeff"])
-    return NCPoly(alphabet, terms)
 
 
 def _latex_body(num: int, den: int, wtext: str) -> str:

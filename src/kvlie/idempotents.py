@@ -16,8 +16,8 @@ form: the integer numerators of all k^n words of degree n over k letters,
 indexed by the base-k value of the word, first letter most significant
 (:func:`kvlie.algebra.dense`), the form a :class:`kvlie.series.GradedSeries`
 stores, where a level of r is one fixed permutation of the index.  ``dynkin``
-reads word dicts only (user input, Psi, kernel generators and residuals), so
-it runs r over the words present, each packed into one int (``_nest_packed``).
+reads word dicts only (user input, Psi and kernel generators), so it runs r
+over the words present, each packed into one int (``_nest_packed``).
 The Goldberg kernel reads each word's class in the dense index order.
 
 ``kernel_generator``, ``psi`` and the Patras-Reutenauer elements gamma(a) a
@@ -25,7 +25,8 @@ build the kernel of gamma from ``dynkin``.  The fixed point r(p) = n p is the
 production Lie-membership test, written once (``_lie_level``): one pass of r
 on a stored component, ``_nest`` per leading-letter block, a block that
 mirrors another (the antipodal symmetry of BCH components) read from it; it
-raises ``NotLieElementError`` or returns the level whose block z is r(p_z).
+raises ``NotLieElementError`` with the residual p - gamma(p) = (n p - r(p)) / n
+of that same pass, or returns the level whose block z is r(p_z).
 ``_goldberg`` certifies each BCH component with it once per (degree, k) and
 memoises that level, and :func:`kvlie.kv._certify_lie` certifies any other
 BCH series with it.  The independent constructions that the tests play
@@ -134,11 +135,12 @@ def _lie_level(alphabet: Alphabet, letters: Sequence[int], n: int, part: tuple) 
     """Level n-1 of r on a stored part (vector, scale) of degree n >= 1 over
     the sorted ``letters``, whose block z is r(p_z): the one r pass that
     certifies p Lie by the Dynkin-Specht-Wever test r(p) = n p, or raises
-    NotLieElementError(p - gamma(p)).  Above degree 1 it runs ``_nest`` per
-    block; reversing the letters reverses the index and commutes with r, so
-    where block k-1-z of p is (-1)^(n+1) block z reversed, as in every BCH
-    component, r(p_(k-1-z)) is r(p_z) mirrored alike.  r(p) = sum_z (z r(p_z)
-    - r(p_z) z) is the blocks joined minus each r(p_z) written to z::k."""
+    NotLieElementError(p - gamma(p)), read from the same pass.  Above degree
+    1 it runs ``_nest`` per block; reversing the letters reverses the index
+    and commutes with r, so where block k-1-z of p is (-1)^(n+1) block z
+    reversed, as in every BCH component, r(p_(k-1-z)) is r(p_z) mirrored
+    alike.  r(p) = sum_z (z r(p_z) - r(p_z) z) is the blocks joined minus
+    each r(p_z) written to z::k."""
     (vector, scale), k = part, len(letters)
     if n == 1:
         nested, full = _nest(vector, k)
@@ -155,9 +157,9 @@ def _lie_level(alphabet: Alphabet, letters: Sequence[int], n: int, part: tuple) 
         for z, block in enumerate(blocks):
             right[z::k] = block
         full = list(map(sub, nested, right))
-    if full != [n * c for c in vector]:
-        p = NCPoly._raw(alphabet, from_dense(vector, n, letters), scale)
-        raise NotLieElementError(kernel_generator(p))
+    if full != [n * c for c in vector]:  # p - gamma(p) = (n p - r(p)) / n
+        residual = from_dense([n * c - f for c, f in zip(vector, full)], n, letters)
+        raise NotLieElementError(NCPoly._raw(alphabet, residual, n * scale))
     return tuple(nested)
 
 

@@ -2,7 +2,9 @@
 
 Every object the engine builds has one production construction in
 ``algebra``, ``idempotents``, ``series`` and ``kv``.  The constructions kept
-here share no kernel with it, so agreement term by term is evidence for both:
+here share no kernel with it (the split chain reads r through ``dynkin``,
+itself played against the descent classes), so agreement term by term is
+evidence for both:
 
 * ``dynkin_via_descents`` -- gamma as the descent-class permutation sum,
   against :func:`kvlie.idempotents.dynkin`;
@@ -20,8 +22,10 @@ here share no kernel with it, so agreement term by term is evidence for both:
 * ``solve_split_chain`` -- the particular solution by inverting ad(x) on
   words degree by degree (``ad_inverse``, a triangular recursion checked
   exactly and certified Lie), against :func:`kvlie.kv.f0`, with its
-  right-hand side Phi^- built by ``dynkin_via_descents``, not read from
-  production;
+  right-hand side Phi^- the y-leading shares of the exp/log BCH series
+  under :func:`kvlie.idempotents.dynkin` on word dicts, not the Goldberg
+  levels production reads (the tests hold ``dynkin`` to
+  ``dynkin_via_descents`` on those shares);
 * ``operator_nullity``, ``leading_pair_nullity`` and
   ``kernel_parameterized_leading_dim`` -- dimension counts of the solution
   space;
@@ -48,7 +52,7 @@ from math import comb, factorial
 
 from .algebra import XY, Alphabet, NCPoly, Word, bracket, letter_part, weighted_sum
 from .idempotents import dynkin, kernel_generator
-from .kv import BchSeries, bch_eulerian
+from .kv import BchSeries, bch_oracle
 from .kv import op_exp_ad_minus_one
 from .linalg import independent_subset, nullspace_dimension, rank
 from .lyndon import is_lie_element, lyndon_words, standard_bracketing, to_lie_coordinates
@@ -333,11 +337,12 @@ def solve_split_chain(max_degree: int) -> GradedSeries:
     Independent oracle for the particular solution: at degree d + 1 the
     unknown F_d enters only as -[x, F_d], so F_d is :func:`ad_inverse` of the
     rest, with a zero x coordinate at d = 1 (the kernel of E(-x)).  It reads
-    no production operator, Bernoulli weight or letter-nested series.
+    no production operator, Goldberg vector, Bernoulli weight or
+    letter-nested series.
     """
-    phi = bch_eulerian(max_degree + 1)
-    # Phi^-(x, y): the y-leading shares gamma(y (Phi_n)_y) by descent classes
-    minus = [dynkin_via_descents(Y * letter_part(p, "y")) for p in phi.series.parts[2:]]
+    phi = bch_oracle(max_degree + 1)
+    # Phi^-(x, y): the y-leading shares gamma(y (Phi_n)_y) of exp/log BCH
+    minus = [dynkin(Y * letter_part(p, "y")) for p in phi.series.parts[2:]]
     target = GradedSeries(XY, phi.order, [NCPoly.zero(XY)] * 2 + minus).substitute(SWAP)
 
     parts = [NCPoly.zero(XY)]

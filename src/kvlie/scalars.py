@@ -1,9 +1,9 @@
 """Exact scalar arithmetic: rationals, Bernoulli numbers, and small number theory
 (the Moebius function, Witt's dimension formula).
 
-All scalars in this package are exact rationals; ``Rational`` is an alias for
-:class:`fractions.Fraction`.  Polynomials keep integer numerators over one
-reduced denominator instead (:class:`kvlie.algebra.NCPoly`).
+All scalars in this package are exact rationals, :class:`fractions.Fraction`.
+Polynomials keep integer numerators over one reduced denominator instead
+(:class:`kvlie.algebra.NCPoly`).
 
 Bernoulli numbers follow the generating function t/(e^t - 1), i.e. B1 = -1/2.
 This is the convention under which the operator series Ber(x) = sum_k B_k
@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-Rational = Fraction
 
 
 @lru_cache(maxsize=None)

@@ -9,12 +9,12 @@ its polynomial components once; ``parts`` and ``component`` build the
 word-dict :class:`NCPoly` on access; printing walks the stored index, which is
 in print order, with each degree's word texts joined once from the letter
 texts (``reduced_terms``).  Series over different letters meet on the union of
-their letters, re-indexed in one place (``_over``, which also substitutes
-letters).  ``_product`` carries products, ``_power_sum`` (Horner's rule on
-``_product``, each step only through the degrees the sum reads) exp and log,
-and ``_ad_sum``, the one kernel of weighted ad powers sum_j w_j ad(b)^j s,
-sums, scalings, the operators ad, E and Ber, the particular solutions and
-every verifier.
+their letters, each widened onto it in one place (``_over``); letter
+substitution runs on the word-dict components.  ``_product`` carries
+products, ``_power_sum`` (Horner's rule on ``_product``, each step only
+through the degrees the sum reads) exp and log, and ``_ad_sum``, the one
+kernel of weighted ad powers sum_j w_j ad(b)^j s, sums, scalings, the
+operators ad, E and Ber, the particular solutions and every verifier.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from math import comb, factorial, gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebra import Alphabet, Frozen, NCPoly, Word, dense, from_dense, substitute
-from .algebra import substitution_table, to_text
+from .algebra import Alphabet, Frozen, NCPoly, Word, dense, from_dense, substitute, to_text
 
 
 class GradedSeries(Frozen):
@@ -163,10 +162,7 @@ class GradedSeries(Frozen):
 
     def substitute(self, images: Mapping[str, str]) -> "GradedSeries":
         """:func:`kvlie.algebra.substitute` on every component."""
-        table = substitution_table(self.alphabet, images)
-        if not table.keys() >= set(self.letters):  # refused only where a word has the letter
-            return GradedSeries(self.alphabet, self.order, [substitute(p, images) for p in self.parts])
-        return _over(self, _letters(table[a][0] for a in self.letters), table)
+        return GradedSeries(self.alphabet, self.order, [substitute(p, images) for p in self.parts])
 
     def is_zero(self) -> bool:
         return not any(self.dense)
@@ -206,25 +202,21 @@ def _letters(*groups: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set().union(*groups)))
 
 
-def _over(s: GradedSeries, letters: tuple[int, ...], images: Mapping | None = None) -> GradedSeries:
-    """s on the index over ``letters``, each letter a of s sent to images[a] =
-    (letter, sign), itself by default: a word goes to the word of the images
-    of its letters, times the product of their signs, and words that meet add."""
-    if images is None:
-        if s.letters == letters:
-            return s
-        images = {a: (a, 1) for a in s.letters}
+def _over(s: GradedSeries, letters: tuple[int, ...]) -> GradedSeries:
+    """s on the index over ``letters``, a sorted superset of its own: each
+    word keeps its coefficient, at its index over the wider letters."""
+    if s.letters == letters:
+        return s
     m = len(letters)
-    digits = [(letters.index(images[a][0]), images[a][1]) for a in s.letters]
-    index, signs, parts = [0], [1], []
+    digits = [letters.index(a) for a in s.letters]
+    index, parts = [0], []
     for d, part in enumerate(s.dense):
         if d:
-            index = [i * m + j for i in index for j, _ in digits]
-            signs = [t * u for t in signs for _, u in digits]
+            index = [i * m + j for i in index for j in digits]
         if part:
             acc = [0] * m**d
-            for i, t, c in zip(index, signs, part[0]):
-                acc[i] += t * c
+            for i, c in zip(index, part[0]):
+                acc[i] = c
             part = (acc, part[1])
         parts.append(part)
     return GradedSeries._raw(s.alphabet, letters, parts)

@@ -17,7 +17,6 @@ from kvlie.algebra import (
     bracket,
     concat,
     default_alphabet,
-    from_json_terms,
     letter_part,
     parse_poly,
     substitute,
@@ -196,7 +195,7 @@ def test_json_round_trip():
     rng = random.Random(8)
     for _ in range(20):
         p = random_poly(rng, 4)
-        assert from_json_terms(XY, to_json_terms(p)) == p
+        assert {XY.word(t["word"]): Fraction(t["coeff"]) for t in to_json_terms(p)} == p.terms
     assert to_json_terms(parse_poly(XY, "1/2*xy - 1/2*yx")) == [
         {"word": "xy", "coeff": "1/2"},
         {"word": "yx", "coeff": "-1/2"},

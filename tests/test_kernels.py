@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvlie.algebra import Alphabet, NCPoly, default_alphabet, dense, from_dense, letter_part
+from kvlie import idempotents
+from kvlie.algebra import XY, Alphabet, NCPoly, default_alphabet, dense, from_dense, letter_part
 from kvlie.algebra import parse_poly
 from kvlie.idempotents import NotLieElementError, _nest, bch_component, dynkin
 from kvlie.idempotents import kernel_generator
@@ -171,6 +172,12 @@ def test_dynkin_equals_descent_oracle_on_a_series_inputs():
     for n in range(2, 12):
         p = letter_part(bch_component(n), "x")
         assert dynkin(p) == dynkin_via_descents(p), n
+    # and the y-leading shares y (Z_n)_y that the split oracle's right-hand
+    # side hands to dynkin, which ties that chain to the descent classes
+    y = NCPoly.letter(XY, "y")
+    for n in range(2, 10):
+        p = y * letter_part(bch_component(n), "y")
+        assert dynkin(p) == dynkin_via_descents(p), n
 
 
 def homogeneous(max_degree):
@@ -247,9 +254,11 @@ def test_elimination_oracle_accepts_the_certified_bch_components(k, top):
         to_lie_coordinates(bch_component(n, k))
 
 
-def count_nests(monkeypatch) -> list:
-    from kvlie import idempotents
+def refuse_packed_r(terms):
+    raise AssertionError("r ran on a word dict")
 
+
+def count_nests(monkeypatch) -> list:
     calls, real = [], idempotents._nest
     monkeypatch.setattr(idempotents, "_nest", lambda vector, k: calls.append(len(vector)) or real(vector, k))
     return calls
@@ -297,5 +306,12 @@ def test_lie_level_mirrored_blocks_still_certify(letters, text, nests, monkeypat
     calls = count_nests(monkeypatch)
     with pytest.raises(NotLieElementError) as err:
         _lie_level(p.alphabet, s.letters, n, s.dense[n])
-    assert err.value.residual == kernel_generator(p) and err.value.residual
+    expected = kernel_generator(p)
+    assert err.value.residual == expected and err.value.residual
     assert len(calls) == nests
+    # the residual is read from the failing pass, mirrored blocks included:
+    # r on word dicts never runs
+    monkeypatch.setattr(idempotents, "_nest_packed", refuse_packed_r)
+    with pytest.raises(NotLieElementError) as err:
+        _lie_level(p.alphabet, s.letters, n, s.dense[n])
+    assert err.value.residual == expected

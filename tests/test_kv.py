@@ -222,8 +222,8 @@ def test_goldberg_components_are_certified_once(monkeypatch, fresh_caches):
     assert passes == {"dense": 10, "sparse": 0}
     with pytest.raises(NotLieElementError):
         BchSeries(GradedSeries(XY, 2, [NCPoly.zero(XY), X, parse_poly(XY, "xy")]))
-    # two checks, and gamma of the one that fails, on its word dict, for the residual it reports
-    assert passes == {"dense": 12, "sparse": 1}
+    # two checks; the one that fails reads the residual it reports from its own pass
+    assert passes == {"dense": 12, "sparse": 0}
 
 
 @pytest.mark.parametrize("n", [1, 8])
@@ -237,13 +237,23 @@ def test_f0_runs_one_r_pass_per_bch_component(monkeypatch, fresh_caches, n):
     assert idempotents._goldberg.cache_info().currsize == n + 1
 
 
-def test_certify_lie_reports_the_kernel_projection_as_residual():
+def test_certify_lie_reports_the_kernel_projection_as_residual(monkeypatch):
     bad = parse_poly(XY, "2/3*xxy - 1/5*yxy + 1/7*yyx")
     parts = [NCPoly.zero(XY), X, parse_poly(XY, "xy - yx"), bad]
     _certify_lie(GradedSeries(XY, 2, parts[:3]))
+    expected = kernel_generator(bad)
     with pytest.raises(NotLieElementError) as err:
         _certify_lie(GradedSeries(XY, 3, parts))
-    assert err.value.residual and err.value.residual == kernel_generator(bad)
+    assert err.value.residual and err.value.residual == expected
+
+    # the residual is read from the failing r pass: r on word dicts never runs
+    def refuse(terms):
+        raise AssertionError("r ran on a word dict")
+
+    monkeypatch.setattr(idempotents, "_nest_packed", refuse)
+    with pytest.raises(NotLieElementError) as err:
+        _certify_lie(GradedSeries(XY, 3, parts))
+    assert err.value.residual == expected
 
 
 # -- split ------------------------------------------------------------------------
@@ -603,7 +613,7 @@ def test_kv1_against_conjugation_arithmetic():
     assert (lhs - rhs).is_zero()
 
 
-@pytest.mark.parametrize("top", [5, 10])
+@pytest.mark.parametrize("top", [5, 13])
 def test_solve_split_linear(top):
     assert solve_split_chain(1).component(1) == parse_poly(XY, "1/4*y")
     assert solve_split_chain(2).component(2) == parse_poly(XY, "1/24*xy - 1/24*yx")
@@ -641,6 +651,7 @@ def test_split_oracle_reads_no_production_operator(monkeypatch):
         ("kv", "_letter_nested"),
         ("kv", "phi_split"),
         ("kv", "f0"),
+        ("idempotents", "_goldberg"),
         ("scalars", "bernoulli"),
     ):
         real = getattr(sys.modules["kvlie." + module_name], name)

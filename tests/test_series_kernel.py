@@ -336,10 +336,10 @@ def test_operators_densify_over_the_letters_present(monkeypatch, base, text, ord
     radices = []
     real = series_module._over
 
-    def spy(series, letters, images=None):
+    def spy(series, letters):
         assert len(letters) <= radix  # before the 14^degree entries are built
         radices.append(len(letters))
-        return real(series, letters, images)
+        return real(series, letters)
 
     monkeypatch.setattr(series_module, "_over", spy)
     result = op_exp_ad_minus_one(z, s)
