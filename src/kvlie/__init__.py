@@ -44,7 +44,6 @@ from .idempotents import (
     psi,
 )
 from .kv import (
-    BchSeries,
     KvSolutionPair,
     antisymmetric_kernel_element,
     bch_eulerian,

@@ -115,12 +115,12 @@ def _cmd_bch(args) -> int:
         raise SystemExit("kvlie: bch --method both prints difference lines and has no json or latex form")
     n, k = args.degree, args.vars
     if args.method == "both":
-        diff = bch_eulerian(n, k).series - bch_oracle(n, k).series
+        diff = bch_eulerian(n, k) - bch_oracle(n, k)
         _emit("\n".join(_defect_lines("eulerian-vs-oracle", diff)), args.output)
         return EXIT_OK if diff.is_zero() else EXIT_DEFECT
     # component n alone, as a series holding only that part: no word dict, and
     # the Eulerian method builds no lower component
-    top = _goldberg(n, k)[:2] if args.method == "eulerian" else bch_oracle(n, k).series.dense[n]
+    top = _goldberg(n, k)[:2] if args.method == "eulerian" else bch_oracle(n, k).dense[n]
     _emit(_render_poly(GradedSeries._raw(default_alphabet(k), range(k), (None,) * n + (top,)), args.format),
           args.output)
     return EXIT_OK

@@ -28,11 +28,12 @@ mirrors another (the antipodal symmetry of BCH components) read from it; it
 raises ``NotLieElementError`` with the residual p - gamma(p) = (n p - r(p)) / n
 of that same pass, or returns the level whose block z is r(p_z).
 ``_goldberg`` certifies each BCH component with it once per (degree, k) and
-memoises that level, and :func:`kvlie.kv._certify_lie` certifies any other
-BCH series with it.  The independent constructions that the tests play
-against these (the descent-class Dynkin sum, the S_n and convolution Eulerian
-sums, the kernel elements and basis, the Lyndon elimination) live in
-:mod:`kvlie.oracles` and its support modules.
+keeps that level, the one store of BCH levels that :mod:`kvlie.kv` reads;
+:func:`kvlie.kv._certify_lie` certifies the other BCH series and keeps none.
+The independent constructions that the tests play against these (the
+descent-class Dynkin sum, the S_n and convolution Eulerian sums, the kernel
+elements and basis, the Lyndon elimination) live in :mod:`kvlie.oracles` and
+its support modules.
 """
 
 from __future__ import annotations

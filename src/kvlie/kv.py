@@ -15,12 +15,12 @@ idempotent, and the multilinear generalisation
 whose case k = 2 with (F_1, F_2) = (F, -G) is the equation above.
 
 Every series here is a :class:`kvlie.series.GradedSeries` in its stored dense
-form, built with no word dict.  A ``BchSeries`` keeps the level of the one r
-pass that certified each component: ``bch_eulerian`` the Goldberg vectors of
-:func:`kvlie.idempotents.bch_component` with the levels memoised with them,
-``bch_oracle`` (log of a product of exponentials, which ``kvlie bch --method
-oracle|both`` prints) those of the public constructor's certification.  The
-letter-nested series b_{n-1} = r((Phi_n)_z) / n is block z of level n-1
+form, built with no word dict.  The BCH levels have one holder, the
+``_goldberg`` cache of :mod:`kvlie.idempotents`: each entry is Z_n and the
+level of the one r pass that certified it.  ``bch_eulerian`` is the Goldberg
+vectors as a series; ``bch_oracle`` (log of a product of exponentials, which
+``kvlie bch --method oracle|both`` prints) is certified by ``_certify_lie``.
+The letter-nested series b_{n-1} = r((Phi_n)_z) / n is block z of level n-1
 (``_letter_nested``), so it costs no r pass.  It gives the split
 gamma(z (Phi_n)_z) = [z, b_{n-1}] (``phi_split``) and, on the reversed tail
 log(e^x_k ... e^x_1), whose component n is (-1)^(n+1) Z_n, the particular
@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
-from .algebra import XY, Alphabet, Frozen, NCPoly, concat, default_alphabet, letter_part, substitute
+from .algebra import XY, Alphabet, NCPoly, concat, default_alphabet, letter_part, substitute
 from .idempotents import _goldberg, _lie_level, dynkin, kernel_generator
 from .scalars import bernoulli
 from .series import GradedSeries, _ad_sum, _over, series_exp, series_log
@@ -87,59 +87,16 @@ def _signed_letter(alphabet: Alphabet, i: int) -> NCPoly:
 # -- Baker-Campbell-Hausdorff series -----------------------------------------
 
 
-class BchSeries(Frozen):
-    """A BCH series, certified Lie on construction; ``levels[n]`` is level n-1
-    of the r pass that certified component n (None where it is zero).  ``_raw``
-    skips the check for ``bch_eulerian``, whose levels ``_goldberg`` kept.
-    Values compare on ``series``; copies and unpickling re-certify."""
-
-    __slots__ = ("series", "levels", "__dict__")  # __dict__ holds reversed_tail
-
-    def __init__(self, series: GradedSeries):
-        self._fill(series, _certify_lie(series))
-
-    @classmethod
-    def _raw(cls, series: GradedSeries, levels: tuple) -> "BchSeries":
-        """Trusted constructor for a series whose components are certified."""
-        return cls.__new__(cls)._fill(series, levels)
-
-    def _fill(self, series: GradedSeries, levels: tuple) -> "BchSeries":
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "levels", levels)
-        return self
-
-    def __reduce__(self):
-        return BchSeries, (self.series,)
-
-    def __eq__(self, other: object) -> bool:
-        return self.series == other.series if isinstance(other, BchSeries) else NotImplemented
-
-    @property
-    def order(self) -> int:
-        return self.series.order
-
-    def component(self, degree: int) -> NCPoly:
-        return self.series.component(degree)
-
-    @cached_property
-    def reversed_tail(self) -> GradedSeries:
-        """sum_{n>=2} Phi_n(x_k, ..., x_1), component n (-1)^(n+1) Z_n; built
-        once per BchSeries and shared, as every GradedSeries is immutable."""
-        s = self.series
-        tail = [part if n % 2 or not part else (tuple(-c for c in part[0]), part[1])
-                for n, part in enumerate(s.dense[2:], 2)]
-        return GradedSeries._raw(s.alphabet, s.letters, [None, None][: s.order + 1] + tail)
+def _certify_lie(series: GradedSeries) -> GradedSeries:
+    """``series``, once one r pass per stored component of degree n >= 1 has
+    found r(p) = n p; else that pass raises NotLieElementError(p - gamma(p))."""
+    for n, part in enumerate(series.dense):
+        if n and part:
+            _lie_level(series.alphabet, series.letters, n, part)
+    return series
 
 
-def _certify_lie(series: GradedSeries) -> tuple:
-    """The levels of a ``BchSeries``: one r pass per stored component of degree
-    n >= 1, which raises NotLieElementError(p - gamma(p)) unless r(p) = n p."""
-    return tuple(_lie_level(series.alphabet, series.letters, n, part) if n and part else None
-                 for n, part in enumerate(series.dense))
-
-
-@lru_cache(maxsize=None)
-def bch_eulerian(order: int, k: int = 2) -> BchSeries:
+def bch_eulerian(order: int, k: int = 2) -> GradedSeries:
     """BCH series from the Eulerian idempotent on power words, for any k.
 
     This is the production construction: component m is the dense vector of
@@ -149,13 +106,12 @@ def bch_eulerian(order: int, k: int = 2) -> BchSeries:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    tables = [_goldberg(m, k) for m in range(1, order + 1)]
-    series = GradedSeries._raw(default_alphabet(k), range(k), [None] + [t[:2] for t in tables])
-    return BchSeries._raw(series, (None, *(t[2] for t in tables)))
+    parts = [None] + [_goldberg(m, k)[:2] for m in range(1, order + 1)]
+    return GradedSeries._raw(default_alphabet(k), range(k), parts)
 
 
 @lru_cache(maxsize=None)
-def bch_oracle(order: int, k: int = 2) -> BchSeries:
+def bch_oracle(order: int, k: int = 2) -> GradedSeries:
     """Ground-truth BCH series: log of the ordered product of exponentials."""
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -163,38 +119,43 @@ def bch_oracle(order: int, k: int = 2) -> BchSeries:
     product = GradedSeries.one(alphabet, order)
     for letter in alphabet.letters:
         product = product * series_exp(GradedSeries.generator(alphabet, letter, order))
-    return BchSeries(series_log(product))
+    return _certify_lie(series_log(product))
+
+
+def _reversed_tail(order: int, k: int) -> GradedSeries:
+    """sum_{n>=2} Phi_n(x_k, ..., x_1) through ``order``: component n is
+    (-1)^(n+1) Z_n, the Goldberg vector with even degrees negated."""
+    tables = [_goldberg(n, k) for n in range(2, order + 1)]
+    tail = [(v if n % 2 else [-c for c in v], s) for n, (v, s, _) in enumerate(tables, 2)]
+    return GradedSeries._raw(default_alphabet(k), range(k), [None, None][: order + 1] + tail)
 
 
 # -- the split of the BCH series ----------------------------------------------
 
 
-def _letter_nested(phi: BchSeries, z: int, sign: int = 1) -> GradedSeries:
-    """b with b_d = sign^d r((Phi_{d+1})_z) / (d+1) for 1 <= d < order, zero
-    elsewhere, z the index of the letter: block z of the level of r that
-    certified Phi_{d+1}.  sign = -1 gives b of the reversed tail, whose
-    component n is (-1)^(n+1) Phi_n."""
-    s, parts = phi.series, [None] * (phi.order + 1)
-    for d in range(1, s.order):
-        if s.dense[d + 1] and z in s.letters:
-            i, size = s.letters.index(z), len(s.letters) ** d
-            block = phi.levels[d + 1][i * size : (i + 1) * size]
-            parts[d] = ([-c for c in block] if sign < 0 and d % 2 else block, (d + 1) * s.dense[d + 1][1])
-    return GradedSeries._raw(s.alphabet, s.letters, parts)
+def _letter_nested(order: int, k: int, z: int, sign: int = 1) -> GradedSeries:
+    """b with b_d = sign^d r((Z_{d+1})_z) / (d+1) for 1 <= d < order, zero
+    elsewhere, over k letters, z the index of the letter: block z of the level
+    of r that certified Z_{d+1} (``_goldberg``).  sign = -1 gives b of the
+    reversed tail, whose component n is (-1)^(n+1) Z_n."""
+    parts = [None] * (order + 1)
+    for d in range(1, order):
+        _, scale, level = _goldberg(d + 1, k)
+        block = level[z * k**d : (z + 1) * k**d]
+        parts[d] = ([-c for c in block] if sign < 0 and d % 2 else block, (d + 1) * scale)
+    return GradedSeries._raw(default_alphabet(k), range(k), parts)
 
 
-def phi_split(phi: BchSeries) -> tuple[GradedSeries, GradedSeries]:
-    """Dynkin images of the leading-letter halves of the BCH tail.
+def phi_split(order: int) -> tuple[GradedSeries, GradedSeries]:
+    """Dynkin images of the leading-letter halves of the BCH tail through ``order``.
 
     Returns (plus, minus) with plus_n = gamma(x * (Phi_n)_x) = [x, b_{n-1}]
     and minus_n = gamma(y * (Phi_n)_y) for n >= 2, b the letter-nested series
     of each letter; their sum restores Phi_n.
     """
-    alphabet = phi.series.alphabet
-    if alphabet.size != 2:
-        raise ValueError("the split is defined for two variables")
-    return tuple(op_ad(NCPoly.letter(alphabet, z), _letter_nested(phi, i))
-                 for i, z in enumerate(alphabet.letters))
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    return tuple(op_ad(NCPoly.letter(XY, z), _letter_nested(order, 2, i)) for i, z in enumerate(XY.letters))
 
 
 # -- the particular solution ----------------------------------------------------
@@ -210,8 +171,10 @@ def multilinear_f0(index: int, k: int, order: int) -> GradedSeries:
         raise ValueError("the multilinear equation needs at least two variables")
     if not 1 <= index <= k:
         raise ValueError(f"variable index {index} out of range for {k} variables")
+    if order < 0:
+        raise ValueError("order must be >= 0")
     alphabet = default_alphabet(k)
-    b = _letter_nested(bch_eulerian(order + 1, k), index - 1, -1)
+    b = _letter_nested(order + 1, k, index - 1, -1)
     weights = _bernoulli_weights(order, (-1) ** index)
     return _ad_sum(order, [(_signed_letter(alphabet, index), weights, b)])
 
@@ -227,7 +190,6 @@ def f0(order: int) -> GradedSeries:
     return multilinear_f0(1, 2, order)
 
 
-@lru_cache(maxsize=None)
 def g0(order: int) -> GradedSeries:
     """G0(x, y) = F0(-y, -x)."""
     return _negate_swap(f0(order))
@@ -263,10 +225,12 @@ def particular_solution(order: int) -> KvSolutionPair:
 def _checked_order(order: int | None, available: int, what: str) -> int:
     """The order to verify through: ``order``, or ``available`` when None.
 
-    Truncation is never mistaken for a defect: an order above what the
-    given series carry raises ValueError.
+    Raises ValueError below 1, where nothing is checked, and above what the
+    given series carry, so that truncation is never mistaken for a defect.
     """
     order = available if order is None else order
+    if order < 1:
+        raise ValueError("order must be >= 1")
     if order > available:
         raise ValueError(f"order {order} is above the order {available} of the {what}")
     return order
@@ -288,7 +252,7 @@ def verify_multilinear(solutions: list[GradedSeries], order: int | None = None) 
         raise ValueError("need at least two solution components")
     order = _checked_order(order, min(F.order for F in solutions), "solution tuple")
     alphabet = default_alphabet(k)
-    target = (NCPoly.zero(alphabet), (1,), bch_eulerian(order, k).reversed_tail)
+    target = (NCPoly.zero(alphabet), (1,), _reversed_tail(order, k))
     return _ad_sum(order, [target, *_operator_terms(alphabet, solutions, order)])
 
 
@@ -313,7 +277,7 @@ def verify_split(F: GradedSeries, order: int | None = None) -> GradedSeries:
     """Defect of the split equation: Phi^-(y, x) - E(-x) F, where Phi^-(y, x)
     = ad(x) b is the x-leading share of the reversed BCH tail."""
     order = _checked_order(order, F.order, "series F")
-    share = (NCPoly.letter(XY, "x"), (0, 1), _letter_nested(bch_eulerian(order), 0, -1))
+    share = (NCPoly.letter(XY, "x"), (0, 1), _letter_nested(order, 2, 0, -1))
     return _ad_sum(order, [share, *_operator_terms(XY, [F], order)])
 
 
@@ -394,10 +358,10 @@ def antisymmetric_kernel_element(p: NCPoly) -> NCPoly:
 
 
 def clear_caches() -> None:
-    """Drop every memoised table (BCH components and series, oracle tables
-    when loaded, the Bernoulli numbers, ...); mainly for cold-start timing and
-    memory tests.  The lru caches are found in the loaded kvlie modules, so a
-    new cache needs no registration here."""
+    """Drop every memoised table (the Goldberg tables and their levels, the
+    exp/log BCH series, F0, oracle tables when loaded, the Bernoulli numbers,
+    ...); mainly for cold-start timing and memory tests.  The lru caches are
+    found in the loaded kvlie modules, so a new cache needs no registration here."""
     for name, module in list(sys.modules.items()):
         if name.startswith("kvlie."):
             for fn in vars(module).values():

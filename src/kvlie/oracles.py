@@ -17,8 +17,9 @@ evidence for both:
 * ``kernel_generator_explicit`` and ``dynkin_kernel_basis`` -- the kernel of
   gamma from descent classes and from a linear sweep over the word basis;
 * ``bch_permutation_oracle`` -- the BCH series with e on each power word
-  through the S_n sum, against :func:`kvlie.kv.bch_eulerian` (the exp/log
-  oracle :func:`kvlie.kv.bch_oracle` stays in ``kv`` because the CLI prints it);
+  through the S_n sum, a plain series certified Lie like the exp/log oracle
+  :func:`kvlie.kv.bch_oracle` (which stays in ``kv`` because the CLI prints
+  it), against :func:`kvlie.kv.bch_eulerian`, the Goldberg vectors;
 * ``solve_split_chain`` -- the particular solution by inverting ad(x) on
   words degree by degree (``ad_inverse``, a triangular recursion checked
   exactly and certified Lie), against :func:`kvlie.kv.f0`, with its
@@ -32,7 +33,9 @@ evidence for both:
 * ``coshuffle`` on :class:`TensorSquare` -- the coproduct that makes every
   letter primitive;
 * ``to_lie_coordinates`` from :mod:`kvlie.lyndon` -- Lie membership by Lyndon
-  elimination, against the test r(p) = n p of :func:`kvlie.kv._certify_lie`.
+  elimination, against the test r(p) = n p of
+  :func:`kvlie.idempotents._lie_level`, which certifies each Goldberg
+  component and, through :func:`kvlie.kv._certify_lie`, both BCH oracles.
 
 The permutation sum for the Eulerian idempotent carries an explicit 1/n per
 degree; without it the convolution construction is not reproduced (already
@@ -52,7 +55,7 @@ from math import comb, factorial
 
 from .algebra import XY, Alphabet, NCPoly, Word, bracket, letter_part, weighted_sum
 from .idempotents import dynkin, kernel_generator
-from .kv import BchSeries, bch_oracle
+from .kv import _certify_lie, bch_oracle
 from .kv import op_exp_ad_minus_one
 from .linalg import independent_subset, nullspace_dimension, rank
 from .lyndon import is_lie_element, lyndon_words, standard_bracketing, to_lie_coordinates
@@ -281,13 +284,13 @@ def dynkin_kernel_basis(alphabet, n: int) -> list[NCPoly]:
 # -- BCH through the S_n permutation sum ----------------------------------------
 
 
-def bch_permutation_oracle(order: int) -> BchSeries:
+def bch_permutation_oracle(order: int) -> GradedSeries:
     """BCH series in two variables: component m = sum_{i+j=m} e(x^i y^j) / (i! j!),
     with e on each power word evaluated through the full S_n permutation sum.
     Factorial in the degree.
 
     Pure powers beyond degree 1 are asserted to vanish under e, and
-    ``BchSeries`` certifies every component to be a Lie element.
+    :func:`kvlie.kv._certify_lie` certifies every component to be a Lie element.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -301,7 +304,7 @@ def bch_permutation_oracle(order: int) -> BchSeries:
             weight = Fraction(1, factorial(i) * factorial(m - i))
             items.append((weight, value))
         parts.append(weighted_sum(XY, items))
-    return BchSeries(GradedSeries(XY, order, parts))
+    return _certify_lie(GradedSeries(XY, order, parts))
 
 
 # -- triangular oracle for the split equation -----------------------------------
@@ -342,7 +345,7 @@ def solve_split_chain(max_degree: int) -> GradedSeries:
     """
     phi = bch_oracle(max_degree + 1)
     # Phi^-(x, y): the y-leading shares gamma(y (Phi_n)_y) of exp/log BCH
-    minus = [dynkin(Y * letter_part(p, "y")) for p in phi.series.parts[2:]]
+    minus = [dynkin(Y * letter_part(p, "y")) for p in phi.parts[2:]]
     target = GradedSeries(XY, phi.order, [NCPoly.zero(XY)] * 2 + minus).substitute(SWAP)
 
     parts = [NCPoly.zero(XY)]

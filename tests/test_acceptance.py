@@ -222,7 +222,7 @@ def test_criterion_09_symmetry_suite():
             mirrored = NCPoly.from_word(XY, permute_word(wt, omega))
             assert eulerian(p) == eulerian(mirrored).scaled(sign)
     phi = bch_eulerian(8)
-    plus, minus = phi_split(phi)
+    plus, minus = phi_split(8)
     assert plus == -minus.substitute(NEGATE_SWAP)
     for n in range(2, 9):
         comp = phi.component(n)

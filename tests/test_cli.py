@@ -280,9 +280,9 @@ def test_degree_guard_exits_2_before_any_construction(capsys, monkeypatch, argv)
 
 
 def test_verify_multilinear_builds_the_bch_series_once(capsys, monkeypatch):
-    # each component of the order-(n+1) series is built and certified once,
-    # by one r pass that also gives its letter-nested shares; the check reads
-    # the first n of them from the same cache
+    # each component Z_2, ..., Z_(n+1) is built and certified once, by one r
+    # pass that also gives its letter-nested shares; the check reads Z_2..Z_n
+    # from the same cache, and nothing builds Z_1
     from kvlie import idempotents
     from kvlie.kv import clear_caches
 
@@ -293,8 +293,8 @@ def test_verify_multilinear_builds_the_bch_series_once(capsys, monkeypatch):
     clear_caches()
     code, out, _ = run(capsys, "verify", "--equation", "multilinear", "--vars", "3", "--degree", "5")
     assert code == 0 and out.startswith("verified:")
-    assert idempotents._goldberg.cache_info().misses == 5 + 1
-    assert len(passes) == 5 + 1
+    assert idempotents._goldberg.cache_info().misses == 5
+    assert len(passes) == 5
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
@@ -442,10 +442,9 @@ def test_solution_prints_the_pair_before_its_defect(capsys, monkeypatch):
 
 def test_bch_both_prints_one_line_per_differing_term(capsys, monkeypatch):
     import kvlie.cli as cli
-    from kvlie.kv import BchSeries, bch_oracle
+    from kvlie.kv import bch_oracle
 
-    monkeypatch.setattr(cli, "bch_oracle", lambda n, k: BchSeries._raw(
-        _perturbed(bch_oracle(n, k).series, "1/7*xxy - 2*yx"), bch_oracle(n, k).levels))
+    monkeypatch.setattr(cli, "bch_oracle", lambda n, k: _perturbed(bch_oracle(n, k), "1/7*xxy - 2*yx"))
     assert run(capsys, "bch", "--method", "both", "--degree", "4") == (1, (
         "eulerian-vs-oracle defect at degree 2: yx coefficient 2\n"
         "eulerian-vs-oracle defect at degree 3: xxy coefficient -1/7\n"), "")

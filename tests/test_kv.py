@@ -28,7 +28,6 @@ from kvlie.idempotents import (
 )
 from kvlie.kv import (
     NEGATE_SWAP,
-    BchSeries,
     KvSolutionPair,
     _certify_lie,
     antisymmetric_kernel_element,
@@ -97,12 +96,12 @@ def test_bch_low_components():
 
 
 def test_bch_routes_agree():
-    assert bch_eulerian(6).series == bch_oracle(6).series
+    assert bch_eulerian(6) == bch_oracle(6)
 
 
 def test_bch_power_word_route_equals_permutation_oracle():
     for n in range(1, 9):
-        assert bch_eulerian(n).series == bch_permutation_oracle(n).series, n
+        assert bch_eulerian(n) == bch_permutation_oracle(n), n
 
 
 @pytest.mark.parametrize("k, top", [(2, 12), (3, 7), (4, 5), (3, 8), (4, 6), (5, 5), (2, 14), (3, 9)])
@@ -110,7 +109,7 @@ def test_goldberg_kernel_equals_exp_log_on_every_word(k, top):
     oracle = bch_oracle(top, k)
     for n in range(1, top + 1):
         assert bch_component(n, k) == oracle.component(n), (k, n)
-    assert bch_eulerian(top, k).series == oracle.series
+    assert bch_eulerian(top, k) == oracle
 
 
 def test_production_route_calls_no_permutation_sum(monkeypatch):
@@ -129,7 +128,7 @@ def test_production_route_calls_no_permutation_sum(monkeypatch):
 
 def test_bch_swap_is_substitution_symmetric():
     phi = bch_eulerian(5)
-    swapped = phi.series.substitute(SWAP)
+    swapped = phi.substitute(SWAP)
     oracle = series_log(
         series_exp(GradedSeries.generator(XY, "y", 5))
         * series_exp(GradedSeries.generator(XY, "x", 5))
@@ -153,11 +152,11 @@ def test_bch_components_are_lie():
 @pytest.mark.parametrize("k, n", [(2, 10), (3, 7), (4, 5)])
 def test_reversed_arguments_equal_the_letter_reversal(k, n):
     # log(e^x_k ... e^x_1) = -Z(-x_1, ..., -x_k): a sign per degree
-    phi = bch_eulerian(n, k)
-    letters = phi.series.alphabet.letters
-    reversal = phi.series.substitute(dict(zip(letters, reversed(letters))))
-    assert phi.reversed_tail.parts[2:] == reversal.parts[2:]
-    assert not any(phi.reversed_tail.parts[:2])
+    phi, tail = bch_eulerian(n, k), kv._reversed_tail(n, k)
+    letters = phi.alphabet.letters
+    reversal = phi.substitute(dict(zip(letters, reversed(letters))))
+    assert tail.parts[2:] == reversal.parts[2:]
+    assert not any(tail.parts[:2])
 
 
 @pytest.fixture
@@ -169,7 +168,7 @@ def fresh_caches():
 
 def test_bch_component_certifies_the_goldberg_kernel(monkeypatch, fresh_caches):
     real = idempotents._class_numerators
-    reversed_phi = bch_eulerian(5, 3).reversed_tail
+    reversed_phi = kv._reversed_tail(5, 3)
     clear_caches()
     # ascents and descents swapped: the reversed-order series, still Lie
     monkeypatch.setattr(
@@ -212,29 +211,30 @@ def count_r_passes(monkeypatch) -> dict[str, int]:
 
 def test_goldberg_components_are_certified_once(monkeypatch, fresh_caches):
     passes = count_r_passes(monkeypatch)
-    # Z_1, ..., Z_7 once each: f0(6) reads bch_eulerian(7), the verifiers bch_eulerian(6)
+    # Z_2, ..., Z_7 once each: f0(6) reads Z_2..Z_7, the verifiers Z_2..Z_6,
+    # and none of them builds Z_1
     assert verify_kv1(particular_solution(6), 6).is_zero()
     assert verify_split(f0(6), 6).is_zero()
-    assert passes == {"dense": 7, "sparse": 0}
-    # a BchSeries built from outside bch_eulerian is certified on construction,
-    # one r pass per stored component
+    assert passes == {"dense": 6, "sparse": 0}
+    # a BCH series built outside the Goldberg tables is certified by
+    # _certify_lie, one r pass per stored component
     bch_oracle(3)
-    assert passes == {"dense": 10, "sparse": 0}
+    assert passes == {"dense": 9, "sparse": 0}
     with pytest.raises(NotLieElementError):
-        BchSeries(GradedSeries(XY, 2, [NCPoly.zero(XY), X, parse_poly(XY, "xy")]))
+        _certify_lie(GradedSeries(XY, 2, [NCPoly.zero(XY), X, parse_poly(XY, "xy")]))
     # two checks; the one that fails reads the residual it reports from its own pass
-    assert passes == {"dense": 12, "sparse": 0}
+    assert passes == {"dense": 11, "sparse": 0}
 
 
 @pytest.mark.parametrize("n", [1, 8])
 def test_f0_runs_one_r_pass_per_bch_component(monkeypatch, fresh_caches, n):
     # the particular solution reads the letter-nested shares from the levels
-    # that the certification of each component Z_1, ..., Z_{n+1} of
-    # bch_eulerian(n + 1) kept
+    # that the certification of each component Z_2, ..., Z_{n+1} kept, and
+    # builds no Z_1
     passes = count_r_passes(monkeypatch)
     f0(n)
-    assert passes == {"dense": n + 1, "sparse": 0}
-    assert idempotents._goldberg.cache_info().currsize == n + 1
+    assert passes == {"dense": n, "sparse": 0}
+    assert idempotents._goldberg.cache_info().currsize == n
 
 
 def test_certify_lie_reports_the_kernel_projection_as_residual(monkeypatch):
@@ -260,7 +260,7 @@ def test_certify_lie_reports_the_kernel_projection_as_residual(monkeypatch):
 
 
 def test_phi_split_degree_two():
-    plus, minus = phi_split(bch_eulerian(4))
+    plus, minus = phi_split(4)
     quarter = Fraction(1, 4)
     assert plus.component(2) == parse_poly(XY, "xy - yx").scaled(quarter)
     assert minus.component(2) == parse_poly(XY, "xy - yx").scaled(quarter)
@@ -268,7 +268,7 @@ def test_phi_split_degree_two():
 
 def test_phi_split_reconstructs_tail():
     phi = bch_eulerian(6)
-    plus, minus = phi_split(phi)
+    plus, minus = phi_split(6)
     for n in range(2, 7):
         assert plus.component(n) + minus.component(n) == phi.component(n)
         to_lie_coordinates(plus.component(n))
@@ -278,7 +278,7 @@ def test_phi_split_reconstructs_tail():
 def test_phi_split_matches_the_descent_class_dynkin_map():
     # the z-leading share gamma(z (Phi_n)_z), with gamma as the descent-class sum
     phi = bch_eulerian(9)
-    plus, minus = phi_split(phi)
+    plus, minus = phi_split(9)
     for z, share in (("x", plus), ("y", minus)):
         letter = NCPoly.letter(XY, z)
         for n in range(2, 10):
@@ -287,11 +287,12 @@ def test_phi_split_matches_the_descent_class_dynkin_map():
 
 
 def test_phi_split_reads_the_levels_of_either_construction(monkeypatch):
-    # the oracle's levels come from the public constructor's certification,
-    # the Eulerian ones from _goldberg; the split runs no r pass of its own
+    # the split reads the levels that _goldberg kept and runs no r pass of its
+    # own; its halves add up to the exp/log series
     from kvlie import algebra, series
 
-    oracle, eulerian = bch_oracle(8), bch_eulerian(8)
+    oracle = bch_oracle(8)
+    bch_eulerian(8)
     words = NCPoly(XY, {w: Fraction(i % 5 - 2, i % 3 + 1)
                         for i, w in enumerate(product(range(2), repeat=6))})
     expected = oracles.dynkin_via_descents(words)
@@ -304,36 +305,22 @@ def test_phi_split_reads_the_levels_of_either_construction(monkeypatch):
     for module in (algebra, idempotents, kv, series):
         if getattr(module, "dense", None) is algebra.dense:
             monkeypatch.setattr(module, "dense", forbidden)
-    assert phi_split(oracle) == phi_split(eulerian)
+    plus, minus = phi_split(8)
+    for n in range(2, 9):
+        assert plus.component(n) + minus.component(n) == oracle.component(n)
     # dynkin reads word dicts only: all 64 words of degree 6 over two letters
     # stay in the packed route, with no dense vector
     assert dynkin(words) == expected
 
 
-def test_unpickling_a_bch_series_recertifies_it():
-    series = GradedSeries(XY, 2, [NCPoly.zero(XY), X, parse_poly(XY, "xy")])
-    data = pickle.dumps(BchSeries._raw(series, (None, None, None)))
-    with pytest.raises(NotLieElementError):
-        pickle.loads(data)
-    phi = pickle.loads(pickle.dumps(bch_oracle(5)))
-    assert phi == bch_eulerian(5) and phi.levels == bch_eulerian(5).levels
-
-
 def test_phi_split_symmetry():
-    plus, minus = phi_split(bch_eulerian(6))
+    plus, minus = phi_split(6)
     assert plus == -minus.substitute(NEGATE_SWAP)
-
-
-def test_phi_split_rejects_non_lie():
-    parts = [NCPoly.zero(XY), X, parse_poly(XY, "xy + yx")]
-    with pytest.raises(ValueError):
-        bad = BchSeries(GradedSeries(XY, 2, parts))
-        phi_split(bad)
 
 
 def test_plus_split_lands_in_image_of_ad_y():
     # Phi^+(y, x) is solvable as ad(y) of a Lie element, degree by degree
-    plus, _ = phi_split(bch_eulerian(5))
+    plus, _ = phi_split(5)
     target = plus.substitute(SWAP)
     for n in range(2, 6):
         u = ad_inverse("y", target.component(n), n - 1)
@@ -405,7 +392,7 @@ def test_a_series_values():
     # the split equation is the ground truth for every component:
     # ad(x) b reproduces the y-leading Dynkin half of the swapped tail
     lhs = op_ad(X, b)
-    _, minus = phi_split(bch_eulerian(order))
+    _, minus = phi_split(order)
     target = minus.substitute(SWAP)
     for n in range(2, order + 1):
         assert lhs.component(n) == target.component(n)
@@ -439,7 +426,7 @@ def test_verify_split():
     shifted = F + GradedSeries.generator(XY, "x", 6).scaled(Fraction(3, 7))
     assert verify_split(shifted, 6).is_zero()
     zero_defect = verify_split(GradedSeries.zero(XY, 5), 5)
-    _, minus = phi_split(bch_eulerian(5))
+    _, minus = phi_split(5)
     assert zero_defect == minus.substitute(SWAP)
     # a lower order is a plain truncation, as for verify_kv1
     assert verify_split(F, 5).is_zero()
@@ -470,6 +457,28 @@ def test_verifiers_refuse_orders_above_their_input():
     # a lower order is a plain truncation and still verifies
     assert verify_kv1(particular_solution(6), 4).is_zero()
     assert verify_multilinear(sols, 2).is_zero()
+
+
+@pytest.mark.parametrize("order", [0, -1])
+@pytest.mark.parametrize("equation", ["kv1", "split", "homogeneous", "multilinear"])
+def test_verifiers_refuse_orders_below_one(equation, order):
+    # an order below 1 checks nothing, so it is refused, not reported verified
+    pair = particular_solution(4)
+    checks = {
+        "kv1": lambda: verify_kv1(pair, order),
+        "split": lambda: verify_split(pair.F, order),
+        "homogeneous": lambda: verify_homogeneous(pair, order),
+        "multilinear": lambda: verify_multilinear(multilinear_particular_solution(3, 3), order),
+    }
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        checks[equation]()
+
+
+def test_constructions_refuse_orders_below_their_range():
+    for build in (lambda: f0(-1), lambda: phi_split(0), lambda: bch_eulerian(0)):
+        with pytest.raises(ValueError, match="order must be >="):
+            build()
+    assert f0(0) == GradedSeries.zero(XY, 0)
 
 
 def test_clear_caches_resets_bernoulli_memo():
@@ -525,29 +534,23 @@ def test_cached_results_are_read_only():
     with pytest.raises(AttributeError):
         f0(4).parts = ()
     with pytest.raises(AttributeError):
-        bch_oracle(3).series.order = 99
+        bch_oracle(3).order = 99
     with pytest.raises(AttributeError):
         del f0(4).parts[1].alphabet
     assert f0(4) is expected
     assert [dict(p.terms) for p in f0(4).parts] == snapshot
-    assert bch_oracle(3).series.order == 3
-    # the reversed BCH series is memoised on the cached BchSeries it came from
-    phi = bch_eulerian(4, 3)
-    reversed_phi = phi.reversed_tail
+    assert bch_oracle(3).order == 3
+    # the reversed BCH series, built from the cached Goldberg tables
+    reversed_phi = kv._reversed_tail(4, 3)
     reversed_snapshot = [dict(p.terms) for p in reversed_phi.parts]
     with pytest.raises(AttributeError):
         reversed_phi.parts = ()
     with pytest.raises(TypeError):
         reversed_phi.parts[3].terms[(0, 0, 0)] = Fraction(1)
-    with pytest.raises(AttributeError):
-        phi.reversed_tail = reversed_phi.truncate(2)
-    with pytest.raises(AttributeError):
-        del phi.reversed_tail
     multilinear_particular_solution(3, 3)
-    assert bch_eulerian(4, 3).reversed_tail is reversed_phi
     assert [dict(p.terms) for p in reversed_phi.parts] == reversed_snapshot
-    # the stored vectors of the cached series are tuples, and their slots stay bound
-    for s in (f0(4), bch_eulerian(4, 3).series, reversed_phi):
+    # the stored vectors of the series are tuples, and their slots stay bound
+    for s in (f0(4), bch_eulerian(4, 3), reversed_phi):
         assert type(s.dense) is tuple and all(type(part[0]) is tuple for part in s.dense if part)
         for name in ("dense", "letters"):
             with pytest.raises(AttributeError):
@@ -581,7 +584,7 @@ def test_values_copy_and_pickle_as_immutable_values(duplicate):
     with pytest.raises(AttributeError):
         series_copy.order = 1
     with pytest.raises(AttributeError):
-        phi_copy.series.parts[2].terms = {}
+        phi_copy.parts[2].terms = {}
     with pytest.raises(AttributeError):
         pair_copy.F = pair.G
     with pytest.raises(AttributeError):
@@ -878,7 +881,7 @@ def test_leading_pair_dimensions():
 
 
 def test_multilinear_bch_reduces_to_two_variables():
-    assert bch_eulerian(5, 2).series == bch_oracle(5).series
+    assert bch_eulerian(5, 2) == bch_oracle(5)
     with pytest.raises(ValueError, match="at least two variables"):
         multilinear_particular_solution(1, 3)
     with pytest.raises(ValueError, match="at least two variables"):
@@ -896,7 +899,7 @@ def test_multilinear_bch_three_variables():
         bracket(x1, x2) + bracket(x1, x3) + bracket(x2, x3)
     ).scaled(Fraction(1, 2))
     assert phi.component(2) == expected2
-    assert phi.series == bch_oracle(3, 3).series
+    assert phi == bch_oracle(3, 3)
 
 
 def test_multilinear_defect_vanishes():
@@ -912,7 +915,7 @@ def test_multilinear_zero_tuple_defect():
     zeros = [GradedSeries.zero(A3, 4) for _ in range(3)]
     defect = verify_multilinear(zeros, 4)
     assert not defect.is_zero()
-    reversed_phi = bch_eulerian(4, 3).reversed_tail
+    reversed_phi = kv._reversed_tail(4, 3)
     for m in range(2, 5):
         assert defect.component(m) == reversed_phi.component(m)
 
