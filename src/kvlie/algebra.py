@@ -20,6 +20,7 @@ polynomial, so instances are safe to share.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import compress, product, repeat
 from math import gcd, lcm
@@ -407,9 +408,12 @@ def to_latex(p: NCPoly | GradedSeries) -> str:
     return _signed_terms(p, _latex_body)
 
 
-# Coefficients are ASCII digits only: str.isdigit() also accepts digits that
-# int() rejects (superscripts) or reads as other digits (Arabic-Indic).
-_DIGITS = "0123456789"
+# One term: [sign] [a ['/' b] ['*']] word, whitespace allowed anywhere; the word
+# runs to the next sign.  Digits are ASCII only: \d would also match other
+# decimal digits (Arabic-Indic), which int() reads as if they were ASCII.
+_TERM = re.compile(r"\s*(?P<sign>[-+]?)\s*"
+                   r"(?:(?P<num>[0-9]+)\s*(?:/\s*(?P<den>[0-9]*))?\s*(?P<star>\*?)\s*)?"
+                   r"(?P<word>[^-+]*)")
 
 
 class PolyParseError(ValueError):
@@ -420,78 +424,38 @@ class PolyParseError(ValueError):
         self.position = position
 
 
+def _digit_run(m: re.Match, group: str) -> int:
+    """The integer in the digit run ``group`` of a ``_TERM`` match; 1 if absent."""
+    try:
+        return int(m[group] or 1)
+    except ValueError:  # a run longer than sys.get_int_max_str_digits()
+        raise PolyParseError("too many digits", m.start(group)) from None
+
+
 def parse_poly(alphabet: Alphabet, text: str) -> NCPoly:
-    """Parse the polynomial text grammar.
-
-    term := [sign] [rational '*'] word | [sign] rational; word := letter+.
-    Whitespace-insensitive; reparses anything produced by :func:`to_text`.
-    """
-    terms: dict[Word, Fraction] = {}
-    i, n = 0, len(text)
-
-    def skip_ws(j: int) -> int:
-        while j < n and text[j].isspace():
-            j += 1
-        return j
-
-    def skip_digits(j: int) -> int:
-        while j < n and text[j] in _DIGITS:
-            j += 1
-        return j
-
-    i = skip_ws(i)
-    if i == n:
+    """Parse polynomial text, one ``_TERM`` match per term: a term needs a
+    coefficient or a letter, and a letter after any '*'.  Reparses :func:`to_text`."""
+    if not text.strip():
         raise PolyParseError("empty polynomial", 0)
-    first = True
-    while i < n:
-        sign = Fraction(1)
-        i = skip_ws(i)
-        if i < n and text[i] in "+-":
-            if text[i] == "-":
-                sign = -sign
-            i = skip_ws(i + 1)
-        elif not first:
-            raise PolyParseError("expected '+' or '-' between terms", i)
-        first = False
-        if i >= n:
-            raise PolyParseError("dangling sign", i)
-        coeff = Fraction(1)
-        have_coeff = False
-        if text[i] in _DIGITS:
-            j = skip_digits(i)
-            num = int(text[i:j])
-            den = 1
-            j2 = skip_ws(j)
-            if j2 < n and text[j2] == "/":
-                j2 = skip_ws(j2 + 1)
-                j3 = skip_digits(j2)
-                if j3 == j2:
-                    raise PolyParseError("expected denominator digits", j2)
-                den = int(text[j2:j3])
-                if den == 0:
-                    raise PolyParseError("zero denominator", j2)
-                j = j3
-            coeff = Fraction(num, den)
-            have_coeff = True
-            i = skip_ws(j)
-            if i < n and text[i] == "*":
-                i = skip_ws(i + 1)
-                if i >= n:
-                    raise PolyParseError("expected word after '*'", i)
-        word: list[int] = []
-        while i < n and text[i] not in "+-":
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            try:
-                word.append(alphabet.index(ch))
-            except ValueError:
-                raise PolyParseError(f"unknown letter {ch!r}", i) from None
-            i += 1
-        if not word and not have_coeff:
-            raise PolyParseError("expected a term", i)
-        key = tuple(word)
-        terms[key] = terms.get(key, _ZERO) + sign * coeff
-        i = skip_ws(i)
+    terms: dict[Word, Fraction] = {}
+    pos, n = 0, len(text)
+    while pos < n:
+        m = _TERM.match(text, pos)
+        pos, word = m.end(), m["word"]
+        if m["num"] is None and not word:
+            raise PolyParseError("dangling sign" if pos == n else "expected a term", pos)
+        if m["den"] == "":
+            raise PolyParseError("expected denominator digits", m.start("den"))
+        num, den = _digit_run(m, "num"), _digit_run(m, "den")
+        if den == 0:
+            raise PolyParseError("zero denominator", m.start("den"))
+        if m["star"] and not word:
+            raise PolyParseError("expected word after '*'", pos)
+        letters = "".join(word.split())
+        try:
+            key = alphabet.word(letters)
+        except ValueError:
+            bad = next(ch for ch in letters if ch not in alphabet.letters)
+            raise PolyParseError(f"unknown letter {bad!r}", m.start("word") + word.index(bad)) from None
+        terms[key] = terms.get(key, _ZERO) + Fraction(-num if m["sign"] == "-" else num, den)
     return NCPoly(alphabet, terms)

@@ -140,7 +140,7 @@ def _cmd_verify(args) -> int:
         if value is not None and args.equation not in readers:
             raise SystemExit(f"kvlie: {flag} is read only by --equation {'|'.join(readers)}")
     if args.equation == "kv1":
-        if args.kernel_poly:
+        if args.kernel_poly is not None:
             p = _parse_expr(args.kernel_poly, args.force)
             pair = general_solution(p, order=n)
         else:
@@ -149,7 +149,7 @@ def _cmd_verify(args) -> int:
     elif args.equation == "split":
         defect = verify_split(f0(n), n)
     elif args.equation == "homogeneous":
-        if not args.kernel_poly:
+        if args.kernel_poly is None:
             raise SystemExit("kvlie: --equation homogeneous requires --kernel-poly")
         p = _parse_expr(args.kernel_poly, args.force)
         try:
@@ -175,7 +175,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solution(args) -> int:
-    p = _parse_expr(args.kernel_poly, args.force) if args.kernel_poly else NCPoly.zero(XY)
+    p = _parse_expr(args.kernel_poly, args.force) if args.kernel_poly is not None else NCPoly.zero(XY)
     lam1 = _parse_rational_flag("--lambda1", args.lambda1)
     lam2 = _parse_rational_flag("--lambda2", args.lambda2)
     pair = general_solution(p, lam1, lam2, args.degree)

@@ -207,19 +207,64 @@ def test_latex_form():
     assert to_latex(parse_poly(XY, "-2*xy + y")) == "y - 2xy"
 
 
-def test_parse_errors_carry_position():
+@pytest.mark.parametrize("text, message, position", [
+    ("", "empty polynomial", 0),
+    ("   ", "empty polynomial", 0),
+    ("x +", "dangling sign", 3),
+    ("+", "dangling sign", 1),
+    ("x + - y", "expected a term", 4),
+    ("1/*x", "expected denominator digits", 2),
+    ("1/ 0*x", "zero denominator", 3),
+    ("1/0*", "zero denominator", 2),  # ahead of the missing word
+    ("2 *  ", "expected word after '*'", 5),
+    ("xy - 1/2* + y", "expected word after '*'", 10),
+    ("x2", "unknown letter '2'", 1),
+    ("1/2*xz", "unknown letter 'z'", 5),
+    ("\u0663*x", "unknown letter '\u0663'", 0),  # ARABIC-INDIC DIGIT THREE is not read as 3
+    # runs longer than int() converts (sys.get_int_max_str_digits())
+    pytest.param("1" * 5000 + "*x", "too many digits", 0, id="long-numerator"),
+    pytest.param("x - 1 / " + "1" * 5000, "too many digits", 8, id="long-denominator"),
+])
+def test_parse_errors_carry_position(text, message, position):
     with pytest.raises(PolyParseError) as info:
-        parse_poly(XY, "1/2*xz")
-    assert info.value.position == 5
-    with pytest.raises(PolyParseError):
-        parse_poly(XY, "")
-    with pytest.raises(PolyParseError):
-        parse_poly(XY, "x + ")
-    with pytest.raises(PolyParseError):
-        parse_poly(XY, "1/0*x")
-    with pytest.raises(PolyParseError) as info:
-        parse_poly(XY, "\u0663*x")  # ARABIC-INDIC DIGIT THREE is not read as 3
-    assert info.value.position == 0
+        parse_poly(XY, text)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
+SPACES = st.sampled_from(["", "", " ", "  ", "\t", "\n", "\u3000"])
+
+
+@st.composite
+def spelled_terms(draw):
+    """A sum of drawn terms over xy, spelled with whitespace anywhere and an
+    optional '*', and the NCPoly it names."""
+    text, expected = "", {}
+    for k in range(draw(st.integers(1, 5))):
+        sign = draw(st.sampled_from("+-"))
+        coeff = draw(st.none() | st.tuples(st.integers(0, 50), st.none() | st.integers(1, 12)))
+        word = draw(st.text("xy", min_size=0 if coeff else 1, max_size=4))
+        text += draw(SPACES)
+        if k or sign == "-" or draw(st.booleans()):
+            text += sign + draw(SPACES)
+        value = Fraction(1)
+        if coeff:
+            a, b = coeff
+            text += str(a) + ("" if b is None else draw(SPACES) + "/" + draw(SPACES) + str(b))
+            if word and draw(st.booleans()):
+                text += draw(SPACES) + "*"
+            value = Fraction(a, b or 1)
+        text += "".join(draw(SPACES) + ch for ch in word) + draw(SPACES)
+        key = XY.word(word)
+        expected[key] = expected.get(key, 0) + (value if sign == "+" else -value)
+    return text, NCPoly(XY, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spelled_terms())
+def test_parse_reads_every_spelling_of_a_sum_of_terms(case):
+    text, expected = case
+    assert parse_poly(XY, text) == expected
 
 
 def test_homogeneous_component():

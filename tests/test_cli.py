@@ -224,6 +224,14 @@ def test_output_determinism(capsys, tmp_path):
         (("verify", "--equation", "kv1", "--degree", "3", "--kernel-poly", "\u00b2x"),
          "cannot parse polynomial"),
         (("psi", "--var", "x", "--poly", "1/\u00b2"), "cannot parse polynomial"),
+        # an empty --kernel-poly is parsed, not read as p = 0
+        (("verify", "--equation", "kv1", "--degree", "3", "--kernel-poly", ""), "empty polynomial"),
+        (("verify", "--equation", "homogeneous", "--degree", "3", "--kernel-poly", ""), "empty polynomial"),
+        (("solution", "--degree", "3", "--kernel-poly", ""), "empty polynomial"),
+        # a digit run longer than int() converts is a parse error, not a crash
+        (("psi", "--var", "x", "--poly", "1" * 5000 + "*xy"), "too many digits (at position 0)"),
+        (("verify", "--equation", "kv1", "--degree", "3", "--kernel-poly", "1/" + "1" * 5000 + "*x"),
+         "too many digits (at position 2)"),
         (("psi", "--var", "x", "--poly", "xyxyxyxyxyxy"), "polynomial degree 12 exceeds 11"),
         (("psi", "--var", "x", "--poly", "xy", "--degree", "12"), "psi works at the degree of --poly"),
         (("psi", "--var", "x", "--poly", "xy", "--degree", "3"), "reads no --degree"),

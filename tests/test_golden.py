@@ -80,6 +80,9 @@ GOLDEN = [
      "b410707b464e1e6751e248c26874c2740b75ca0941dee7c8551cd393add3f4b1"),
     ("bch --vars 4 --degree 5 --format latex", 0,
      "641aeb6161044f6d1443c9ae9a0c9e2b36e70a6abe2b2aa27d36fe0a4373fa1e"),
+    # polynomial input with an implicit '*' and a constant term
+    ("solution --degree 5 --kernel-poly 2xyy-1/3*yx+3 --format json", 0,
+     "f9121711241c162bc0cc584f9b089b93147ebcd454128f572e7033e598d4536b"),
 ]
 
 
