@@ -21,6 +21,7 @@ polynomial, so instances are safe to share.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from itertools import compress, product, repeat
 from math import gcd, lcm
@@ -425,11 +426,12 @@ class PolyParseError(ValueError):
 
 
 def _digit_run(m: re.Match, group: str) -> int:
-    """The integer in the digit run ``group`` of a ``_TERM`` match; 1 if absent."""
-    try:
-        return int(m[group] or 1)
-    except ValueError:  # a run longer than sys.get_int_max_str_digits()
-        raise PolyParseError("too many digits", m.start(group)) from None
+    """The integer in the digit run ``group`` of a ``_TERM`` match; 1 if absent.
+    A run is held to Python's default int-to-str limit whatever limit is set."""
+    run = m[group] or "1"
+    if len(run) > sys.int_info.default_max_str_digits:
+        raise PolyParseError("too many digits", m.start(group))
+    return int(run)
 
 
 def parse_poly(alphabet: Alphabet, text: str) -> NCPoly:

@@ -58,7 +58,7 @@ def _render_poly(p: NCPoly | GradedSeries, fmt: str) -> str:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
+    if output is not None:
         try:
             with open(output, "w") as fh:
                 fh.write(text + "\n")
@@ -288,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
         if argv[i] in ("--lambda1", "--lambda2"):
             argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
+    # outputs print exact values of any length; the parsers bound their inputs
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         if args.command == "psi":
             if args.degree is not None:
@@ -304,6 +307,8 @@ def main(argv: list[str] | None = None) -> int:
             print(exc.code, file=sys.stderr)
             return EXIT_USAGE
         raise
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -48,13 +48,6 @@ def _lyndon_words(k: int, n: int) -> tuple[Word, ...]:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class LyndonWord:
-    """A Lyndon word."""
-
-    word: Word
-
-
 def standard_factorization(word: Word) -> int:
     """Split position of the standard factorisation w = uv.
 
@@ -66,12 +59,12 @@ def standard_factorization(word: Word) -> int:
     return min(range(1, n), key=lambda i: word[i:])
 
 
-def lyndon_words(alphabet: Alphabet | int, n: int) -> list[LyndonWord]:
+def lyndon_words(alphabet: Alphabet | int, n: int) -> list[Word]:
     """All Lyndon words of degree n, lexicographically ordered."""
     if n < 1:
         raise ValueError("degree must be >= 1")
     k = alphabet if isinstance(alphabet, int) else alphabet.size
-    return [LyndonWord(w) for w in _lyndon_words(k, n)]
+    return list(_lyndon_words(k, n))
 
 
 @lru_cache(maxsize=None)
@@ -92,9 +85,8 @@ def _standard_bracketing_word(word: Word) -> dict[Word, int]:
     return {w: c for w, c in out.items() if c}
 
 
-def standard_bracketing(alphabet: Alphabet, lw: LyndonWord | Word) -> NCPoly:
-    """The Lie element obtained by bracketing at the standard factorisation."""
-    word = lw.word if isinstance(lw, LyndonWord) else tuple(lw)
+def standard_bracketing(alphabet: Alphabet, word: Word) -> NCPoly:
+    """The Lie element obtained by bracketing the Lyndon word at its standard factorisation."""
     if not is_lyndon(word):
         raise ValueError(f"{word} is not a Lyndon word")
     return NCPoly(alphabet, _standard_bracketing_word(word))

@@ -374,7 +374,7 @@ def operator_nullity(letter: str, degree: int, blocks: int = 2) -> int:
     independently, two blocks already determine the kernel exactly.
     """
     base = NCPoly.letter(XY, letter)
-    basis_words = [lw.word for lw in lyndon_words(XY, degree)]
+    basis_words = lyndon_words(XY, degree)
     columns = []
     for w in basis_words:
         series = GradedSeries.from_poly(standard_bracketing(XY, w), degree + blocks)
@@ -390,7 +390,7 @@ def operator_nullity(letter: str, degree: int, blocks: int = 2) -> int:
 
 def leading_pair_nullity(degree: int) -> int:
     """Dimension of {(P, Q) in Lie_n^2 : [x, P] + [y, Q] = 0} at n = degree."""
-    basis_words = [lw.word for lw in lyndon_words(XY, degree)]
+    basis_words = lyndon_words(XY, degree)
     columns = [bracket(X, standard_bracketing(XY, w)) for w in basis_words]
     columns += [bracket(Y, standard_bracketing(XY, w)) for w in basis_words]
     matrix = [
@@ -404,7 +404,7 @@ def kernel_parameterized_leading_dim(degree: int) -> int:
     """Rank of the leading pairs (gamma(p_x), gamma(p_y)) over a basis of the
     kernel of the Dynkin idempotent in degree ``degree`` + 1, plus the
     (lambda1 x, lambda2 y) line at degree 1."""
-    basis_words = [lw.word for lw in lyndon_words(XY, degree)]
+    basis_words = lyndon_words(XY, degree)
     vectors = []
 
     def coords(poly: NCPoly) -> list[Fraction]:

@@ -14,6 +14,8 @@ identity is what the test suite uses to pin the sign convention.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -63,8 +65,13 @@ def witt_dimension(k: int, n: int) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "a/b" or "a" (optional sign) into an exact rational."""
+    """Parse "a/b" or "a" (optional sign) into an exact rational.  Each digit run
+    (underscores may join its digits) is held to Python's default int-to-str
+    limit whatever limit is set."""
     try:
+        if any(len(run) > sys.int_info.default_max_str_digits
+               for run in re.findall(r"\d+", text.replace("_", ""))):
+            raise ValueError("too many digits")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational literal {text!r}") from exc

@@ -126,10 +126,14 @@ class GradedSeries(Frozen):
         return _ad_sum(self.order, [(zero, (w,), s) for w, s in items])
 
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
+        if not isinstance(other, GradedSeries):
+            return NotImplemented
         self._check_compatible(other)
         return self._sum((1, self), (1, other))
 
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
+        if not isinstance(other, GradedSeries):
+            return NotImplemented
         self._check_compatible(other)
         return self._sum((1, self), (-1, other))
 

@@ -48,7 +48,6 @@ from kvlie.oracles import (
     operator_nullity,
     solve_split_chain,
 )
-from kvlie.permutations import permute_word, reversal
 from kvlie.scalars import witt_dimension
 from kvlie.series import GradedSeries
 
@@ -215,11 +214,10 @@ def test_criterion_08_homogeneous_exhaustiveness():
 
 def test_criterion_09_symmetry_suite():
     for n in range(1, 7):
-        omega = reversal(n)
         sign = (-1) ** (n + 1)
         for wt in all_words(n):
             p = NCPoly.from_word(XY, wt)
-            mirrored = NCPoly.from_word(XY, permute_word(wt, omega))
+            mirrored = NCPoly.from_word(XY, wt[::-1])
             assert eulerian(p) == eulerian(mirrored).scaled(sign)
     phi = bch_eulerian(8)
     plus, minus = phi_split(8)

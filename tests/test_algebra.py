@@ -25,7 +25,6 @@ from kvlie.algebra import (
     to_text,
 )
 from kvlie.oracles import coshuffle, word_coshuffle
-from kvlie.permutations import Permutation, permute_word
 
 X = NCPoly.letter(XY, "x")
 Y = NCPoly.letter(XY, "y")
@@ -117,15 +116,6 @@ def test_substitute():
         assert substitute(substitute(p, swap_neg), swap_neg) == p
     with pytest.raises(ValueError):
         substitute(X, {"y": "x"})
-
-
-def test_permute_word():
-    w = XY.word("xyy")
-    assert permute_word(w, Permutation((3, 1, 2))) == XY.word("yxy")
-    assert permute_word(w, Permutation((1, 2, 3))) == w
-    assert permute_word(XY.word("xy"), Permutation((2, 1))) == XY.word("yx")
-    with pytest.raises(ValueError):
-        permute_word(w, Permutation((2, 1)))
 
 
 def test_coshuffle_values():

@@ -221,6 +221,9 @@ def test_output_determinism(capsys, tmp_path):
         (("solution", "--lambda1", "1/0", "--degree", "2"), "--lambda1"),
         (("bch", "--vars", "20"), "--vars 20"),
         (("f0", "--degree", "2", "--output", "/nonexistent/x"), "cannot write"),
+        # an empty --output is a path that cannot be written, not stdout
+        (("f0", "--degree", "2", "--output", ""), "cannot write"),
+        (("solution", "--lambda1", "1" * 5000, "--degree", "2"), "invalid rational literal"),
         (("verify", "--equation", "kv1", "--degree", "3", "--kernel-poly", "\u00b2x"),
          "cannot parse polynomial"),
         (("psi", "--var", "x", "--poly", "1/\u00b2"), "cannot parse polynomial"),
@@ -261,6 +264,19 @@ def test_bad_input_exits_2_with_one_line(capsys, argv, message):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert message in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("solution", "--degree", "2", "--lambda1", "1e-5000"),
+     "F = 1/1" + "0" * 5000 + "*x + 1/4*y + 1/24*xy - 1/24*yx\nG = -1/4*x - 1/24*xy + 1/24*yx\n"),
+    # 4 (1/B - 1/A) with A the 4300 nines and B = 7A/9 the 4300 sevens
+    (("psi", "--var", "x", "--poly", "1/" + "9" * 4300 + "*xy+1/" + "7" * 4300 + "*yx"),
+     "8/6" + "9" * 4299 + "3*y\n"),
+], ids=["solution", "psi"])
+def test_coefficients_past_the_int_str_limit_print_exactly(capsys, argv, expected):
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, *argv) == (0, expected, "")
+    assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize("argv", [

@@ -831,7 +831,7 @@ def test_homogeneous_truncated_solution_space_dimensions():
     slots = []
     for degree in (1, 2):
         for lw in lyndon_words(XY, degree):
-            slots.append((degree, lw.word))
+            slots.append((degree, lw))
     columns = []
     for side in range(2):
         for degree, word in slots:

@@ -29,6 +29,14 @@ def test_component_grading_enforced():
         s.component(2)
 
 
+@pytest.mark.parametrize("other", [1, parse_poly(XY, "x")], ids=["int", "ncpoly"])
+def test_sum_with_a_foreign_operand_raises_type_error(other):
+    s = GradedSeries.from_poly(parse_poly(XY, "x + xy"), 3)
+    for combine in (lambda: s + other, lambda: s - other, lambda: other + s, lambda: other - s):
+        with pytest.raises(TypeError):
+            combine()
+
+
 def test_truncate_and_components():
     s = GradedSeries.from_poly(parse_poly(XY, "1 + x + xx"), 2)
     t = s.truncate(1)
