@@ -221,9 +221,6 @@ def test_output_determinism(capsys, tmp_path):
         (("solution", "--lambda1", "1/0", "--degree", "2"), "--lambda1"),
         (("bch", "--vars", "20"), "--vars 20"),
         (("f0", "--degree", "2", "--output", "/nonexistent/x"), "cannot write"),
-        # an empty --output is a path that cannot be written, not stdout
-        (("f0", "--degree", "2", "--output", ""), "cannot write"),
-        (("solution", "--lambda1", "1" * 5000, "--degree", "2"), "invalid rational literal"),
         (("verify", "--equation", "kv1", "--degree", "3", "--kernel-poly", "\u00b2x"),
          "cannot parse polynomial"),
         (("psi", "--var", "x", "--poly", "1/\u00b2"), "cannot parse polynomial"),
@@ -256,6 +253,9 @@ def test_output_determinism(capsys, tmp_path):
          "bch --method both prints difference lines and has no json or latex form"),
         (("bch", "--method", "both", "--degree", "3", "--format", "latex"),
          "bch --method both prints difference lines"),
+        # an empty --output is a path that cannot be written, not stdout
+        (("f0", "--degree", "2", "--output", ""), "cannot write"),
+        (("solution", "--lambda1", "1" * 5000, "--degree", "2"), "invalid rational literal"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):

@@ -17,6 +17,28 @@ def eulerian_numbers(n):
     return row
 
 
+def test_descent_examples():
+    counts = dict(sn_with_descents(3))
+    assert counts[(2, 1, 3)] == 1
+    assert counts[(1, 3, 2)] == 1
+    assert dict(sn_with_descents(4))[(1, 2, 3, 4)] == 0
+    assert dict(sn_with_descents(5))[(5, 4, 3, 2, 1)] == 4
+
+
+def test_validation():
+    for n in range(1, 6):
+        for k in (-1, n):
+            with pytest.raises(ValueError):
+                descent_class_images(n, k)
+
+
+def test_enumerate_sn():
+    elems = [images for images, _ in sn_with_descents(3)]
+    assert len(elems) == 6
+    assert elems[0] == (1, 2, 3)
+    assert elems == sorted(elems)
+
+
 def test_descent_class_brute_force():
     for n in range(1, 8):
         by_class = {k: set(descent_class_images(n, k)) for k in range(n)}
@@ -49,3 +71,12 @@ def test_eulerian_distribution():
             previous = images
             counts[d] += 1
         assert counts == eulerian_numbers(n)
+
+
+def test_reversal_composition_descents():
+    # composing with the reversal on the left sends sigma(i) to n + 1 - sigma(i),
+    # which turns every descent into an ascent and back
+    for n in (3, 4):
+        counts = dict(sn_with_descents(n))
+        for images, d in counts.items():
+            assert counts[tuple(n + 1 - v for v in images)] == n - 1 - d
