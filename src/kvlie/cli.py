@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from .algebra import (
     XY,
@@ -42,6 +42,7 @@ from .scalars import parse_rational, witt_dimension
 from .series import GradedSeries
 
 MAX_UNFORCED_DEGREE = 11
+MAX_UNFORCED_DIGITS = 10_000  # of a --lambda1/--lambda2 numerator or denominator
 EXIT_OK = 0
 EXIT_DEFECT = 1
 EXIT_USAGE = 2
@@ -91,9 +92,12 @@ def _check_vars(k: int) -> None:
         raise SystemExit(f"kvlie: --vars {k}: {exc}")
 
 
-def _parse_rational_flag(flag: str, text: str) -> Fraction:
+def _parse_rational_flag(flag: str, text: str, force: bool) -> Fraction:
     try:
-        return parse_rational(text)
+        return parse_rational(text, None if force else MAX_UNFORCED_DIGITS)
+    except OverflowError as exc:
+        raise SystemExit(f"kvlie: {flag}: {exc}; the print time grows with the square of "
+                         "the digits, pass --force to proceed")
     except ValueError as exc:
         raise SystemExit(f"kvlie: {flag}: {exc}")
 
@@ -176,8 +180,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_solution(args) -> int:
     p = _parse_expr(args.kernel_poly, args.force) if args.kernel_poly is not None else NCPoly.zero(XY)
-    lam1 = _parse_rational_flag("--lambda1", args.lambda1)
-    lam2 = _parse_rational_flag("--lambda2", args.lambda2)
+    lam1 = _parse_rational_flag("--lambda1", args.lambda1, args.force)
+    lam2 = _parse_rational_flag("--lambda2", args.lambda2, args.force)
     pair = general_solution(p, lam1, lam2, args.degree)
     defect = verify_kv1(pair, args.degree)
     F, G = (_render_poly(s, args.format) for s in (pair.F, pair.G))
@@ -232,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json", "latex"), default="text")
         p.add_argument("--output", default=None, help="write to this path instead of stdout")
         p.add_argument("--force", action="store_true",
-                       help=f"allow degrees above {MAX_UNFORCED_DEGREE}")
+                       help=f"allow degrees above {MAX_UNFORCED_DEGREE} and --lambda values "
+                       f"over {MAX_UNFORCED_DIGITS} digits")
 
     p_bch = sub.add_parser("bch", help="Baker-Campbell-Hausdorff component at a degree")
     common(p_bch)
@@ -311,5 +316,22 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(limit)
 
 
+def run() -> NoReturn:
+    """Entry point of the ``kvlie`` script and of ``python -m kvlie.cli``: run
+    :func:`main`, flush stdout and stderr, and end the process with its exit
+    code without interpreter teardown, as mypy ends its CLI.
+
+    Freeing every module and object at exit is a fixed cost of each cold
+    command, and skipping it loses nothing: ``--output`` files are closed by
+    their ``with`` block before main() returns, and kvlie registers no atexit
+    handler. An exception escaping main(), and argparse's SystemExit for
+    ``--help`` and its usage errors, take Python's normal exit.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

@@ -64,14 +64,27 @@ def witt_dimension(k: int, n: int) -> int:
     return total // n
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str, max_digits: int | None = None) -> Fraction:
     """Parse "a/b" or "a" (optional sign) into an exact rational.  Each digit run
     (underscores may join its digits) is held to Python's default int-to-str
-    limit whatever limit is set."""
+    limit whatever limit is set.
+
+    With ``max_digits``, OverflowError is raised for an exponent above it, read
+    before ``Fraction`` builds 10**exponent, and for a value whose numerator or
+    denominator has more digits."""
     try:
         if any(len(run) > sys.int_info.default_max_str_digits
                for run in re.findall(r"\d+", text.replace("_", ""))):
             raise ValueError("too many digits")
-        return Fraction(text.strip())
+        if max_digits is not None:
+            exponent = re.search(r"[eE]([-+]?[\d_]+)", text)
+            if exponent and abs(int(exponent[1])) > max_digits:
+                raise OverflowError(f"exponent {exponent[1]} exceeds {max_digits}")
+        value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational literal {text!r}") from exc
+    largest = max(abs(value.numerator), value.denominator)
+    # below 8**max_digits, as most values are, no power of ten is built
+    if max_digits is not None and largest.bit_length() > 3 * max_digits and largest >= 10**max_digits:
+        raise OverflowError(f"{text.strip()} has more than {max_digits} digits")
+    return value

@@ -256,6 +256,10 @@ def test_output_determinism(capsys, tmp_path):
         # an empty --output is a path that cannot be written, not stdout
         (("f0", "--degree", "2", "--output", ""), "cannot write"),
         (("solution", "--lambda1", "1" * 5000, "--degree", "2"), "invalid rational literal"),
+        # values over 10000 digits, the budget; an exponent is read before 10^N is built
+        (("solution", "--lambda1", "1e-10000", "--degree", "2"), "more than 10000 digits"),
+        (("solution", "--lambda2", "1" * 4300 + "e5701", "--degree", "2"), "pass --force"),
+        (("solution", "--lambda1", "1e-99999999", "--degree", "2"), "exponent -99999999 exceeds 10000"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):
@@ -269,10 +273,15 @@ def test_bad_input_exits_2_with_one_line(capsys, argv, message):
 @pytest.mark.parametrize("argv, expected", [
     (("solution", "--degree", "2", "--lambda1", "1e-5000"),
      "F = 1/1" + "0" * 5000 + "*x + 1/4*y + 1/24*xy - 1/24*yx\nG = -1/4*x - 1/24*xy + 1/24*yx\n"),
+    # 10^9999 has 10000 digits, the unforced budget; --force lifts it
+    (("solution", "--degree", "2", "--lambda1", "1e-9999"),
+     "F = 1/1" + "0" * 9999 + "*x + 1/4*y + 1/24*xy - 1/24*yx\nG = -1/4*x - 1/24*xy + 1/24*yx\n"),
+    (("solution", "--degree", "2", "--lambda1", "1e-10000", "--force"),
+     "F = 1/1" + "0" * 10000 + "*x + 1/4*y + 1/24*xy - 1/24*yx\nG = -1/4*x - 1/24*xy + 1/24*yx\n"),
     # 4 (1/B - 1/A) with A the 4300 nines and B = 7A/9 the 4300 sevens
     (("psi", "--var", "x", "--poly", "1/" + "9" * 4300 + "*xy+1/" + "7" * 4300 + "*yx"),
      "8/6" + "9" * 4299 + "3*y\n"),
-], ids=["solution", "psi"])
+], ids=["solution", "psi", "solution-at-digit-budget", "solution-forced"])
 def test_coefficients_past_the_int_str_limit_print_exactly(capsys, argv, expected):
     limit = sys.get_int_max_str_digits()
     assert run(capsys, *argv) == (0, expected, "")
@@ -411,20 +420,57 @@ print(codes, loaded)
     assert done.stdout.strip() == f"{[0] * len(PRODUCTION_COMMANDS)} []"
 
 
+def _entry(*argv):
+    """``python -m kvlie.cli argv`` on this checkout, the path the kvlie script takes."""
+    src = str(Path(kvlie.__file__).parents[1])
+    return [sys.executable, "-m", "kvlie.cli", *argv], {**os.environ, "PYTHONPATH": src}
+
+
 def test_closed_stdout_pipe_exits_2_with_one_line():
     # f0 at degree 11 prints 92,666 bytes, more than one pipe buffer holds
-    src = str(Path(kvlie.__file__).parents[1])
-    proc = subprocess.Popen(
-        [sys.executable, "-c", "import sys; from kvlie.cli import main; sys.exit(main())",
-         "f0", "--degree", "11"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    command, env = _entry("f0", "--degree", "11")
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 2
     assert err.startswith("kvlie: cannot write stdout: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["f0", "--degree", "11"],  # 92,666 bytes, more than one pipe buffer holds
+    ["verify", "--equation", "kv1", "--format", "json"],
+    ["bch", "--degree", "6", "--format", "json", "--output", "{out}"],
+], ids=["large-stdout", "usage-error", "output-file"])
+def test_entry_point_matches_main(capsys, tmp_path, argv):
+    # the entry ends the process without teardown once main() has returned
+    command, env = _entry(*(a.format(out=tmp_path / "entry.txt") for a in argv))
+    done = subprocess.run(command, capture_output=True, env=env, timeout=120)
+    code = main([a.format(out=tmp_path / "main.txt") for a in argv])
+    captured = capsys.readouterr()
+    assert (done.returncode, done.stdout, done.stderr) == (code, captured.out.encode(), captured.err.encode())
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["entry.txt", "main.txt"] if "--output" in argv else [])
+    if "--output" in argv:
+        assert (tmp_path / "entry.txt").read_bytes() == (tmp_path / "main.txt").read_bytes()
+
+
+def test_module_entry_skips_interpreter_teardown():
+    # an atexit handler runs at a normal exit, and not after the entry's os._exit
+    _, env = _entry()
+    script = ("import atexit, runpy, sys; atexit.register(print, 'teardown'); "
+              "sys.argv[1:] = ['witt', '--degree', '1']; runpy.run_module('kvlie.cli', run_name='__main__')")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "degree 1: dimension 2, lyndon words 2\n", "")
+
+
+def test_installed_script_takes_the_entry_point():
+    import tomllib
+
+    from kvlie.cli import run
+
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    target = pyproject["project"]["scripts"]["kvlie"]
+    assert target == f"{run.__module__}:{run.__name__}"
 
 
 def _perturbed(s, text="1/7*xxy"):
