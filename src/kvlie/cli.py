@@ -38,11 +38,10 @@ from .kv import (
     verify_multilinear,
     verify_split,
 )
-from .scalars import parse_rational, witt_dimension
+from .scalars import witt_dimension
 from .series import GradedSeries
 
 MAX_UNFORCED_DEGREE = 11
-MAX_UNFORCED_DIGITS = 10_000  # of a --lambda1/--lambda2 numerator or denominator
 EXIT_OK = 0
 EXIT_DEFECT = 1
 EXIT_USAGE = 2
@@ -92,14 +91,15 @@ def _check_vars(k: int) -> None:
         raise SystemExit(f"kvlie: --vars {k}: {exc}")
 
 
-def _parse_rational_flag(flag: str, text: str, force: bool) -> Fraction:
+def _parse_lambda(flag: str, text: str) -> Fraction:
+    """The constant that ``text`` spells in the polynomial grammar."""
     try:
-        return parse_rational(text, None if force else MAX_UNFORCED_DIGITS)
-    except OverflowError as exc:
-        raise SystemExit(f"kvlie: {flag}: {exc}; the print time grows with the square of "
-                         "the digits, pass --force to proceed")
-    except ValueError as exc:
+        p = parse_poly(XY, text)
+    except PolyParseError as exc:
         raise SystemExit(f"kvlie: {flag}: {exc}")
+    if p.max_degree() > 0:
+        raise SystemExit(f"kvlie: {flag}: expected a constant, got degree {p.max_degree()}")
+    return Fraction(p.numerators.get((), 0), p.scale)
 
 
 def _parse_expr(text: str, force: bool) -> NCPoly:
@@ -180,8 +180,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_solution(args) -> int:
     p = _parse_expr(args.kernel_poly, args.force) if args.kernel_poly is not None else NCPoly.zero(XY)
-    lam1 = _parse_rational_flag("--lambda1", args.lambda1, args.force)
-    lam2 = _parse_rational_flag("--lambda2", args.lambda2, args.force)
+    lam1 = _parse_lambda("--lambda1", args.lambda1)
+    lam2 = _parse_lambda("--lambda2", args.lambda2)
     pair = general_solution(p, lam1, lam2, args.degree)
     defect = verify_kv1(pair, args.degree)
     F, G = (_render_poly(s, args.format) for s in (pair.F, pair.G))
@@ -236,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json", "latex"), default="text")
         p.add_argument("--output", default=None, help="write to this path instead of stdout")
         p.add_argument("--force", action="store_true",
-                       help=f"allow degrees above {MAX_UNFORCED_DEGREE} and --lambda values "
-                       f"over {MAX_UNFORCED_DIGITS} digits")
+                       help=f"allow degrees above {MAX_UNFORCED_DEGREE}")
 
     p_bch = sub.add_parser("bch", help="Baker-Campbell-Hausdorff component at a degree")
     common(p_bch)
@@ -287,13 +286,14 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # '--lambda1 -1/2' as '--lambda1=-1/2': argparse reads a separate value that
-    # starts with '-' and is not a plain negative number as the next flag.
+    # '--poly -xy' as '--poly=-xy': argparse reads a separate value that starts
+    # with '-' and is not a plain negative number as the next flag.
     for i in reversed(range(len(argv) - 1)):
-        if argv[i] in ("--lambda1", "--lambda2"):
-            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        flag, value = argv[i : i + 2]
+        if flag in ("--lambda1", "--lambda2", "--poly", "--kernel-poly") and not value.startswith("--"):
+            argv[i : i + 2] = [f"{flag}={value}"]
     args = build_parser().parse_args(argv)
-    # outputs print exact values of any length; the parsers bound their inputs
+    # outputs print exact values of any length; the parser bounds its input
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -1,5 +1,5 @@
-"""Exact scalar arithmetic: rationals, Bernoulli numbers, and small number theory
-(the Moebius function, Witt's dimension formula).
+"""Exact scalars: Bernoulli numbers and small number theory (the Moebius
+function, Witt's dimension formula).
 
 All scalars in this package are exact rationals, :class:`fractions.Fraction`.
 Polynomials keep integer numerators over one reduced denominator instead
@@ -14,8 +14,6 @@ identity is what the test suite uses to pin the sign convention.
 from __future__ import annotations
 
 import math
-import re
-import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -63,28 +61,3 @@ def witt_dimension(k: int, n: int) -> int:
     assert total % n == 0
     return total // n
 
-
-def parse_rational(text: str, max_digits: int | None = None) -> Fraction:
-    """Parse "a/b" or "a" (optional sign) into an exact rational.  Each digit run
-    (underscores may join its digits) is held to Python's default int-to-str
-    limit whatever limit is set.
-
-    With ``max_digits``, OverflowError is raised for an exponent above it, read
-    before ``Fraction`` builds 10**exponent, and for a value whose numerator or
-    denominator has more digits."""
-    try:
-        if any(len(run) > sys.int_info.default_max_str_digits
-               for run in re.findall(r"\d+", text.replace("_", ""))):
-            raise ValueError("too many digits")
-        if max_digits is not None:
-            exponent = re.search(r"[eE]([-+]?[\d_]+)", text)
-            if exponent and abs(int(exponent[1])) > max_digits:
-                raise OverflowError(f"exponent {exponent[1]} exceeds {max_digits}")
-        value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid rational literal {text!r}") from exc
-    largest = max(abs(value.numerator), value.denominator)
-    # below 8**max_digits, as most values are, no power of ten is built
-    if max_digits is not None and largest.bit_length() > 3 * max_digits and largest >= 10**max_digits:
-        raise OverflowError(f"{text.strip()} has more than {max_digits} digits")
-    return value

@@ -202,13 +202,13 @@ def test_criterion_07_degree_five_pair_certificate():
 
 
 def test_criterion_08_homogeneous_exhaustiveness():
-    for n in range(1, 5):
+    for n in range(1, 8):
         direct = leading_pair_nullity(n)
         parameterized = kernel_parameterized_leading_dim(n)
         assert direct == parameterized, (n, direct, parameterized)
     print(
         "criterion 8 PASS: solution-space dimensions of the homogeneous "
-        "equation match the kernel parameterisation at degrees 1-4"
+        "equation match the kernel parameterisation at degrees 1-7"
     )
 
 

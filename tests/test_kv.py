@@ -58,8 +58,6 @@ from kvlie.oracles import (
     ad_inverse,
     bch_permutation_oracle,
     dynkin_kernel_basis,
-    kernel_parameterized_leading_dim,
-    leading_pair_nullity,
     operator_nullity,
     solve_split_chain,
 )
@@ -870,11 +868,6 @@ def test_homogeneous_truncated_solution_space_dimensions():
         flatten(homogeneous_solution(NCPoly.zero(XY), Fraction(0), Fraction(1), 2))
     )
     assert truncated_dim == rank(generators) == 3
-
-
-def test_leading_pair_dimensions():
-    for n in range(1, 5):
-        assert leading_pair_nullity(n) == kernel_parameterized_leading_dim(n)
 
 
 # -- multilinear --------------------------------------------------------------------------

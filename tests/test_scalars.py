@@ -4,11 +4,7 @@ from math import comb
 
 import pytest
 
-from kvlie.scalars import (
-    bernoulli,
-    moebius,
-    parse_rational,
-)
+from kvlie.scalars import bernoulli, moebius
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -72,29 +68,3 @@ def test_rational_arithmetic_is_exact():
         assert (a + b) - b == a
         assert a.denominator > 0
 
-
-def test_rational_text_round_trip():
-    for text in ("1/4", "-1/2", "3", "-7", "0", "691/2730"):
-        value = parse_rational(text)
-        assert str(value) == text
-    assert parse_rational(" -3/9 ") == Fraction(-1, 3)
-    with pytest.raises(ValueError):
-        parse_rational("1/0")
-    with pytest.raises(ValueError):
-        parse_rational("x")
-
-
-def test_rational_digit_budget():
-    # 1000 and 1999 have 4 digits, the budget; 10^4, 19999 and 12345 have one more
-    assert parse_rational("1e-3", 4) == Fraction(1, 1000)
-    assert parse_rational("999.5", 4) == Fraction(1999, 2)
-    for text in ("1e-4", "1e4", "9999.5", "-12345e0"):
-        with pytest.raises(OverflowError, match="more than 4 digits"):
-            parse_rational(text, 4)
-    # the exponent is refused before 10**exponent is built
-    for text in ("1e-99999999", "1E+99999999", "0e99_999_999"):
-        with pytest.raises(OverflowError, match="exponent"):
-            parse_rational(text, 10_000)
-    assert parse_rational("1e-5000") == Fraction(1, 10**5000)  # no budget
-    with pytest.raises(ValueError, match="invalid rational literal"):
-        parse_rational("1e5_", 4)
