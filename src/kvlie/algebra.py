@@ -4,8 +4,8 @@ The tensor algebra on an alphabet is modelled as the algebra of
 noncommutative polynomials: a word is a tuple of letter indices, and a
 polynomial (:class:`NCPoly`) is a finitely supported map from words to
 nonzero rationals, stored as integer numerators over one positive denominator
-in lowest terms: the form every kernel computes in, so ``Fraction``
-coefficients are built only where terms are read, printed or parsed.  The
+in lowest terms: the form every kernel and the parser compute in, so
+``fractions`` is imported only where ``Fraction`` terms are read.  The
 concatenation product, the Lie bracket, letter-part extraction, signed letter
 substitution, weighted sums, and the text, JSON and LaTeX forms all live here
 (each reads one term stream, ``reduced_terms()``, which yields word texts),
@@ -22,16 +22,18 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from itertools import compress, product, repeat
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .series import GradedSeries
 
 Word = tuple[int, ...]
+Rational = Union[int, "Fraction"]  # the exact scalars, read by their numerator and denominator
 
 
 class Alphabet:
@@ -93,11 +95,11 @@ def default_alphabet(k: int) -> Alphabet:
     return Alphabet(_LETTER_POOL[:k])
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _rational(value: Rational) -> Rational:
+    """``value`` if it is an int or a Fraction (there is none before ``fractions`` loads)."""
+    fractions = sys.modules.get("fractions")
+    if isinstance(value, int) or fractions and isinstance(value, fractions.Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
@@ -131,12 +133,12 @@ class NCPoly(Frozen):
 
     __slots__ = ("alphabet", "numerators", "scale")
 
-    def __init__(self, alphabet: Alphabet, terms: Mapping[Word, Fraction] | None = None):
-        clean: dict[Word, Fraction] = {}
+    def __init__(self, alphabet: Alphabet, terms: Mapping[Word, Rational] | None = None):
+        clean: dict[Word, Rational] = {}
         if terms:
             size = alphabet.size
             for word, coeff in terms.items():
-                coeff = _as_fraction(coeff)
+                coeff = _rational(coeff)
                 if not coeff:
                     continue
                 if any(not 0 <= i < size for i in word):
@@ -180,14 +182,15 @@ class NCPoly(Frozen):
         return cls._raw(alphabet, {(alphabet.index(symbol),): 1})
 
     @classmethod
-    def from_word(cls, alphabet: Alphabet, word: Word, coeff=Fraction(1)) -> "NCPoly":
-        return cls(alphabet, {tuple(word): _as_fraction(coeff)})
+    def from_word(cls, alphabet: Alphabet, word: Word, coeff: Rational = 1) -> "NCPoly":
+        return cls(alphabet, {tuple(word): coeff})
 
     # -- basic protocol ----------------------------------------------------
 
     @property
     def terms(self) -> Mapping[Word, Fraction]:
         """Read-only map from words to their nonzero Fraction coefficients."""
+        from fractions import Fraction
         scale = self.scale
         return MappingProxyType({w: Fraction(c, scale) for w, c in self.numerators.items()})
 
@@ -228,7 +231,7 @@ class NCPoly(Frozen):
         return NCPoly._raw(self.alphabet, {w: -c for w, c in self.numerators.items()}, self.scale)
 
     def scaled(self, scalar) -> "NCPoly":
-        return weighted_sum(self.alphabet, [(_as_fraction(scalar), self)])
+        return weighted_sum(self.alphabet, [(_rational(scalar), self)])
 
     def __mul__(self, other):
         if isinstance(other, NCPoly):
@@ -244,6 +247,7 @@ class NCPoly(Frozen):
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, word: Word) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.numerators.get(tuple(word), 0), self.scale)
 
     def max_degree(self) -> int:
@@ -272,9 +276,6 @@ class NCPoly(Frozen):
         for word, c in sorted(self.numerators.items(), key=lambda item: (len(item[0]), item[0])):
             g = gcd(c, scale)
             yield word_text(word), c // g, scale // g
-
-
-_ZERO = Fraction(0)
 
 
 # -- the dense form of a homogeneous component ---------------------------------
@@ -436,10 +437,11 @@ def _digit_run(m: re.Match, group: str) -> int:
 
 def parse_poly(alphabet: Alphabet, text: str) -> NCPoly:
     """Parse polynomial text, one ``_TERM`` match per term: a term needs a
-    coefficient or a letter, and a letter after any '*'.  Reparses :func:`to_text`."""
+    coefficient or a letter, and a letter after any '*'.  The terms are summed
+    in integers over the lcm of their denominators.  Reparses :func:`to_text`."""
     if not text.strip():
         raise PolyParseError("empty polynomial", 0)
-    terms: dict[Word, Fraction] = {}
+    terms: list[tuple[Word, int, int]] = []
     pos, n = 0, len(text)
     while pos < n:
         m = _TERM.match(text, pos)
@@ -459,5 +461,9 @@ def parse_poly(alphabet: Alphabet, text: str) -> NCPoly:
         except ValueError:
             bad = next(ch for ch in letters if ch not in alphabet.letters)
             raise PolyParseError(f"unknown letter {bad!r}", m.start("word") + word.index(bad)) from None
-        terms[key] = terms.get(key, _ZERO) + Fraction(-num if m["sign"] == "-" else num, den)
-    return NCPoly(alphabet, terms)
+        terms.append((key, -num if m["sign"] == "-" else num, den))
+    common = lcm(*(den for _, _, den in terms))
+    numerators: dict[Word, int] = {}
+    for key, num, den in terms:
+        numerators[key] = numerators.get(key, 0) + num * (common // den)
+    return NCPoly._raw(alphabet, {w: c for w, c in numerators.items() if c}, common)

@@ -7,16 +7,16 @@ Identical flags produce byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterator, NoReturn
 
 from .algebra import (
     XY,
     NCPoly,
     PolyParseError,
+    Rational,
     _ratio_text,
     default_alphabet,
     parse_poly,
@@ -91,15 +91,18 @@ def _check_vars(k: int) -> None:
         raise SystemExit(f"kvlie: --vars {k}: {exc}")
 
 
-def _parse_lambda(flag: str, text: str) -> Fraction:
-    """The constant that ``text`` spells in the polynomial grammar."""
+def _parse_lambda(flag: str, text: str) -> Rational:
+    """The constant that ``text`` spells in the polynomial grammar, as an int when whole."""
     try:
         p = parse_poly(XY, text)
     except PolyParseError as exc:
         raise SystemExit(f"kvlie: {flag}: {exc}")
     if p.max_degree() > 0:
         raise SystemExit(f"kvlie: {flag}: expected a constant, got degree {p.max_degree()}")
-    return Fraction(p.numerators.get((), 0), p.scale)
+    if p.scale == 1:
+        return p.numerators.get((), 0)
+    from fractions import Fraction  # here only: a whole constant needs no Fraction
+    return Fraction(p.numerators[()], p.scale)
 
 
 def _parse_expr(text: str, force: bool) -> NCPoly:
@@ -161,13 +164,11 @@ def _cmd_verify(args) -> int:
         except ValueError as exc:
             raise SystemExit(f"kvlie: {exc}")
         defect = verify_homogeneous(pair, n)
-    elif args.equation == "multilinear":
+    else:  # multilinear, the last choice of --equation
         k = 3 if args.vars is None else args.vars
         _check_vars(k)
         solutions = multilinear_particular_solution(k, n)
         defect = verify_multilinear(solutions, n)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"kvlie: unknown equation {args.equation!r}")
     if defect.is_zero():
         _emit(
             f"verified: {args.equation} defect vanishes through degree {n}",
@@ -222,82 +223,106 @@ def _cmd_psi(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kvlie",
-        description="Free Lie algebra engine for the first Kashiwara-Vergne equation",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, degree_default: int | None = 8) -> None:
-        p.add_argument("--degree", type=int, default=degree_default,
-                       help=f"working degree (default {degree_default})" if degree_default
-                       else "not read: the degree is that of --poly")
-        p.add_argument("--format", choices=("text", "json", "latex"), default="text")
-        p.add_argument("--output", default=None, help="write to this path instead of stdout")
-        p.add_argument("--force", action="store_true",
-                       help=f"allow degrees above {MAX_UNFORCED_DEGREE}")
-
-    p_bch = sub.add_parser("bch", help="Baker-Campbell-Hausdorff component at a degree")
-    common(p_bch)
-    p_bch.add_argument("--method", choices=("eulerian", "oracle", "both"), default="eulerian")
-    p_bch.add_argument("--vars", type=int, default=2, help="number of generators")
-
-    p_f0 = sub.add_parser("f0", help="particular solution F0 through a degree")
-    common(p_f0)
-
-    p_verify = sub.add_parser("verify", help="check an identity; exit 1 on any defect")
-    common(p_verify)
-    p_verify.set_defaults(format=None)  # None unless given, so that --format is refused
-    p_verify.add_argument("--equation", choices=("kv1", "split", "homogeneous", "multilinear"),
-                          required=True)
-    p_verify.add_argument("--kernel-poly", default=None,
-                          help="polynomial expression, e.g. '1/2*xy + 1/2*yx'")
-    p_verify.add_argument("--vars", type=int, default=None,
-                          help="generators for --equation multilinear (default 3)")
-
-    p_sol = sub.add_parser("solution", help="general solution attached to a polynomial")
-    common(p_sol)
-    p_sol.add_argument("--kernel-poly", default=None)
-    p_sol.add_argument("--lambda1", default="0")
-    p_sol.add_argument("--lambda2", default="0")
-
-    p_witt = sub.add_parser("witt", help="free Lie algebra dimensions per degree")
-    common(p_witt)
-    p_witt.add_argument("--vars", type=int, default=2)
-
-    p_psi = sub.add_parser("psi", help="apply the kernel projection map")
-    common(p_psi, None)
-    p_psi.add_argument("--var", required=True)
-    p_psi.add_argument("--poly", required=True)
-
-    return parser
-
-
-_HANDLERS = {
-    "bch": _cmd_bch,
-    "f0": _cmd_f0,
-    "verify": _cmd_verify,
-    "solution": _cmd_solution,
-    "witt": _cmd_witt,
-    "psi": _cmd_psi,
+# The command-line grammar: per command, its handler, its help line and its
+# flags, each flag as (kind, default, help).  A kind is int, str, a tuple of
+# choices, or bool for a switch; a default of ... makes the flag required.
+_COMMON = {
+    "--degree": (int, 8, "working degree"),
+    "--format": (("text", "json", "latex"), "text", "output form"),
+    "--output": (str, None, "write to this path instead of stdout"),
+    "--force": (bool, False, f"allow degrees above {MAX_UNFORCED_DEGREE}"),
 }
+_COMMANDS = {
+    "bch": (_cmd_bch, "Baker-Campbell-Hausdorff component at a degree", {
+        "--method": (("eulerian", "oracle", "both"), "eulerian", "construction to print"),
+        "--vars": (int, 2, "number of generators")}),
+    "f0": (_cmd_f0, "particular solution F0 through a degree", {}),
+    "verify": (_cmd_verify, "check an identity; exit 1 on any defect", {
+        "--format": (("text", "json", "latex"), None, "not read: verify prints one status line"),
+        "--equation": (("kv1", "split", "homogeneous", "multilinear"), ..., "identity to check"),
+        "--kernel-poly": (str, None, "polynomial expression, e.g. '1/2*xy + 1/2*yx'"),
+        "--vars": (int, None, "generators for --equation multilinear (default 3)")}),
+    "solution": (_cmd_solution, "general solution attached to a polynomial", {
+        "--kernel-poly": (str, None, "polynomial expression p (default 0)"),
+        "--lambda1": (str, "0", "coefficient of x added to F"),
+        "--lambda2": (str, "0", "coefficient of y added to G")}),
+    "witt": (_cmd_witt, "free Lie algebra dimensions per degree", {
+        "--vars": (int, 2, "number of generators")}),
+    "psi": (_cmd_psi, "apply the kernel projection map", {
+        "--degree": (int, None, "not read: the degree is that of --poly"),
+        "--var": (str, ..., "letter z of Psi_z"),
+        "--poly": (str, ..., "polynomial expression")}),
+}
+_HELP = ("-h", "--help")
+
+
+def _usage(command: str | None) -> str:
+    """The help text of ``command``, or kvlie's when None, from the table."""
+    if command is None:
+        about = ("Free Lie algebra engine for the first Kashiwara-Vergne equation\n\n"
+                 "commands (each lists its flags with --help):")
+        rows = [(name, line) for name, (_, line, _) in _COMMANDS.items()]
+    else:
+        about, rows = _COMMANDS[command][1] + "\n\nflags:", [(", ".join(_HELP), "print this help")]
+        for name, (kind, default, text) in {**_COMMON, **_COMMANDS[command][2]}.items():
+            meta = "|".join(kind) if isinstance(kind, tuple) else {int: "N", str: "TEXT", bool: ""}[kind]
+            note = "" if not default else " (required)" if default is ... else f" (default {default})"
+            rows.append((f"{name} {meta}".rstrip(), text + note))
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join([f"usage: kvlie {command or '<command>'} [flags]", "", about,
+                      *(f"  {left:<{width}}{right}" for left, right in rows)])
+
+
+def _parse_argv(argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:
+    """The command and its flag values by flag name (``kernel_poly``), defaults
+    filled in; None for the values when -h or --help asks for help, and for the
+    command too when that is kvlie's.  A usage error raises SystemExit."""
+    command = argv[0] if argv else None
+    if command in _HELP:
+        return None, None
+    if command not in _COMMANDS:
+        what = "no command" if command is None else f"unknown command {command!r}"
+        raise SystemExit(f"kvlie: {what}; expected {'|'.join(_COMMANDS)}")
+    flags, values, rest = {**_COMMON, **_COMMANDS[command][2]}, {}, iter(argv[1:])
+    for arg in rest:
+        if arg in _HELP:
+            return command, None
+        name, eq, text = arg.partition("=")
+        if name not in flags:
+            raise SystemExit(f"kvlie: {command} has no flag {name}" if arg.startswith("-")
+                             else f"kvlie: unexpected argument {arg!r}")
+        kind = flags[name][0]
+        if kind is bool and eq:
+            raise SystemExit(f"kvlie: {name} takes no value")
+        if kind is not bool and not eq:
+            text = next(rest, None)
+            if text is None or text.startswith("--"):
+                raise SystemExit(f"kvlie: {name} expects a value")
+        if kind is int:
+            try:
+                text = int(text)
+            except ValueError:
+                raise SystemExit(f"kvlie: {name}: invalid int {text!r}") from None
+        elif isinstance(kind, tuple) and text not in kind:
+            raise SystemExit(f"kvlie: {name}: invalid choice {text!r}; expected {'|'.join(kind)}")
+        values[name] = True if kind is bool else text
+    for name, (_, default, _) in flags.items():
+        if default is ... and name not in values:
+            raise SystemExit(f"kvlie: {command} requires {name}")
+        values.setdefault(name, default)
+    return command, SimpleNamespace(**{name[2:].replace("-", "_"): v for name, v in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # '--poly -xy' as '--poly=-xy': argparse reads a separate value that starts
-    # with '-' and is not a plain negative number as the next flag.
-    for i in reversed(range(len(argv) - 1)):
-        flag, value = argv[i : i + 2]
-        if flag in ("--lambda1", "--lambda2", "--poly", "--kernel-poly") and not value.startswith("--"):
-            argv[i : i + 2] = [f"{flag}={value}"]
-    args = build_parser().parse_args(argv)
-    # outputs print exact values of any length; the parser bounds its input
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
-        if args.command == "psi":
+        command, args = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            _emit(_usage(command), None)
+            return EXIT_OK
+        # outputs print exact values of any length; the parser bounds its input
+        sys.set_int_max_str_digits(0)
+        if command == "psi":
             if args.degree is not None:
                 raise SystemExit("kvlie: psi works at the degree of --poly and reads no --degree")
         elif args.degree < 1:
@@ -306,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
             _check_degree(args.degree, args.force)
         if getattr(args, "vars", None) is not None and args.vars < 2:
             raise SystemExit("kvlie: --vars must be >= 2")
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[command][0](args)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)
@@ -324,8 +349,7 @@ def run() -> NoReturn:
     Freeing every module and object at exit is a fixed cost of each cold
     command, and skipping it loses nothing: ``--output`` files are closed by
     their ``with`` block before main() returns, and kvlie registers no atexit
-    handler. An exception escaping main(), and argparse's SystemExit for
-    ``--help`` and its usage errors, take Python's normal exit.
+    handler. An exception escaping main() takes Python's normal exit.
     """
     code = main()
     sys.stdout.flush()

@@ -37,14 +37,13 @@ checks return full graded defect series, so a failure is diagnosable term by ter
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import NamedTuple
 
-from .algebra import XY, Alphabet, NCPoly, concat, default_alphabet, letter_part, substitute
+from .algebra import XY, Alphabet, NCPoly, Rational, concat, default_alphabet, letter_part, substitute
 from .idempotents import _goldberg, _lie_level, dynkin, kernel_generator
-from .scalars import bernoulli
+from .scalars import _bernoulli
 from .series import GradedSeries, _ad_sum, _over, series_exp, series_log
 
 NEGATE_SWAP = {"x": "-y", "y": "-x"}
@@ -53,19 +52,21 @@ NEGATE_SWAP = {"x": "-y", "y": "-x"}
 # -- operators: weighted sums sum_j w_j ad(z)^j, each one ``_ad_sum`` call ------
 
 
-def _exp_weights(order: int, sign: int = 1) -> list:
+def _exp_weights(order: int, sign: int = 1) -> tuple[list[int], int]:
     """sign times the weights of E(z) = exp(ad z) - 1: 0, then 1/j!."""
-    return [0] + [Fraction(sign, factorial(j)) for j in range(1, order + 1)]
+    return [0] + [sign * factorial(order) // factorial(j) for j in range(1, order + 1)], factorial(order)
 
 
-def _bernoulli_weights(order: int, sign: int = 1) -> list:
+def _bernoulli_weights(order: int, sign: int = 1) -> tuple[list[int], int]:
     """sign times the weights of Ber(z): B_j / j!."""
-    return [sign * bernoulli(j) / factorial(j) for j in range(order + 1)]
+    ratios = [(n, d * factorial(j)) for j, (n, d) in enumerate(map(_bernoulli, range(order + 1)))]
+    den = lcm(*(d for _, d in ratios))
+    return [sign * n * (den // d) for n, d in ratios], den
 
 
 def op_ad(base: NCPoly, s: GradedSeries) -> GradedSeries:
     """ad(base) applied componentwise; base must be homogeneous of degree 1."""
-    return _ad_sum(s.order, [(base, (0, 1), s)])
+    return _ad_sum(s.order, [(base, ((0, 1), 1), s)])
 
 
 def op_exp_ad_minus_one(base: NCPoly, s: GradedSeries) -> GradedSeries:
@@ -252,7 +253,7 @@ def verify_multilinear(solutions: list[GradedSeries], order: int | None = None) 
         raise ValueError("need at least two solution components")
     order = _checked_order(order, min(F.order for F in solutions), "solution tuple")
     alphabet = default_alphabet(k)
-    target = (NCPoly.zero(alphabet), (1,), _reversed_tail(order, k))
+    target = (NCPoly.zero(alphabet), ((1,), 1), _reversed_tail(order, k))
     return _ad_sum(order, [target, *_operator_terms(alphabet, solutions, order)])
 
 
@@ -277,14 +278,14 @@ def verify_split(F: GradedSeries, order: int | None = None) -> GradedSeries:
     """Defect of the split equation: Phi^-(y, x) - E(-x) F, where Phi^-(y, x)
     = ad(x) b is the x-leading share of the reversed BCH tail."""
     order = _checked_order(order, F.order, "series F")
-    share = (NCPoly.letter(XY, "x"), (0, 1), _letter_nested(order, 2, 0, -1))
+    share = (NCPoly.letter(XY, "x"), ((0, 1), 1), _letter_nested(order, 2, 0, -1))
     return _ad_sum(order, [share, *_operator_terms(XY, [F], order)])
 
 
 # -- symmetrisation and the solution space ----------------------------------------
 
 
-def symmetrize(pair: KvSolutionPair, lam: Fraction = Fraction(0)) -> KvSolutionPair:
+def symmetrize(pair: KvSolutionPair, lam: Rational = 0) -> KvSolutionPair:
     """Symmetrise a solution:
 
     F1 = (F + G(-y,-x))/2 + lam*x,  G1 = (G + F(-y,-x))/2 - lam*y,
@@ -292,6 +293,7 @@ def symmetrize(pair: KvSolutionPair, lam: Fraction = Fraction(0)) -> KvSolutionP
     """
     if not verify_kv1(pair).is_zero():
         raise ValueError("input pair is not a solution of the first equation")
+    from fractions import Fraction  # here only: no command symmetrises
     order = pair.order
     half = Fraction(1, 2)
     x_series = GradedSeries.generator(XY, "x", order)
@@ -303,8 +305,8 @@ def symmetrize(pair: KvSolutionPair, lam: Fraction = Fraction(0)) -> KvSolutionP
 
 def homogeneous_solution(
     p: NCPoly,
-    lambda1: Fraction = Fraction(0),
-    lambda2: Fraction = Fraction(0),
+    lambda1: Rational = 0,
+    lambda2: Rational = 0,
     order: int = 8,
 ) -> KvSolutionPair:
     """The homogeneous-equation solution attached to a kernel element p:
@@ -325,8 +327,8 @@ def homogeneous_solution(
 
 def general_solution(
     p: NCPoly,
-    lambda1: Fraction = Fraction(0),
-    lambda2: Fraction = Fraction(0),
+    lambda1: Rational = 0,
+    lambda2: Rational = 0,
     order: int = 8,
 ) -> KvSolutionPair:
     """The solution of the first equation attached to an arbitrary polynomial p:

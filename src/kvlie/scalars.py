@@ -1,9 +1,10 @@
 """Exact scalars: Bernoulli numbers and small number theory (the Moebius
 function, Witt's dimension formula).
 
-All scalars in this package are exact rationals, :class:`fractions.Fraction`.
-Polynomials keep integer numerators over one reduced denominator instead
-(:class:`kvlie.algebra.NCPoly`).
+Every kernel computes a rational as an integer numerator over a positive
+denominator, as polynomials and series store theirs
+(:class:`kvlie.algebra.NCPoly`); :class:`fractions.Fraction` values are built
+only where the public API returns one, such as :func:`bernoulli`.
 
 Bernoulli numbers follow the generating function t/(e^t - 1), i.e. B1 = -1/2.
 This is the convention under which the operator series Ber(x) = sum_k B_k
@@ -14,24 +15,34 @@ identity is what the test suite uses to pin the sign convention.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @lru_cache(maxsize=None)
-def bernoulli(k: int) -> Fraction:
-    """k-th Bernoulli number, convention t/(e^t - 1) (so bernoulli(1) == -1/2).
-
-    Computed by the recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1.
-    The prefix is read in increasing index order, so every call below this
-    one finds its own prefix cached and the recursion is one level deep.
-    """
+def _bernoulli(k: int) -> tuple[int, int]:
+    """(numerator, denominator) of the k-th Bernoulli number in lowest terms, by
+    sum_{j=0}^{m} C(m+1, j) B_j = 0 (m >= 1) over the lcm of the prefix
+    denominators, read in increasing index order: every call below this one
+    finds its prefix cached, so the recursion is one level deep."""
     if k < 0:
         raise ValueError("Bernoulli index must be non-negative")
     if k == 0:
-        return Fraction(1)
-    prefix = [bernoulli(j) for j in range(k)]
-    return -sum(math.comb(k + 1, j) * b for j, b in enumerate(prefix)) / (k + 1)
+        return 1, 1
+    prefix = [_bernoulli(j) for j in range(k)]
+    common = math.lcm(*(d for _, d in prefix))
+    total = -sum(math.comb(k + 1, j) * n * (common // d) for j, (n, d) in enumerate(prefix))
+    g = math.gcd(total, common * (k + 1))
+    return total // g, common * (k + 1) // g
+
+
+def bernoulli(k: int) -> Fraction:
+    """k-th Bernoulli number, convention t/(e^t - 1) (so bernoulli(1) == -1/2)."""
+    from fractions import Fraction  # here only: the kernels read _bernoulli
+    return Fraction(*_bernoulli(k))
 
 
 def moebius(n: int) -> int:

@@ -14,18 +14,19 @@ substitution runs on the word-dict components.  ``_product`` carries
 products, ``_power_sum`` (Horner's rule on ``_product``, each step only
 through the degrees the sum reads) exp and log, and ``_ad_sum``, the one
 kernel of weighted ad powers sum_j w_j ad(b)^j s, sums, scalings, the
-operators ad, E and Ber, the particular solutions and every verifier.
+operators ad, E and Ber, the particular solutions and every verifier; both
+take weights w_0, w_1, ... as (integer numerators, denominator), as parts are.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, compress, product
 from math import comb, factorial, gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebra import Alphabet, Frozen, NCPoly, Word, dense, from_dense, substitute, to_text
+from .algebra import (Alphabet, Frozen, NCPoly, Rational, Word, _rational, dense, from_dense,
+                      substitute, to_text)
 
 
 class GradedSeries(Frozen):
@@ -121,9 +122,9 @@ class GradedSeries(Frozen):
             raise ValueError("truncation order mismatch between series")
 
     def _sum(self, *items) -> "GradedSeries":
-        """sum of w s over the (w, s) items: one ``_ad_sum`` with zero bases."""
+        """sum of w s over the (w, s) items, w an int or a Fraction: one zero-base ``_ad_sum``."""
         zero = NCPoly.zero(self.alphabet)
-        return _ad_sum(self.order, [(zero, (w,), s) for w, s in items])
+        return _ad_sum(self.order, [(zero, ((w.numerator,), w.denominator), s) for w, s in items])
 
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
         if not isinstance(other, GradedSeries):
@@ -140,8 +141,8 @@ class GradedSeries(Frozen):
     def __neg__(self) -> "GradedSeries":
         return self._sum((-1, self))
 
-    def scaled(self, scalar) -> "GradedSeries":
-        return self._sum((scalar, self))
+    def scaled(self, scalar: Rational) -> "GradedSeries":
+        return self._sum((_rational(scalar), self))
 
     def __mul__(self, other):
         if not isinstance(other, GradedSeries):
@@ -184,8 +185,9 @@ class GradedSeries(Frozen):
                     g = gcd(c, scale)
                     yield text, c // g, scale // g
 
-    def iter_terms(self) -> Iterator[tuple[int, Word, Fraction]]:
-        """(degree, word, coefficient) of each term, in print order."""
+    def iter_terms(self) -> Iterator[tuple[int, Word, Rational]]:
+        """(degree, word, Fraction coefficient) of each term, in print order."""
+        from fractions import Fraction
         word = self.alphabet.word
         return ((len(text), word(text), Fraction(num, den)) for text, num, den in self.reduced_terms())
 
@@ -246,23 +248,25 @@ def _product(left: Sequence, right: Sequence, n: int, k: int):
     return (acc, common) if pairs else None
 
 
-def _power_sum(s: GradedSeries, weights: Sequence) -> GradedSeries:
-    """sum_j weights[j] u^j through the order of s, for u = s minus its
-    constant component, by Horner's rule: P_j = w_j + P_(j+1) u from the top
-    weight down.  u has no constant component, so P_(j+1) u leaves degree 0 to
-    w_j, and the sum reads P_j only at degrees <= order - j: step j computes
-    those and pads the rest with None, order (order + 1) / 2 products in all."""
+def _power_sum(s: GradedSeries, weights: tuple[Sequence[int], int]) -> GradedSeries:
+    """sum_j w_j u^j through the order of s, for u = s minus its constant
+    component, by Horner's rule: P_j = w_j + P_(j+1) u from the top weight
+    down.  u has no constant component, so P_(j+1) u leaves degree 0 to w_j,
+    and the sum reads P_j only at degrees <= order - j: step j computes those
+    and pads the rest with None, order (order + 1) / 2 products in all."""
     right, order = _entries((None, *s.dense[1:])), s.order
+    numerators, den = weights
     total: list = [None] * (order + 1)
-    for j, w in reversed(list(enumerate(map(Fraction, weights[: order + 1])))):
-        total = [([w.numerator], w.denominator) if w else None] + [
+    for j, w in reversed(list(enumerate(numerators[: order + 1]))):
+        g = gcd(w, den)
+        total = [([w // g], den // g) if w else None] + [
             _product(total, right, n, len(s.letters)) for n in range(1, order - j + 1)] + [None] * j
     return GradedSeries._raw(s.alphabet, s.letters, total)
 
 
 def _ad_sum(order: int, terms: Sequence) -> GradedSeries:
-    """sum over terms (base, weights, s) of sum_j weights[j] ad(base)^j s
-    through degree ``order``, for bases homogeneous of degree 1 (zero included)
+    """sum over terms (base, (numerators, den), s) of sum_j numerators[j] / den
+    ad(base)^j s through degree ``order``, for bases homogeneous of degree 1 (zero included)
     and series s over one alphabet, on the index over all their m letters.
     Left and right multiplication by the base b commute, so ad(b)^j =
     sum_i C(j, i) L_b^i (-R_b)^(j-i), and no ad power is built: each entry u
@@ -274,18 +278,19 @@ def _ad_sum(order: int, terms: Sequence) -> GradedSeries:
     alphabet = terms[0][2].alphabet
     letters = _letters(*(chain(s.letters, *base.numerators) for base, _, s in terms))
     m, checked, common = len(letters), [], [1] * (order + 1)
-    for base, weights, s in terms:
+    for base, (weights, den), s in terms:
         if base and (not base.is_homogeneous() or base.max_degree() != 1):
             raise ValueError("operator base must be homogeneous of degree 1")
         if {base.alphabet, s.alphabet} != {alphabet}:
             raise ValueError("alphabet mismatch between series")
         parts = [(d, part) for d, part in enumerate(_over(s, letters).dense[: order + 1]) if part]
-        checked.append((base, weights, parts))
+        checked.append((base, weights, den, parts))
         for d, (_, scale) in parts:
             for j, weight in enumerate(weights[: order + 1 - d]):
-                common[d + j] = lcm(common[d + j], Fraction(weight, scale * base.scale**j).denominator)
+                q = den * scale * base.scale**j
+                common[d + j] = lcm(common[d + j], q // gcd(weight, q))
     totals: list = [None] * (order + 1)
-    for base, weights, parts in checked:
+    for base, weights, den, parts in checked:
         powers = [[(0, 1)]]  # the nonzero (index, numerator) entries of base^i over the m letters
         for _ in range(min(order, len(weights) - 1)):
             powers.append([(u * m + letters.index(w[0]), c * b) for u, c in powers[-1]
@@ -294,7 +299,7 @@ def _ad_sum(order: int, terms: Sequence) -> GradedSeries:
             size = len(vector)
             for j, weight in enumerate(weights[: order + 1 - d]):
                 if weight:
-                    f = int(Fraction(weight * common[d + j], scale * base.scale**j))
+                    f = weight * common[d + j] // (den * scale * base.scale**j)
                     acc = totals[d + j] = totals[d + j] or [0] * (size * m**j)
                     for i in range(j + 1):
                         stride, g = m ** (j - i), f * comb(j, i) * (-1) ** (j - i)
@@ -309,7 +314,8 @@ def series_exp(s: GradedSeries) -> GradedSeries:
     vanishing constant component."""
     if s.dense[0]:
         raise ValueError("series_exp requires component 0 to vanish")
-    return _power_sum(s, [Fraction(1, factorial(k)) for k in range(s.order + 1)])
+    top = factorial(s.order)
+    return _power_sum(s, ([top // factorial(k) for k in range(s.order + 1)], top))
 
 
 def series_log(s: GradedSeries) -> GradedSeries:
@@ -317,4 +323,5 @@ def series_log(s: GradedSeries) -> GradedSeries:
     kernel; requires constant component equal to 1."""
     if s.dense[0] != ((1,), 1):
         raise ValueError("series_log requires component 0 equal to 1")
-    return _power_sum(s, [0] + [Fraction((-1) ** (k - 1), k) for k in range(1, s.order + 1)])
+    den = lcm(*range(1, s.order + 1))
+    return _power_sum(s, ([0] + [(-1) ** (k - 1) * den // k for k in range(1, s.order + 1)], den))

@@ -221,12 +221,6 @@ def test_degree_guard(capsys):
     assert out.startswith("-1/66*xxxxxyyyyyy + ")
 
 
-def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "--equation", "bogus"])
-    assert info.value.code == 2
-
-
 def test_output_determinism(capsys, tmp_path):
     args = ["f0", "--degree", "4", "--format", "json"]
     first = run(capsys, *args)
@@ -277,6 +271,20 @@ def test_output_determinism(capsys, tmp_path):
          "bch --method both prints difference lines"),
         # an empty --output is a path that cannot be written, not stdout
         (("f0", "--degree", "2", "--output", ""), "cannot write"),
+        # the grammar: a command, then flags named in full, each value in the next argument
+        ((), "no command; expected bch|f0|verify"),
+        (("bogus",), "unknown command 'bogus'"),
+        (("f0", "--bogus"), "f0 has no flag --bogus"),
+        (("psi", "--var", "x", "--pol", "-xy"), "psi has no flag --pol"),
+        (("f0", "--degree"), "--degree expects a value"),
+        (("f0", "--degree", "--force"), "--degree expects a value"),
+        (("f0", "--degree", "x"), "--degree: invalid int 'x'"),
+        (("f0", "--format", "yaml"), "--format: invalid choice 'yaml'"),
+        (("verify", "--equation", "bogus"), "--equation: invalid choice 'bogus'"),
+        (("verify", "--degree", "3"), "verify requires --equation"),
+        (("psi", "--poly", "xy"), "psi requires --var"),
+        (("f0", "--force=1"), "--force takes no value"),
+        (("f0", "--degree", "2", "stray"), "unexpected argument 'stray'"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):
@@ -418,7 +426,8 @@ PRODUCTION_COMMANDS = [
 def test_cli_commands_load_no_oracle_module():
     script = f"""
 import contextlib, io, sys
-watched = ["kvlie.oracles", "kvlie.permutations", "kvlie.linalg", "kvlie.lyndon", "dataclasses"]
+watched = ["kvlie.oracles", "kvlie.permutations", "kvlie.linalg", "kvlie.lyndon", "dataclasses",
+           "argparse", "fractions", "decimal"]
 watched += [] if "json" in sys.modules else ["json"]  # unless the bare interpreter loads it
 from kvlie.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
@@ -431,6 +440,37 @@ print(codes, loaded)
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == f"{[0] * len(PRODUCTION_COMMANDS)} []"
+
+
+def test_flag_value_forms_and_repeats(capsys):
+    # '--flag value' and '--flag=value' read alike, and a repeated flag keeps its last value
+    expected = run(capsys, "f0", "--degree", "3", "--format", "json")
+    assert expected[0] == 0
+    assert run(capsys, "f0", "--degree=3", "--format=json") == expected
+    assert run(capsys, "f0", "--format", "latex", "--degree", "7", "--degree=3", "--format", "json") == expected
+
+
+HELP_FLAGS = {
+    "bch": ["--degree", "--format", "--output", "--force", "--method", "--vars"],
+    "f0": ["--degree", "--format", "--output", "--force"],
+    "verify": ["--degree", "--format", "--output", "--force", "--equation", "--kernel-poly", "--vars"],
+    "solution": ["--degree", "--format", "--output", "--force", "--kernel-poly", "--lambda1", "--lambda2"],
+    "witt": ["--degree", "--format", "--output", "--force", "--vars"],
+    "psi": ["--degree", "--format", "--output", "--force", "--var", "--poly"],
+}
+
+
+def test_help_lists_every_command_and_its_flags(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert [line.split()[0] for line in out.splitlines() if line.startswith("  ")] == list(HELP_FLAGS)
+    for command, flags in HELP_FLAGS.items():
+        for help_flag in ("--help", "-h"):
+            # help stands where a flag may, whatever comes before it
+            code, out, err = run(capsys, command, "--degree", "3", help_flag)
+            assert (code, err) == (0, "")
+            assert out.startswith(f"usage: kvlie {command} ")
+            assert [line.split()[0] for line in out.splitlines() if line.startswith("  --")] == flags
 
 
 def _entry(*argv):

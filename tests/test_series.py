@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,19 @@ def test_sum_with_a_foreign_operand_raises_type_error(other):
     for combine in (lambda: s + other, lambda: s - other, lambda: other + s, lambda: other - s):
         with pytest.raises(TypeError):
             combine()
+
+
+@pytest.mark.parametrize("scalar", [0.5, Decimal("0.5"), "1/2"], ids=["float", "Decimal", "str"])
+def test_inexact_scalars_raise_type_error(scalar):
+    x = NCPoly.letter(XY, "x")
+    s = GradedSeries.from_poly(x, 2)
+    for build in (lambda: NCPoly(XY, {(0,): scalar}), lambda: NCPoly.from_word(XY, (0,), scalar),
+                  lambda: x.scaled(scalar), lambda: x * scalar, lambda: s.scaled(scalar), lambda: s * scalar):
+        with pytest.raises(TypeError, match="exact rationals"):
+            build()
+    # an int and a Fraction are read by their numerator and denominator
+    assert x.scaled(Fraction(4, 6)) == NCPoly(XY, {(0,): Fraction(2, 3)}) == parse_poly(XY, "2/3*x")
+    assert s.scaled(2) == GradedSeries.from_poly(parse_poly(XY, "2*x"), 2)
 
 
 def test_truncate_and_components():

@@ -9,7 +9,7 @@ built on it, and the defect series every verifier returns for such input.
 import copy
 import pickle
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -251,6 +251,7 @@ def test_ad_sum_placements_equal_ad_applied_j_times(k, order):
     s = GradedSeries(alphabet, order, [NCPoly(alphabet, {w: Fraction((sum(w) + d) % 7 - 3 or 5, d % 4 + 1)
                                                          for w in _all_words(k, d)}) for d in range(order + 1)])
     weights = [Fraction(j % 3 - 1, j + 2) for j in range(order + 1)]
+    den = lcm(*(w.denominator for w in weights))
     bases = ["0", f"5/3*{letters[-1]}", f"-5/3*{letters[0]}", f"2/3*{letters[0]} - 5/7*{letters[-1]}"]
     if k > 2:
         bases.append(f"1/2*{letters[0]} + 3/4*{letters[1]} - 2/5*{letters[2]}")
@@ -262,7 +263,7 @@ def test_ad_sum_placements_equal_ad_applied_j_times(k, order):
             for j, weight in enumerate(weights[: order + 1 - d]):
                 vector = ad_by_slices(base, vector) if j else vector
                 expected[d + j] = [e + weight * v for e, v in zip(expected[d + j], vector)]
-        got = series_module._ad_sum(order, [(base, weights, s)])
+        got = series_module._ad_sum(order, [(base, ([int(w * den) for w in weights], den), s)])
         assert got.letters == tuple(range(k))
         assert [[Fraction(c, part[1]) for c in part[0]] if part else [0] * k**n
                 for n, part in enumerate(got.dense)] == expected, text
