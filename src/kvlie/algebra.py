@@ -411,11 +411,11 @@ def to_latex(p: NCPoly | GradedSeries) -> str:
 
 
 # One term: [sign] [a ['/' b] ['*']] word, whitespace allowed anywhere; the word
-# runs to the next sign.  Digits are ASCII only: \d would also match other
-# decimal digits (Arabic-Indic), which int() reads as if they were ASCII.
-_TERM = re.compile(r"\s*(?P<sign>[-+]?)\s*"
-                   r"(?:(?P<num>[0-9]+)\s*(?:/\s*(?P<den>[0-9]*))?\s*(?P<star>\*?)\s*)?"
-                   r"(?P<word>[^-+]*)")
+# runs to the next sign.  ASCII digits only: \d also matches other decimal digits
+# (Arabic-Indic), which int() reads as ASCII.  Compiled by parse_poly on first use.
+_TERM = (r"\s*(?P<sign>[-+]?)\s*"
+         r"(?:(?P<num>[0-9]+)\s*(?:/\s*(?P<den>[0-9]*))?\s*(?P<star>\*?)\s*)?"
+         r"(?P<word>[^-+]*)")
 
 
 class PolyParseError(ValueError):
@@ -444,7 +444,7 @@ def parse_poly(alphabet: Alphabet, text: str) -> NCPoly:
     terms: list[tuple[Word, int, int]] = []
     pos, n = 0, len(text)
     while pos < n:
-        m = _TERM.match(text, pos)
+        m = re.compile(_TERM).match(text, pos)
         pos, word = m.end(), m["word"]
         if m["num"] is None and not word:
             raise PolyParseError("dangling sign" if pos == n else "expected a term", pos)

@@ -32,7 +32,6 @@ from .kv import (
     general_solution,
     homogeneous_solution,
     multilinear_particular_solution,
-    particular_solution,
     verify_homogeneous,
     verify_kv1,
     verify_multilinear,
@@ -42,6 +41,7 @@ from .scalars import witt_dimension
 from .series import GradedSeries
 
 MAX_UNFORCED_DEGREE = 11
+MAX_UNFORCED_WORDS = 2**16
 EXIT_OK = 0
 EXIT_DEFECT = 1
 EXIT_USAGE = 2
@@ -84,11 +84,14 @@ def _defect_lines(check: str, defect: GradedSeries) -> Iterator[str]:
         yield f"{check} defect at degree {len(text)}: {text} coefficient {_ratio_text(num, den)}"
 
 
-def _check_vars(k: int) -> None:
+def _check_vars(k: int, n: int, force: bool) -> None:
+    """k letters make an alphabet and, unless forced, at most MAX_UNFORCED_WORDS words of length n."""
     try:
         default_alphabet(k)
     except ValueError as exc:
         raise SystemExit(f"kvlie: --vars {k}: {exc}")
+    if not force and k**n > MAX_UNFORCED_WORDS:
+        raise SystemExit(f"kvlie: --vars {k} makes {k}^{n} words, over {MAX_UNFORCED_WORDS}; pass --force to proceed")
 
 
 def _parse_lambda(flag: str, text: str) -> Rational:
@@ -105,9 +108,11 @@ def _parse_lambda(flag: str, text: str) -> Rational:
     return Fraction(p.numerators[()], p.scale)
 
 
-def _parse_expr(text: str, force: bool) -> NCPoly:
-    """The polynomial in ``text``; its word degree is guarded like --degree,
-    since the Dynkin map on a degree-n word makes up to 2^(n-1) terms."""
+def _parse_expr(text: str | None, force: bool) -> NCPoly:
+    """The polynomial in ``text``, 0 when None; its word degree is guarded like
+    --degree, since the Dynkin map on a degree-n word makes up to 2^(n-1) terms."""
+    if text is None:
+        return NCPoly.zero(XY)
     try:
         p = parse_poly(XY, text)
     except PolyParseError as exc:
@@ -117,7 +122,7 @@ def _parse_expr(text: str, force: bool) -> NCPoly:
 
 
 def _cmd_bch(args) -> int:
-    _check_vars(args.vars)
+    _check_vars(args.vars, args.degree, args.force)  # _goldberg(n, k) is dense over k^n words
     if args.method == "both" and args.format != "text":
         raise SystemExit("kvlie: bch --method both prints difference lines and has no json or latex form")
     n, k = args.degree, args.vars
@@ -140,35 +145,26 @@ def _cmd_f0(args) -> int:
 
 def _cmd_verify(args) -> int:
     n = args.degree
-    if args.format is not None:
-        raise SystemExit("kvlie: verify prints one status line and reads no --format")
     for flag, value, readers in (("--kernel-poly", args.kernel_poly, ("kv1", "homogeneous")),
                                  ("--vars", args.vars, ("multilinear",))):
         if value is not None and args.equation not in readers:
             raise SystemExit(f"kvlie: {flag} is read only by --equation {'|'.join(readers)}")
     if args.equation == "kv1":
-        if args.kernel_poly is not None:
-            p = _parse_expr(args.kernel_poly, args.force)
-            pair = general_solution(p, order=n)
-        else:
-            pair = particular_solution(n)
-        defect = verify_kv1(pair, n)
+        defect = verify_kv1(general_solution(_parse_expr(args.kernel_poly, args.force), order=n), n)
     elif args.equation == "split":
         defect = verify_split(f0(n), n)
     elif args.equation == "homogeneous":
         if args.kernel_poly is None:
             raise SystemExit("kvlie: --equation homogeneous requires --kernel-poly")
-        p = _parse_expr(args.kernel_poly, args.force)
         try:
-            pair = homogeneous_solution(p, order=n)
+            pair = homogeneous_solution(_parse_expr(args.kernel_poly, args.force), order=n)
         except ValueError as exc:
             raise SystemExit(f"kvlie: {exc}")
         defect = verify_homogeneous(pair, n)
     else:  # multilinear, the last choice of --equation
         k = 3 if args.vars is None else args.vars
-        _check_vars(k)
-        solutions = multilinear_particular_solution(k, n)
-        defect = verify_multilinear(solutions, n)
+        _check_vars(k, n + 1, args.force)  # Z_(n+1) is dense over k^(n+1) words
+        defect = verify_multilinear(multilinear_particular_solution(k, n), n)
     if defect.is_zero():
         _emit(
             f"verified: {args.equation} defect vanishes through degree {n}",
@@ -180,7 +176,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solution(args) -> int:
-    p = _parse_expr(args.kernel_poly, args.force) if args.kernel_poly is not None else NCPoly.zero(XY)
+    p = _parse_expr(args.kernel_poly, args.force)
     lam1 = _parse_lambda("--lambda1", args.lambda1)
     lam2 = _parse_lambda("--lambda2", args.lambda2)
     pair = general_solution(p, lam1, lam2, args.degree)
@@ -195,8 +191,6 @@ def _cmd_solution(args) -> int:
 
 
 def _cmd_witt(args) -> int:
-    if args.format == "latex":
-        raise SystemExit("kvlie: witt prints a table and has no latex form; use --format text|json")
     # The Lyndon words of degree n are a basis of the degree-n piece, so
     # Witt's formula counts both columns without enumerating the words.
     rows = [(n, witt_dimension(args.vars, n)) for n in range(1, args.degree + 1)]
@@ -216,41 +210,42 @@ def _cmd_witt(args) -> int:
 
 
 def _cmd_psi(args) -> int:
-    p = _parse_expr(args.poly, args.force)
-    if args.var not in XY.letters:
-        raise SystemExit(f"kvlie: --var must be one of {'/'.join(XY.letters)}")
-    _emit(_render_poly(psi(p, args.var), args.format), args.output)
+    _emit(_render_poly(psi(_parse_expr(args.poly, args.force), args.var), args.format), args.output)
     return EXIT_OK
 
 
-# The command-line grammar: per command, its handler, its help line and its
-# flags, each flag as (kind, default, help).  A kind is int, str, a tuple of
-# choices, or bool for a switch; a default of ... makes the flag required.
+# The command-line grammar: per command, its handler, its help line and every
+# flag it reads besides those of _COMMON, each flag as (kind, default, help).
+# A kind is int, str, a tuple of choices, or bool for a switch; a default of
+# ... makes the flag required.  A flag a command does not list is refused.
+_DEGREE = (int, 8, "working degree")
+_FORMAT = (("text", "json", "latex"), "text", "output form")
 _COMMON = {
-    "--degree": (int, 8, "working degree"),
-    "--format": (("text", "json", "latex"), "text", "output form"),
     "--output": (str, None, "write to this path instead of stdout"),
-    "--force": (bool, False, f"allow degrees above {MAX_UNFORCED_DEGREE}"),
+    "--force": (bool, False, f"allow degrees above {MAX_UNFORCED_DEGREE}, components over {MAX_UNFORCED_WORDS} words"),
 }
 _COMMANDS = {
     "bch": (_cmd_bch, "Baker-Campbell-Hausdorff component at a degree", {
+        "--degree": _DEGREE, "--format": _FORMAT,
         "--method": (("eulerian", "oracle", "both"), "eulerian", "construction to print"),
         "--vars": (int, 2, "number of generators")}),
-    "f0": (_cmd_f0, "particular solution F0 through a degree", {}),
+    "f0": (_cmd_f0, "particular solution F0 through a degree", {"--degree": _DEGREE, "--format": _FORMAT}),
     "verify": (_cmd_verify, "check an identity; exit 1 on any defect", {
-        "--format": (("text", "json", "latex"), None, "not read: verify prints one status line"),
+        "--degree": _DEGREE,
         "--equation": (("kv1", "split", "homogeneous", "multilinear"), ..., "identity to check"),
         "--kernel-poly": (str, None, "polynomial expression, e.g. '1/2*xy + 1/2*yx'"),
         "--vars": (int, None, "generators for --equation multilinear (default 3)")}),
     "solution": (_cmd_solution, "general solution attached to a polynomial", {
+        "--degree": _DEGREE, "--format": _FORMAT,
         "--kernel-poly": (str, None, "polynomial expression p (default 0)"),
         "--lambda1": (str, "0", "coefficient of x added to F"),
         "--lambda2": (str, "0", "coefficient of y added to G")}),
     "witt": (_cmd_witt, "free Lie algebra dimensions per degree", {
+        "--degree": _DEGREE, "--format": (("text", "json"), "text", "output form"),
         "--vars": (int, 2, "number of generators")}),
-    "psi": (_cmd_psi, "apply the kernel projection map", {
-        "--degree": (int, None, "not read: the degree is that of --poly"),
-        "--var": (str, ..., "letter z of Psi_z"),
+    "psi": (_cmd_psi, "apply the kernel projection map at the degree of --poly", {
+        "--format": _FORMAT,
+        "--var": (XY.letters, ..., "letter z of Psi_z"),
         "--poly": (str, ..., "polynomial expression")}),
 }
 _HELP = ("-h", "--help")
@@ -264,7 +259,7 @@ def _usage(command: str | None) -> str:
         rows = [(name, line) for name, (_, line, _) in _COMMANDS.items()]
     else:
         about, rows = _COMMANDS[command][1] + "\n\nflags:", [(", ".join(_HELP), "print this help")]
-        for name, (kind, default, text) in {**_COMMON, **_COMMANDS[command][2]}.items():
+        for name, (kind, default, text) in {**_COMMANDS[command][2], **_COMMON}.items():
             meta = "|".join(kind) if isinstance(kind, tuple) else {int: "N", str: "TEXT", bool: ""}[kind]
             note = "" if not default else " (required)" if default is ... else f" (default {default})"
             rows.append((f"{name} {meta}".rstrip(), text + note))
@@ -283,7 +278,7 @@ def _parse_argv(argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:
     if command not in _COMMANDS:
         what = "no command" if command is None else f"unknown command {command!r}"
         raise SystemExit(f"kvlie: {what}; expected {'|'.join(_COMMANDS)}")
-    flags, values, rest = {**_COMMON, **_COMMANDS[command][2]}, {}, iter(argv[1:])
+    flags, values, rest = {**_COMMANDS[command][2], **_COMMON}, {}, iter(argv[1:])
     for arg in rest:
         if arg in _HELP:
             return command, None
@@ -322,12 +317,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         # outputs print exact values of any length; the parser bounds its input
         sys.set_int_max_str_digits(0)
-        if command == "psi":
-            if args.degree is not None:
-                raise SystemExit("kvlie: psi works at the degree of --poly and reads no --degree")
-        elif args.degree < 1:
-            raise SystemExit("kvlie: --degree must be >= 1")
-        else:
+        if hasattr(args, "degree"):
+            if args.degree < 1:
+                raise SystemExit("kvlie: --degree must be >= 1")
             _check_degree(args.degree, args.force)
         if getattr(args, "vars", None) is not None and args.vars < 2:
             raise SystemExit("kvlie: --vars must be >= 2")

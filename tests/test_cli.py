@@ -249,8 +249,10 @@ def test_output_determinism(capsys, tmp_path):
         (("verify", "--equation", "kv1", "--degree", "3", "--kernel-poly", "1/" + "1" * 5000 + "*x"),
          "too many digits (at position 2)"),
         (("psi", "--var", "x", "--poly", "xyxyxyxyxyxy"), "polynomial degree 12 exceeds 11"),
-        (("psi", "--var", "x", "--poly", "xy", "--degree", "12"), "psi works at the degree of --poly"),
-        (("psi", "--var", "x", "--poly", "xy", "--degree", "3"), "reads no --degree"),
+        # psi works at the degree of --poly, and the table gives it no --degree
+        (("psi", "--var", "x", "--poly", "xy", "--degree", "12"), "psi has no flag --degree"),
+        (("psi", "--var", "x", "--poly", "xy", "--degree", "3"), "psi has no flag --degree"),
+        (("psi", "--var", "z", "--poly", "xy"), "--var: invalid choice 'z'; expected x|y"),
         (("verify", "--equation", "kv1", "--degree", "3", "--kernel-poly", "x + xyxyxyxyxyxy"),
          "polynomial degree 12 exceeds 11"),
         (("verify", "--equation", "split", "--degree", "3", "--kernel-poly", "xy"),
@@ -262,9 +264,9 @@ def test_output_determinism(capsys, tmp_path):
         (("verify", "--equation", "split", "--degree", "3", "--vars", "2"), "--vars is read only by"),
         (("verify", "--equation", "homogeneous", "--degree", "3", "--kernel-poly", "xy - yx",
           "--vars", "2"), "--vars is read only by"),
-        (("verify", "--equation", "kv1", "--degree", "3", "--format", "latex"),
-         "verify prints one status line and reads no --format"),
-        (("witt", "--degree", "3", "--format", "latex"), "witt prints a table and has no latex form"),
+        # verify prints one status line and has no --format; witt's table has no latex form
+        (("verify", "--equation", "kv1", "--degree", "3", "--format", "latex"), "verify has no flag --format"),
+        (("witt", "--degree", "3", "--format", "latex"), "--format: invalid choice 'latex'; expected text|json"),
         (("bch", "--method", "both", "--degree", "3", "--format", "json"),
          "bch --method both prints difference lines and has no json or latex form"),
         (("bch", "--method", "both", "--degree", "3", "--format", "latex"),
@@ -315,6 +317,9 @@ def test_coefficients_past_the_int_str_limit_print_exactly(capsys, argv, expecte
     ["bch", "--method", "oracle", "--degree", "12"],
     ["solution", "--degree", "12"],
     ["psi", "--var", "x", "--poly", "xyxyxyxyxyxy"],
+    # past the word budget at degrees the degree guard lets through
+    ["bch", "--vars", "14", "--degree", "11"],
+    ["verify", "--equation", "multilinear", "--vars", "4", "--degree", "9"],
 ])
 def test_degree_guard_exits_2_before_any_construction(capsys, monkeypatch, argv):
     import kvlie.cli as cli
@@ -331,6 +336,17 @@ def test_degree_guard_exits_2_before_any_construction(capsys, monkeypatch, argv)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and "--force" in err
+
+
+def test_word_budget_holds_to_its_bound_unless_forced():
+    import kvlie.cli as cli
+
+    for k, n in ((2, 16), (4, 8), (3, 10)):  # at most 2^16 words run unforced
+        cli._check_vars(k, n, False)
+    cli._check_vars(14, 11, True)
+    for k, n in ((2, 17), (4, 9), (3, 11)):
+        with pytest.raises(SystemExit, match=rf"--vars {k} makes {k}\^{n} words, over 65536; pass --force"):
+            cli._check_vars(k, n, False)
 
 
 def test_verify_multilinear_builds_the_bch_series_once(capsys, monkeypatch):
@@ -442,6 +458,25 @@ print(codes, loaded)
     assert done.stdout.strip() == f"{[0] * len(PRODUCTION_COMMANDS)} []"
 
 
+def test_term_pattern_compiles_on_the_first_parse():
+    # a command that parses no polynomial never compiles the term pattern
+    script = """
+import contextlib, io, re
+compiled, real = [], re.compile
+re.compile = lambda pattern, flags=0: compiled.append(pattern) or real(pattern, flags)
+from kvlie.cli import main
+def parsed(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return any("(?P<num>" in str(pattern) for pattern in compiled)
+print([parsed(argv) for argv in (["witt", "--degree", "3"], ["f0", "--degree", "3"], ["bch", "--degree", "3"],
+                                 ["psi", "--var", "x", "--poly", "xy"])])
+"""
+    _, env = _entry()
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[False, False, False, True]\n", "")
+
+
 def test_flag_value_forms_and_repeats(capsys):
     # '--flag value' and '--flag=value' read alike, and a repeated flag keeps its last value
     expected = run(capsys, "f0", "--degree", "3", "--format", "json")
@@ -451,12 +486,12 @@ def test_flag_value_forms_and_repeats(capsys):
 
 
 HELP_FLAGS = {
-    "bch": ["--degree", "--format", "--output", "--force", "--method", "--vars"],
+    "bch": ["--degree", "--format", "--method", "--vars", "--output", "--force"],
     "f0": ["--degree", "--format", "--output", "--force"],
-    "verify": ["--degree", "--format", "--output", "--force", "--equation", "--kernel-poly", "--vars"],
-    "solution": ["--degree", "--format", "--output", "--force", "--kernel-poly", "--lambda1", "--lambda2"],
-    "witt": ["--degree", "--format", "--output", "--force", "--vars"],
-    "psi": ["--degree", "--format", "--output", "--force", "--var", "--poly"],
+    "verify": ["--degree", "--equation", "--kernel-poly", "--vars", "--output", "--force"],
+    "solution": ["--degree", "--format", "--kernel-poly", "--lambda1", "--lambda2", "--output", "--force"],
+    "witt": ["--degree", "--format", "--vars", "--output", "--force"],
+    "psi": ["--format", "--var", "--poly", "--output", "--force"],
 }
 
 
@@ -467,7 +502,7 @@ def test_help_lists_every_command_and_its_flags(capsys):
     for command, flags in HELP_FLAGS.items():
         for help_flag in ("--help", "-h"):
             # help stands where a flag may, whatever comes before it
-            code, out, err = run(capsys, command, "--degree", "3", help_flag)
+            code, out, err = run(capsys, command, "--force", help_flag)
             assert (code, err) == (0, "")
             assert out.startswith(f"usage: kvlie {command} ")
             assert [line.split()[0] for line in out.splitlines() if line.startswith("  --")] == flags
@@ -539,7 +574,7 @@ def test_verify_prints_the_first_defect_naming_its_check(capsys, monkeypatch):
     from kvlie.kv import KvSolutionPair, f0, g0, multilinear_particular_solution
 
     monkeypatch.setattr(cli, "f0", lambda n: _perturbed(f0(n)))
-    monkeypatch.setattr(cli, "particular_solution", lambda n: KvSolutionPair(_perturbed(f0(n)), g0(n)))
+    monkeypatch.setattr(cli, "general_solution", lambda p, order: KvSolutionPair(_perturbed(f0(order)), g0(order)))
     monkeypatch.setattr(cli, "multilinear_particular_solution", lambda k, n: [
         _perturbed(F) if i == 0 else F for i, F in enumerate(multilinear_particular_solution(k, n))])
     for equation in ("kv1", "split", "multilinear"):
