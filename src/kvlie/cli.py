@@ -14,6 +14,7 @@ from typing import Iterator, NoReturn
 
 from .algebra import (
     XY,
+    Alphabet,
     NCPoly,
     PolyParseError,
     Rational,
@@ -40,7 +41,6 @@ from .kv import (
 from .scalars import witt_dimension
 from .series import GradedSeries
 
-MAX_UNFORCED_DEGREE = 11
 MAX_UNFORCED_WORDS = 2**16
 EXIT_OK = 0
 EXIT_DEFECT = 1
@@ -72,26 +72,26 @@ def _emit(text: str, output: str | None) -> None:
             raise SystemExit(f"kvlie: cannot write stdout: {exc.strerror or exc}")
 
 
-def _check_degree(n: int, force: bool, what: str = "degree") -> None:
-    if n > MAX_UNFORCED_DEGREE and not force:
-        raise SystemExit(f"kvlie: {what} {n} exceeds {MAX_UNFORCED_DEGREE}; the cost grows "
-                         "about 2x per degree, pass --force to proceed")
-
-
 def _defect_lines(check: str, defect: GradedSeries) -> Iterator[str]:
     """Per-term defect report naming the check, lowest degree first, formatted as read."""
     for text, num, den in defect.reduced_terms():  # letters are single characters
         yield f"{check} defect at degree {len(text)}: {text} coefficient {_ratio_text(num, den)}"
 
 
-def _check_vars(k: int, n: int, force: bool) -> None:
-    """k letters make an alphabet and, unless forced, at most MAX_UNFORCED_WORDS words of length n."""
+def _check_words(k: int, n: int, force: bool, what: str) -> None:
+    """Unless forced, refuse a cost of k^n words, terms or steps over MAX_UNFORCED_WORDS;
+    the exponent is capped before the power, as k^17 > 2^16 for every k >= 2."""
+    if not force and k ** min(n, MAX_UNFORCED_WORDS.bit_length()) > MAX_UNFORCED_WORDS:
+        cost = f"{k}^{n}" if n > 1 else k
+        raise SystemExit(f"kvlie: {what} costs {cost}, over the budget of {MAX_UNFORCED_WORDS}; pass --force to proceed")
+
+
+def _alphabet(k: int) -> Alphabet:
+    """The alphabet of ``--vars k`` for a command that builds over it."""
     try:
-        default_alphabet(k)
+        return default_alphabet(k)
     except ValueError as exc:
         raise SystemExit(f"kvlie: --vars {k}: {exc}")
-    if not force and k**n > MAX_UNFORCED_WORDS:
-        raise SystemExit(f"kvlie: --vars {k} makes {k}^{n} words, over {MAX_UNFORCED_WORDS}; pass --force to proceed")
 
 
 def _parse_lambda(flag: str, text: str) -> Rational:
@@ -109,23 +109,24 @@ def _parse_lambda(flag: str, text: str) -> Rational:
 
 
 def _parse_expr(text: str | None, force: bool) -> NCPoly:
-    """The polynomial in ``text``, 0 when None; its word degree is guarded like
-    --degree, since the Dynkin map on a degree-n word makes up to 2^(n-1) terms."""
+    """The polynomial in ``text``, 0 when None; a degree-d polynomial costs 2^d,
+    since the Dynkin map on a degree-d word makes up to 2^(d-1) terms."""
     if text is None:
         return NCPoly.zero(XY)
     try:
         p = parse_poly(XY, text)
     except PolyParseError as exc:
         raise SystemExit(f"kvlie: cannot parse polynomial: {exc}")
-    _check_degree(p.max_degree(), force, "polynomial degree")
+    _check_words(2, p.max_degree(), force, f"polynomial degree {p.max_degree()}")
     return p
 
 
 def _cmd_bch(args) -> int:
-    _check_vars(args.vars, args.degree, args.force)  # _goldberg(n, k) is dense over k^n words
+    n, k = args.degree, args.vars
+    alphabet = _alphabet(k)
+    _check_words(k, n, args.force, f"--degree {n}")  # _goldberg(n, k) is dense over k^n words
     if args.method == "both" and args.format != "text":
         raise SystemExit("kvlie: bch --method both prints difference lines and has no json or latex form")
-    n, k = args.degree, args.vars
     if args.method == "both":
         diff = bch_eulerian(n, k) - bch_oracle(n, k)
         _emit("\n".join(_defect_lines("eulerian-vs-oracle", diff)), args.output)
@@ -133,12 +134,13 @@ def _cmd_bch(args) -> int:
     # component n alone, as a series holding only that part: no word dict, and
     # the Eulerian method builds no lower component
     top = _goldberg(n, k)[:2] if args.method == "eulerian" else bch_oracle(n, k).dense[n]
-    _emit(_render_poly(GradedSeries._raw(default_alphabet(k), range(k), (None,) * n + (top,)), args.format),
+    _emit(_render_poly(GradedSeries._raw(alphabet, range(k), (None,) * n + (top,)), args.format),
           args.output)
     return EXIT_OK
 
 
 def _cmd_f0(args) -> int:
+    _check_words(2, args.degree + 1, args.force, f"--degree {args.degree}")  # F0 reads Z_(n+1)
     _emit(_render_poly(f0(args.degree), args.format), args.output)
     return EXIT_OK
 
@@ -149,6 +151,8 @@ def _cmd_verify(args) -> int:
                                  ("--vars", args.vars, ("multilinear",))):
         if value is not None and args.equation not in readers:
             raise SystemExit(f"kvlie: {flag} is read only by --equation {'|'.join(readers)}")
+    k = _alphabet(3 if args.vars is None else args.vars).size if args.equation == "multilinear" else 2
+    _check_words(k, n + 1, args.force, f"--degree {n}")  # every equation reads Z_(n+1) over k letters
     if args.equation == "kv1":
         defect = verify_kv1(general_solution(_parse_expr(args.kernel_poly, args.force), order=n), n)
     elif args.equation == "split":
@@ -162,20 +166,16 @@ def _cmd_verify(args) -> int:
             raise SystemExit(f"kvlie: {exc}")
         defect = verify_homogeneous(pair, n)
     else:  # multilinear, the last choice of --equation
-        k = 3 if args.vars is None else args.vars
-        _check_vars(k, n + 1, args.force)  # Z_(n+1) is dense over k^(n+1) words
         defect = verify_multilinear(multilinear_particular_solution(k, n), n)
     if defect.is_zero():
-        _emit(
-            f"verified: {args.equation} defect vanishes through degree {n}",
-            args.output,
-        )
+        _emit(f"verified: {args.equation} defect vanishes through degree {n}", args.output)
         return EXIT_OK
     _emit(next(_defect_lines(args.equation, defect)), args.output)
     return EXIT_DEFECT
 
 
 def _cmd_solution(args) -> int:
+    _check_words(2, args.degree + 1, args.force, f"--degree {args.degree}")  # F0 reads Z_(n+1)
     p = _parse_expr(args.kernel_poly, args.force)
     lam1 = _parse_lambda("--lambda1", args.lambda1)
     lam2 = _parse_lambda("--lambda2", args.lambda2)
@@ -191,20 +191,18 @@ def _cmd_solution(args) -> int:
 
 
 def _cmd_witt(args) -> int:
+    # about n^2 divisor-scan steps, or n rows of up to n bits per bit of a large --vars
+    _check_words(args.degree * max(args.degree, args.vars.bit_length()), 1, args.force, f"--degree {args.degree}")
     # The Lyndon words of degree n are a basis of the degree-n piece, so
     # Witt's formula counts both columns without enumerating the words.
     rows = [(n, witt_dimension(args.vars, n)) for n in range(1, args.degree + 1)]
     if args.format == "json":
         import json
 
-        body = json.dumps(
-            [{"degree": n, "dimension": dim, "lyndon_words": dim} for n, dim in rows],
-            separators=(",", ":"),
-        )
+        body = json.dumps([{"degree": n, "dimension": dim, "lyndon_words": dim} for n, dim in rows],
+                          separators=(",", ":"))
     else:
-        body = "\n".join(
-            f"degree {n}: dimension {dim}, lyndon words {dim}" for n, dim in rows
-        )
+        body = "\n".join(f"degree {n}: dimension {dim}, lyndon words {dim}" for n, dim in rows)
     _emit(body, args.output)
     return EXIT_OK
 
@@ -222,7 +220,7 @@ _DEGREE = (int, 8, "working degree")
 _FORMAT = (("text", "json", "latex"), "text", "output form")
 _COMMON = {
     "--output": (str, None, "write to this path instead of stdout"),
-    "--force": (bool, False, f"allow degrees above {MAX_UNFORCED_DEGREE}, components over {MAX_UNFORCED_WORDS} words"),
+    "--force": (bool, False, f"lift the budget of {MAX_UNFORCED_WORDS} words (or witt steps) per command"),
 }
 _COMMANDS = {
     "bch": (_cmd_bch, "Baker-Campbell-Hausdorff component at a degree", {
@@ -320,7 +318,6 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "degree"):
             if args.degree < 1:
                 raise SystemExit("kvlie: --degree must be >= 1")
-            _check_degree(args.degree, args.force)
         if getattr(args, "vars", None) is not None and args.vars < 2:
             raise SystemExit("kvlie: --vars must be >= 2")
         return _COMMANDS[command][0](args)

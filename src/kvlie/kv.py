@@ -317,12 +317,13 @@ def homogeneous_solution(
     """
     if dynkin(p):
         raise ValueError("polynomial is not in the kernel of the Dynkin idempotent")
+    x_series, y_series = (GradedSeries.generator(XY, z, order) for z in XY.letters)
+    F, G = x_series.scaled(lambda1), y_series.scaled(lambda2)
+    if not p:  # the zero kernel element has no Ber term
+        return KvSolutionPair(F, G)
     P = GradedSeries.from_poly(dynkin(letter_part(p, "x")), order)
     Q = GradedSeries.from_poly(dynkin(letter_part(p, "y")), order)
-    x_series, y_series = (GradedSeries.generator(XY, z, order) for z in XY.letters)
-    F = op_bernoulli(_signed_letter(XY, 1), P) + x_series.scaled(lambda1)
-    G = op_bernoulli(_signed_letter(XY, 2), Q) + y_series.scaled(lambda2)
-    return KvSolutionPair(F, G)
+    return KvSolutionPair(op_bernoulli(_signed_letter(XY, 1), P) + F, op_bernoulli(_signed_letter(XY, 2), Q) + G)
 
 
 def general_solution(
@@ -338,10 +339,11 @@ def general_solution(
 
     Psi_z(p) = gamma((p - gamma(p))_z), so this is the particular solution
     plus the homogeneous solution of the kernel element p - gamma(p): no
-    precondition on p is needed, and p = 0 returns the particular solution.
+    precondition on p is needed, and a Lie p (p = 0 among them) adds only the
+    lambda terms to the particular solution, none when they are zero.
     """
     h = homogeneous_solution(kernel_generator(p), lambda1, lambda2, order)
-    return KvSolutionPair(f0(order) + h.F, g0(order) + h.G)
+    return KvSolutionPair(*(s + t if t else s for s, t in zip(particular_solution(order), h)))
 
 
 def antisymmetric_kernel_element(p: NCPoly) -> NCPoly:

@@ -1,14 +1,16 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kvlie
@@ -212,13 +214,17 @@ def test_witt(capsys):
 
 
 def test_degree_guard(capsys):
-    code, _, err = run(capsys, "f0", "--degree", "12")
+    code, _, err = run(capsys, "f0", "--degree", "16")
     assert code == 2
-    assert "--force" in err
-    # the guard on polynomial input is lifted the same way
-    code, out, err = run(capsys, "psi", "--var", "x", "--poly", "xyxyxyxyxyxy", "--force")
+    assert err == "kvlie: --degree 16 costs 2^17, over the budget of 65536; pass --force to proceed\n"
+    # a degree-12 polynomial is 2^12 Dynkin terms, inside the budget
+    code, out, err = run(capsys, "psi", "--var", "x", "--poly", "xyxyxyxyxyxy")
     assert code == 0 and err == ""
     assert out.startswith("-1/66*xxxxxyyyyyy + ")
+    # --force lifts the one budget, here witt's n^2 steps
+    code, out, err = run(capsys, "witt", "--degree", "257", "--force")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].startswith("degree 257: dimension ")
 
 
 def test_output_determinism(capsys, tmp_path):
@@ -248,13 +254,14 @@ def test_output_determinism(capsys, tmp_path):
         (("psi", "--var", "x", "--poly", "1" * 5000 + "*xy"), "too many digits (at position 0)"),
         (("verify", "--equation", "kv1", "--degree", "3", "--kernel-poly", "1/" + "1" * 5000 + "*x"),
          "too many digits (at position 2)"),
-        (("psi", "--var", "x", "--poly", "xyxyxyxyxyxy"), "polynomial degree 12 exceeds 11"),
+        (("psi", "--var", "x", "--poly", "xy" * 8 + "x"),
+         "polynomial degree 17 costs 2^17, over the budget of 65536; pass --force to proceed"),
         # psi works at the degree of --poly, and the table gives it no --degree
         (("psi", "--var", "x", "--poly", "xy", "--degree", "12"), "psi has no flag --degree"),
         (("psi", "--var", "x", "--poly", "xy", "--degree", "3"), "psi has no flag --degree"),
         (("psi", "--var", "z", "--poly", "xy"), "--var: invalid choice 'z'; expected x|y"),
-        (("verify", "--equation", "kv1", "--degree", "3", "--kernel-poly", "x + xyxyxyxyxyxy"),
-         "polynomial degree 12 exceeds 11"),
+        (("verify", "--equation", "kv1", "--degree", "3", "--kernel-poly", "x + " + "xy" * 8 + "x"),
+         "polynomial degree 17 costs 2^17"),
         (("verify", "--equation", "split", "--degree", "3", "--kernel-poly", "xy"),
          "--kernel-poly is read only by --equation kv1|homogeneous"),
         (("verify", "--equation", "multilinear", "--degree", "3", "--kernel-poly", "xy"),
@@ -311,42 +318,127 @@ def test_coefficients_past_the_int_str_limit_print_exactly(capsys, argv, expecte
     assert sys.get_int_max_str_digits() == limit
 
 
+WORD17 = "xy" * 8 + "x"
+
+
+# the first count over the budget of each command
 @pytest.mark.parametrize("argv", [
-    ["f0", "--degree", "12"],
-    ["verify", "--equation", "kv1", "--degree", "12"],
-    ["bch", "--method", "oracle", "--degree", "12"],
-    ["solution", "--degree", "12"],
-    ["psi", "--var", "x", "--poly", "xyxyxyxyxyxy"],
-    # past the word budget at degrees the degree guard lets through
+    ["f0", "--degree", "16"],
+    ["verify", "--equation", "kv1", "--degree", "16"],
+    ["verify", "--equation", "split", "--degree", "16"],
+    ["verify", "--equation", "homogeneous", "--degree", "16", "--kernel-poly", "xy + yx"],
+    ["solution", "--degree", "16"],
+    ["bch", "--degree", "17"],
+    ["bch", "--method", "oracle", "--degree", "17"],
+    ["psi", "--var", "x", "--poly", WORD17],
+    ["solution", "--degree", "3", "--kernel-poly", WORD17],
+    ["witt", "--degree", "257"],
+    ["witt", "--vars", str(2**256), "--degree", "256"],  # 256 rows of up to 256 * 257 bits
+    ["bch", "--vars", "4", "--degree", "9"],
     ["bch", "--vars", "14", "--degree", "11"],
-    ["verify", "--equation", "multilinear", "--vars", "4", "--degree", "9"],
+    ["verify", "--equation", "multilinear", "--vars", "4", "--degree", "8"],
+    ["verify", "--equation", "multilinear", "--degree", "10"],
 ])
 def test_degree_guard_exits_2_before_any_construction(capsys, monkeypatch, argv):
     import kvlie.cli as cli
     from kvlie import idempotents
 
     def forbidden(*args):
-        raise AssertionError("a construction ran before the degree guard")
+        raise AssertionError("a construction ran before the word budget")
 
     real = idempotents._goldberg
     for module in [m for key, m in sys.modules.items() if key.startswith("kvlie")]:
         if getattr(module, "_goldberg", None) is real:
             monkeypatch.setattr(module, "_goldberg", forbidden)
-    monkeypatch.setattr(cli, "bch_oracle", forbidden)
+    for module, name in ((idempotents, "_nest_packed"), (cli, "bch_oracle"), (cli, "witt_dimension")):
+        monkeypatch.setattr(module, name, forbidden)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and "--force" in err
+    assert len(err.splitlines()) == 1 and "over the budget of 65536; pass --force" in err
+
+
+class _BudgetSpy:
+    """Wraps ``_goldberg`` (k^n words) and ``_nest_packed`` (the words of its
+    input and output) in every kvlie module that holds them, and records the
+    largest count either met."""
+
+    def __init__(self, monkeypatch):
+        from kvlie import idempotents
+
+        self.largest = 0
+        goldberg, nest_packed = idempotents._goldberg, idempotents._nest_packed
+
+        def spy_goldberg(n, k):
+            self.count(k**n)
+            return goldberg(n, k)
+
+        def spy_nest_packed(terms):
+            self.count(len(terms))
+            nested = nest_packed(terms)
+            self.count(len(nested))
+            return nested
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("kvlie")]:
+            if getattr(module, "_goldberg", None) is goldberg:
+                monkeypatch.setattr(module, "_goldberg", spy_goldberg)
+        monkeypatch.setattr(idempotents, "_nest_packed", spy_nest_packed)
+
+    def count(self, words):
+        from kvlie.cli import MAX_UNFORCED_WORDS
+
+        assert words <= MAX_UNFORCED_WORDS, f"an unforced command built {words} words"
+        self.largest = max(self.largest, words)
+
+
+# the largest case of each command inside the budget, and the most words it builds:
+# the whole budget where a Goldberg table is read, less for the Dynkin map alone,
+# none for witt, whose n^2 steps build nothing
+@pytest.mark.parametrize("argv, largest", [
+    (["f0", "--degree", "15"], 2**16),
+    (["verify", "--equation", "kv1", "--degree", "15"], 2**16),
+    (["verify", "--equation", "split", "--degree", "15"], 2**16),
+    (["verify", "--equation", "homogeneous", "--degree", "15", "--kernel-poly", "xy + yx"], 2),
+    (["solution", "--degree", "15", "--kernel-poly", "xy" * 8], 2**16),
+    (["bch", "--degree", "16"], 2**16),
+    (["bch", "--vars", "4", "--degree", "8"], 2**16),
+    (["verify", "--equation", "multilinear", "--vars", "4", "--degree", "7"], 2**16),
+    (["psi", "--var", "x", "--poly", "xy" * 8], 5819),
+    (["witt", "--degree", "256"], 0),
+    (["witt", "--vars", str(10**12), "--degree", "256"], 0),
+])
+def test_largest_unforced_case_of_each_command_runs(capsys, monkeypatch, argv, largest):
+    from kvlie.kv import clear_caches
+
+    clear_caches()
+    spy = _BudgetSpy(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    assert spy.largest == largest
+
+
+@pytest.mark.parametrize("argv", [
+    ["bch"], ["bch", "--method", "both"], ["f0"], ["solution"], ["witt"],
+    *(["verify", "--equation", e] for e in ("kv1", "split", "multilinear")),
+    ["verify", "--equation", "homogeneous", "--kernel-poly", "xy + yx"],
+])
+def test_huge_degree_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--degree", "1000000000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "") and err.startswith("kvlie: --degree 1000000000000 costs ")
 
 
 def test_word_budget_holds_to_its_bound_unless_forced():
     import kvlie.cli as cli
 
-    for k, n in ((2, 16), (4, 8), (3, 10)):  # at most 2^16 words run unforced
-        cli._check_vars(k, n, False)
-    cli._check_vars(14, 11, True)
-    for k, n in ((2, 17), (4, 9), (3, 11)):
-        with pytest.raises(SystemExit, match=rf"--vars {k} makes {k}\^{n} words, over 65536; pass --force"):
-            cli._check_vars(k, n, False)
+    for k, n in ((2, 16), (4, 8), (3, 10), (256, 2), (65536, 1), (2, -1)):  # at most 2^16 run unforced
+        cli._check_words(k, n, False, "it")
+    for k, n in ((14, 11), (2, 10**12)):
+        cli._check_words(k, n, True, "it")
+    for k, n, cost in ((2, 17, "2^17"), (4, 9, "4^9"), (257, 2, "257^2"), (65537, 1, "65537"),
+                       (2, 10**12, "2^1000000000000")):
+        with pytest.raises(SystemExit, match=rf"^kvlie: it costs {re.escape(cost)}, over the budget of 65536; pass --force"):
+            cli._check_words(k, n, False, "it")
 
 
 def test_verify_multilinear_builds_the_bch_series_once(capsys, monkeypatch):
@@ -424,6 +516,63 @@ def test_polynomial_grammar_never_crashes_the_cli(text):
     ):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)
+
+
+def _flag_values(kind, output):
+    """Text for a flag of ``kind``: ints about the budget's limits and malformed
+    ones, choices and non-choices, polynomial text (and words at the budget's
+    degrees) from the grammar's alphabet, and ``output`` for the one path."""
+    if kind is int:
+        ints = [-1, 0, 1, 2, 3, 4, 7, 8, 9, 14, 15, 16, 17, 256, 257, 10**12, 2**256]
+        return st.sampled_from([str(n) for n in ints] + ["", "x", "1.5", "--3", "\u0663"])
+    if isinstance(kind, tuple):
+        return st.sampled_from([*kind * 3, "", "bogus", kind[0].upper()])
+    if output is not None:
+        return st.just(output)
+    terms = ["1/3", "-xy", "x + 1/2*yx", "2*xxy - yx", "xy - yx", "xy" * 8, "xy" * 8 + "x"]
+    return st.text(alphabet="xyz0129/*+- \u00b2", max_size=8) | st.sampled_from(terms)
+
+
+@st.composite
+def _argvs(draw, output):
+    """An argv built from the flag table: a command, its required flags and a
+    drawn subset of the others but --force, in drawn order, each value in its
+    own argument or after =, and at times one flag the command does not have."""
+    import kvlie.cli as cli
+
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    table = {**cli._COMMANDS[command][2], **cli._COMMON}
+    flags = {name: kind for name, (kind, _, _) in table.items() if kind is not bool}
+    names = [name for name in draw(st.permutations(list(flags))) if table[name][1] is ... or draw(st.booleans())]
+    argv = [command]
+    for name in names:
+        value = draw(_flag_values(flags[name], output if name == "--output" else None))
+        argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "--deg", "--forc"])))
+    return argv
+
+
+def test_flag_table_contract_holds_for_generated_argv(tmp_path_factory):
+    # exit 0, 1 or 2 and nothing raised; on 2 one stderr line and no stdout; and
+    # no unforced run builds more words than the budget (``_BudgetSpy``)
+    from kvlie.kv import clear_caches
+
+    output = str(tmp_path_factory.mktemp("contract") / "out")
+
+    @settings(deadline=None, max_examples=300)
+    @given(_argvs(output))
+    def check(argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as monkeypatch, redirect_stdout(stdout), redirect_stderr(stderr):
+            _BudgetSpy(monkeypatch)
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert stdout.getvalue() == "" and len(stderr.getvalue().splitlines()) == 1
+
+    check()
+    clear_caches()
 
 
 PRODUCTION_COMMANDS = [

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -61,7 +62,7 @@ from kvlie.oracles import (
     operator_nullity,
     solve_split_chain,
 )
-from kvlie import idempotents, kv, oracles, permutations, scalars
+from kvlie import idempotents, kv, oracles, permutations, scalars, series
 from kvlie.series import GradedSeries, _ad_sum, series_exp, series_log
 
 X = NCPoly.letter(XY, "x")
@@ -614,6 +615,55 @@ def test_kv1_against_conjugation_arithmetic():
     assert (lhs - rhs).is_zero()
 
 
+def _by_word(s: GradedSeries, sign: int = 1) -> Counter:
+    return Counter({w: sign * c for _, w, c in s.iter_terms()})
+
+
+def _conjugation_defect(alphabet, order, solutions, tail=True):
+    """The tail of log(e^x_k ... e^x_1) (its components of degree >= 2), or 0 when
+    not ``tail``, minus sum_i sign_i (e^(s_i x_i) F_i e^(-s_i x_i) - F_i) for
+    (sign_i, F_i) in ``solutions`` and s_i = (-1)^i, as the nonzero coefficients
+    by word.  exp(ad z) w = e^z w e^(-z), so only series_exp, series_log, * and
+    word dicts are read: no Goldberg vector, ``_ad_sum`` or Bernoulli weight."""
+    defect = Counter()
+    if tail:
+        product = GradedSeries.one(alphabet, order)
+        for letter in reversed(alphabet.letters):
+            product = product * series_exp(GradedSeries.generator(alphabet, letter, order))
+        defect.update({w: c for d, w, c in series_log(product).iter_terms() if d >= 2})
+    for i, (letter, (sign, F)) in enumerate(zip(alphabet.letters, solutions), start=1):
+        z = NCPoly.letter(alphabet, letter).scaled((-1) ** i)
+        left, right = (series_exp(GradedSeries.from_poly(t, order)) for t in (z, -z))
+        defect.subtract(_by_word(left * F * right, sign))
+        defect.update(_by_word(F, sign))
+    return {w: c for w, c in defect.items() if c}
+
+
+@pytest.mark.parametrize("text, lam1, lam2", [
+    ("xyxy - 2/3*yxxy + xxxyy", 1, -2),
+    ("xxy", Fraction(1, 3), 0),
+    ("1/2*xy + 1/2*yx - 5*yyxyx", 0, Fraction(-7, 4)),
+])
+def test_general_solution_against_conjugation_arithmetic(text, lam1, lam2):
+    # the kv1 pair at degree 11: with (F_1, F_2) = (F, -G) the first equation is
+    # the two-letter multilinear one
+    F, G = general_solution(parse_poly(XY, text), lam1, lam2, 11)
+    assert _conjugation_defect(XY, 11, [(1, F), (-1, G)]) == {}
+
+
+def test_homogeneous_solution_against_conjugation_arithmetic():
+    # e^(-x) F e^x - F = e^y G e^(-y) - G
+    p = kernel_generator(parse_poly(XY, "xyxy - 2/3*yxxy + xxxyy + yyyxxxy"))
+    F, G = homogeneous_solution(p, Fraction(2, 3), -1, 11)
+    assert _conjugation_defect(XY, 11, [(1, F), (-1, G)], tail=False) == {}
+
+
+@pytest.mark.parametrize("k, order", [(3, 8), (4, 6)])
+def test_multilinear_particular_solution_against_conjugation_arithmetic(k, order):
+    solutions = multilinear_particular_solution(k, order)
+    assert _conjugation_defect(default_alphabet(k), order, [(1, F) for F in solutions]) == {}
+
+
 @pytest.mark.parametrize("top", [5, 13])
 def test_solve_split_linear(top):
     assert solve_split_chain(1).component(1) == parse_poly(XY, "1/4*y")
@@ -768,6 +818,32 @@ def test_general_solution_zero_is_particular():
     pair = general_solution(NCPoly.zero(XY), order=5)
     assert pair.F == f0(5)
     assert pair.G == g0(5)
+
+
+@pytest.mark.parametrize("order", [3, 8, 11])
+def test_lie_polynomial_adds_no_homogeneous_operator(monkeypatch, order):
+    # a Lie p has the zero kernel element p - gamma(p): the pair is F0, G0 plus the
+    # lambda terms, built with no Bernoulli weight and no operator on a zero series
+    expected = particular_solution(order)
+    real = series._ad_sum
+
+    def spy(order, terms):
+        assert all(s for _, _, s in terms), "an operator ran on a zero series"
+        return real(order, terms)
+
+    def forbidden(*args):
+        raise AssertionError("a Bernoulli operator ran for a zero kernel element")
+
+    for module in (series, kv):
+        monkeypatch.setattr(module, "_ad_sum", spy)
+    monkeypatch.setattr(kv, "_bernoulli_weights", forbidden)
+    for p in (NCPoly.zero(XY), X, parse_poly(XY, "xy - yx")):
+        assert general_solution(p, order=order) == expected
+    pair = general_solution(NCPoly.zero(XY), Fraction(1, 2), -3, order)
+    assert pair.F.component(1) - expected.F.component(1) == X.scaled(Fraction(1, 2))
+    assert pair.G.component(1) - expected.G.component(1) == Y.scaled(-3)
+    assert [pair.F.component(d) for d in range(2, order + 1)] == list(expected.F.parts[2:])
+    assert [pair.G.component(d) for d in range(2, order + 1)] == list(expected.G.parts[2:])
 
 
 def test_general_solution_arbitrary_polynomials():
