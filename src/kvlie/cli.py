@@ -82,8 +82,7 @@ def _check_words(k: int, n: int, force: bool, what: str) -> None:
     """Unless forced, refuse a cost of k^n words, terms or steps over MAX_UNFORCED_WORDS;
     the exponent is capped before the power, as k^17 > 2^16 for every k >= 2."""
     if not force and k ** min(n, MAX_UNFORCED_WORDS.bit_length()) > MAX_UNFORCED_WORDS:
-        cost = f"{k}^{n}" if n > 1 else k
-        raise SystemExit(f"kvlie: {what} costs {cost}, over the budget of {MAX_UNFORCED_WORDS}; pass --force to proceed")
+        raise SystemExit(f"kvlie: {what} costs {k}^{n}, over the budget of {MAX_UNFORCED_WORDS}; pass --force to proceed")
 
 
 def _alphabet(k: int) -> Alphabet:
@@ -151,8 +150,12 @@ def _cmd_verify(args) -> int:
                                  ("--vars", args.vars, ("multilinear",))):
         if value is not None and args.equation not in readers:
             raise SystemExit(f"kvlie: {flag} is read only by --equation {'|'.join(readers)}")
-    k = _alphabet(3 if args.vars is None else args.vars).size if args.equation == "multilinear" else 2
-    _check_words(k, n + 1, args.force, f"--degree {n}")  # every equation reads Z_(n+1) over k letters
+    k = 2
+    if args.equation == "multilinear":
+        k = 3 if args.vars is None else args.vars
+        _alphabet(k)
+    # Z_(n+1) over k letters; homogeneous builds only 2^n words but is held to the same rule
+    _check_words(k, n + 1, args.force, f"--degree {n}")
     if args.equation == "kv1":
         defect = verify_kv1(general_solution(_parse_expr(args.kernel_poly, args.force), order=n), n)
     elif args.equation == "split":
@@ -168,7 +171,10 @@ def _cmd_verify(args) -> int:
     else:  # multilinear, the last choice of --equation
         defect = verify_multilinear(multilinear_particular_solution(k, n), n)
     if defect.is_zero():
-        _emit(f"verified: {args.equation} defect vanishes through degree {n}", args.output)
+        _emit(
+            f"verified: {args.equation} defect vanishes through degree {n}",
+            args.output,
+        )
         return EXIT_OK
     _emit(next(_defect_lines(args.equation, defect)), args.output)
     return EXIT_DEFECT
@@ -191,18 +197,21 @@ def _cmd_solution(args) -> int:
 
 
 def _cmd_witt(args) -> int:
-    # about n^2 divisor-scan steps, or n rows of up to n bits per bit of a large --vars
-    _check_words(args.degree * max(args.degree, args.vars.bit_length()), 1, args.force, f"--degree {args.degree}")
+    _check_words(args.degree, 2, args.force, f"--degree {args.degree}")  # about n^2 divisor-scan steps
     # The Lyndon words of degree n are a basis of the degree-n piece, so
     # Witt's formula counts both columns without enumerating the words.
     rows = [(n, witt_dimension(args.vars, n)) for n in range(1, args.degree + 1)]
     if args.format == "json":
         import json
 
-        body = json.dumps([{"degree": n, "dimension": dim, "lyndon_words": dim} for n, dim in rows],
-                          separators=(",", ":"))
+        body = json.dumps(
+            [{"degree": n, "dimension": dim, "lyndon_words": dim} for n, dim in rows],
+            separators=(",", ":"),
+        )
     else:
-        body = "\n".join(f"degree {n}: dimension {dim}, lyndon words {dim}" for n, dim in rows)
+        body = "\n".join(
+            f"degree {n}: dimension {dim}, lyndon words {dim}" for n, dim in rows
+        )
     _emit(body, args.output)
     return EXIT_OK
 
@@ -315,9 +324,8 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         # outputs print exact values of any length; the parser bounds its input
         sys.set_int_max_str_digits(0)
-        if hasattr(args, "degree"):
-            if args.degree < 1:
-                raise SystemExit("kvlie: --degree must be >= 1")
+        if getattr(args, "degree", 1) < 1:
+            raise SystemExit("kvlie: --degree must be >= 1")
         if getattr(args, "vars", None) is not None and args.vars < 2:
             raise SystemExit("kvlie: --vars must be >= 2")
         return _COMMANDS[command][0](args)

@@ -318,12 +318,14 @@ def homogeneous_solution(
     if dynkin(p):
         raise ValueError("polynomial is not in the kernel of the Dynkin idempotent")
     x_series, y_series = (GradedSeries.generator(XY, z, order) for z in XY.letters)
-    F, G = x_series.scaled(lambda1), y_series.scaled(lambda2)
-    if not p:  # the zero kernel element has no Ber term
-        return KvSolutionPair(F, G)
-    P = GradedSeries.from_poly(dynkin(letter_part(p, "x")), order)
-    Q = GradedSeries.from_poly(dynkin(letter_part(p, "y")), order)
-    return KvSolutionPair(op_bernoulli(_signed_letter(XY, 1), P) + F, op_bernoulli(_signed_letter(XY, 2), Q) + G)
+    F = x_series.scaled(lambda1)
+    G = y_series.scaled(lambda2)
+    if p:  # the zero kernel element has no Ber term
+        P = GradedSeries.from_poly(dynkin(letter_part(p, "x")), order)
+        Q = GradedSeries.from_poly(dynkin(letter_part(p, "y")), order)
+        F = op_bernoulli(_signed_letter(XY, 1), P) + F
+        G = op_bernoulli(_signed_letter(XY, 2), Q) + G
+    return KvSolutionPair(F, G)
 
 
 def general_solution(
@@ -343,7 +345,8 @@ def general_solution(
     lambda terms to the particular solution, none when they are zero.
     """
     h = homogeneous_solution(kernel_generator(p), lambda1, lambda2, order)
-    return KvSolutionPair(*(s + t if t else s for s, t in zip(particular_solution(order), h)))
+    F0, G0 = particular_solution(order)
+    return KvSolutionPair(F0 + h.F if h.F else F0, G0 + h.G if h.G else G0)
 
 
 def antisymmetric_kernel_element(p: NCPoly) -> NCPoly:
